@@ -193,32 +193,32 @@ class MultiJacobiBasis:
         piv = self._check_coord(i)
         tails = tail_sums(n)
         a, b = self.axis_params(piv, tails[piv])
-        suffix = n[piv + 1:]
-        results = []
-
-        def walk(j, d, value, chosen):
-            if j < 0:
-                results.append((tuple(chosen) + suffix, value))
-                return
-            a_j, b_j = self.axis_params(j, tails[j])
-            if d == -1:
-                table, lo = jacobi.coeff_H, n[j] - 2
-            elif d == 0:
-                table, lo = jacobi.coeff_I, n[j] - 1
-            else:
-                table, lo = jacobi.coeff_J, n[j]
-            for mj in range(max(lo, 0), lo + 3):
-                f = table(n[j], mj, a_j, b_j)
-                if f == 0.0:
-                    continue
-                walk(j - 1, d + n[j] - mj, value * f, [mj] + chosen)
-
+        # partial expansions (d, value, chosen degrees of slots j+1..piv),
+        # extended one slot at a time in lexicographic order of the choices
+        partial = []
         for mp in range(max(n[piv] - 1, 0), n[piv] + 2):
             g = jacobi.coeff_G(n[piv], mp, a, b)
             if g == 0.0:
                 continue
-            walk(piv - 1, n[piv] - mp, g, [mp])
-        return results
+            partial.append((n[piv] - mp, g, (mp,)))
+        for j in range(piv - 1, -1, -1):
+            a_j, b_j = self.axis_params(j, tails[j])
+            extended = []
+            for d, value, chosen in partial:
+                if d == -1:
+                    table, lo = jacobi.coeff_H, n[j] - 2
+                elif d == 0:
+                    table, lo = jacobi.coeff_I, n[j] - 1
+                else:
+                    table, lo = jacobi.coeff_J, n[j]
+                for mj in range(max(lo, 0), lo + 3):
+                    f = table(n[j], mj, a_j, b_j)
+                    if f == 0.0:
+                        continue
+                    extended.append((d + n[j] - mj, value * f, (mj,) + chosen))
+            partial = extended
+        suffix = n[piv + 1:]
+        return [(chosen + suffix, value) for _, value, chosen in partial]
 
     def recurrence_matrix(self, i, pad=0):
         """Sparse coordinate-multiplication matrix over the enumeration.

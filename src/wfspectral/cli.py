@@ -196,10 +196,10 @@ def cmd_density(cfg):
     grid = density.make_grid(sd.params.K, cfg["grid_resolution"])
     out = _out_dir(cfg)
     outputs = []
-    for t in cfg["times"]:
-        values = density.transition_density(
-            sd, t, x, grid, n_max=n_max, m_max=m_max,
-            clip_negative=cfg["clip_negative"])
+    series = density.transition_density(
+        sd, cfg["times"], x, grid, n_max=n_max, m_max=m_max,
+        clip_negative=cfg["clip_negative"])
+    for t, values in zip(cfg["times"], series):
         path = os.path.join(out, f"density_t{t:g}.csv")
         density.write_density_csv(path, grid, values, sd.params.K)
         outputs.append(path)

@@ -51,27 +51,61 @@ def _phi_at(sd, pts, n_max, u_m):
     return np.tensordot(sd.coeffs[:n_max, :u_m], P, axes=(1, 0))
 
 
+def _eigenfunctions_at(sd, x, n_max, u_m):
+    """e^{-sbar(x)/2} B~_n(x) for the first n_max terms at simplex points.
+
+    Returns an array of shape (n_max,) + x.shape[:-1].
+    """
+    phi = _phi_at(sd, x, n_max, u_m)
+    return phi * np.exp(-0.5 * model_mod.mean_fitness(sd.params, x))
+
+
+def _series(sd, times, x, y, log_wy, n_max, u_m):
+    """The eigenfunction series at every time, in one contraction.
+
+    Returns the (T, Mx, My) array
+
+        e^{-sbar(x)/2} [sum_n e^{-Lambda_n t} B~_n(x) B~_n(y)] e^{log_wy(y)}
+
+    for times (T,), x (Mx, K-1), y (My, K-1) and the y weight log_wy (My,).
+    Time enters only through the decay factors, so the basis is evaluated
+    once per point set and every time comes from one matrix product.
+    """
+    bx = _eigenfunctions_at(sd, x, n_max, u_m)        # (n_max, Mx)
+    phi_y = _phi_at(sd, y, n_max, u_m)                # (n_max, My)
+    decay = np.exp(-np.outer(times, sd.eigenvalues[:n_max]))
+    left = decay[:, None, :] * bx.T[None, :, :]       # (T, Mx, n_max)
+    kernel = left.reshape(-1, n_max) @ phi_y
+    kernel *= np.exp(log_wy)
+    return kernel.reshape(len(times), bx.shape[1], phi_y.shape[1])
+
+
+def _check_times(t):
+    """Times as a 1-D float array, and whether t was a scalar."""
+    times = np.asarray(t, dtype=float)
+    if times.ndim > 1:
+        raise ParameterError(f"times must be a scalar or 1-D, got {times.shape}")
+    if not np.all(times > 0):
+        raise ParameterError(f"elapsed time must be > 0, got {t}")
+    return np.atleast_1d(times), times.ndim == 0
+
+
 def smooth_kernel(sd, t, x, y, n_max=None, m_max=None):
     """Density with the neutral stationary kernel divided out.
 
     Returns e^{-sbar(x)/2} [sum_n e^{-Lambda_n t} B~_n(x) B~_n(y)]
     e^{+sbar(y)/2} as an (Mx, My) array over two point batches; the full
     density is this times pi0(y). Bounded up to the boundary, which makes it
-    the right integrand for kernel-weighted quadrature.
+    the right integrand for kernel-weighted quadrature. A 1-D array of times
+    adds a leading time axis: (T, Mx, My).
     """
-    if not t > 0:
-        raise ParameterError(f"elapsed time must be > 0, got {t}")
+    times, scalar = _check_times(t)
     n_max, u_m = _resolve_cutoffs(sd, n_max, m_max)
-    p = sd.params
     x = np.atleast_2d(np.asarray(x, dtype=float))
     y = np.atleast_2d(np.asarray(y, dtype=float))
-    phi_x = _phi_at(sd, x, n_max, u_m)           # (n_max, Mx)
-    phi_y = _phi_at(sd, y, n_max, u_m)           # (n_max, My)
-    decay = np.exp(-sd.eigenvalues[:n_max] * t)
-    kernel = (phi_x * decay[:, None]).T @ phi_y  # (Mx, My)
-    wx = np.exp(-0.5 * model_mod.mean_fitness(p, x))
-    wy = np.exp(0.5 * model_mod.mean_fitness(p, y))
-    return kernel * wx[:, None] * wy[None, :]
+    log_wy = 0.5 * model_mod.mean_fitness(sd.params, y)
+    out = _series(sd, times, x, y, log_wy, n_max, u_m)
+    return out[0] if scalar else out
 
 
 def transition_density(sd, t, x, y, n_max=None, m_max=None,
@@ -80,7 +114,7 @@ def transition_density(sd, t, x, y, n_max=None, m_max=None,
 
     Args:
         sd: SpectralDecomposition.
-        t: elapsed time, > 0.
+        t: elapsed time, > 0, or a 1-D array of such times.
         x: start point, first K-1 coordinates.
         y: evaluation points, shape (..., K-1).
         n_max: eigenpairs kept (default min(562, available)).
@@ -89,41 +123,47 @@ def transition_density(sd, t, x, y, n_max=None, m_max=None,
         warn_threshold: warn when the first dropped term still carries
             weight e^{-Lambda_{n_max} t} above this.
 
-    Returns the density at y (scalar for a single point).
+    Returns the density at y (scalar for a single point and a scalar t). An
+    array of times adds a leading time axis; the warnings and the clipping
+    apply to each time on its own.
     """
-    if not t > 0:
-        raise ParameterError(f"elapsed time must be > 0, got {t}")
+    times, scalar = _check_times(t)
     n_max, u_m = _resolve_cutoffs(sd, n_max, m_max)
     p = sd.params
+    labels = np.atleast_1d(t).tolist()
     if n_max < sd.size:
-        tail = np.exp(-sd.eigenvalues[n_max] * t)
-        if tail > warn_threshold:
-            warnings.warn(
-                f"first dropped eigenterm retains weight {tail:.2e} at "
-                f"t={t}; raise n_max or the truncation level", stacklevel=2)
+        for label, tail in zip(labels,
+                               np.exp(-sd.eigenvalues[n_max] * times)):
+            if tail > warn_threshold:
+                warnings.warn(
+                    f"first dropped eigenterm retains weight {tail:.2e} at "
+                    f"t={label}; raise n_max or the truncation level",
+                    stacklevel=2)
     x = np.asarray(x, dtype=float)
     if x.shape != (p.K - 1,):
         raise ParameterError(
             f"start point needs shape ({p.K - 1},), got {x.shape}")
-    phi_x = _phi_at(sd, x, n_max, u_m)           # (n_max,)
-    phi_y = _phi_at(sd, y, n_max, u_m)           # (n_max,) + batch
-    decay = np.exp(-sd.eigenvalues[:n_max] * t)
-    kernel = np.tensordot(decay * phi_x, phi_y, axes=(0, 0))
+    y = np.asarray(y, dtype=float)
+    batch = y.shape[:-1]
+    y = y.reshape(-1, y.shape[-1])
     # log_stationary_unnormalized already carries e^{sbar(y)}, so the
     # intended net prefactor e^{+sbar(y)/2} * dirichlet(y) needs -1/2 here
-    log_pref = (-0.5 * model_mod.mean_fitness(p, x)
-                - 0.5 * model_mod.mean_fitness(p, y)
-                + model_mod.log_stationary_unnormalized(p, y))
-    out = kernel * np.exp(log_pref)
-    neg = np.min(out) if out.size else 0.0
-    if neg < 0:
-        scale = max(np.max(out), 0.0)
-        warnings.warn(
-            f"truncation undershoot: most negative value {neg:.3e} "
-            f"against maximum {scale:.3e}", stacklevel=2)
-        if clip_negative:
-            out = np.maximum(out, 0.0)
-    return out if out.ndim else float(out)
+    log_wy = (model_mod.log_stationary_unnormalized(p, y)
+              - 0.5 * model_mod.mean_fitness(p, y))
+    out = _series(sd, times, x[None, :], y, log_wy, n_max, u_m)[:, 0, :]
+    for i in range(len(times)):
+        neg = np.min(out[i]) if out.shape[1] else 0.0
+        if neg < 0:
+            scale = max(np.max(out[i]), 0.0)
+            warnings.warn(
+                f"truncation undershoot: most negative value {neg:.3e} "
+                f"against maximum {scale:.3e}", stacklevel=2)
+            if clip_negative:
+                np.maximum(out[i], 0.0, out=out[i])
+    out = out.reshape((len(times),) + batch)
+    if not scalar:
+        return out
+    return out[0] if batch else float(out[0])
 
 
 def neutral_transition_density(p, t, x, y, D):
@@ -200,12 +240,10 @@ def distance_to_stationarity(sd, x, times, n_max=None, m_max=None):
     times = np.asarray(times, dtype=float)
     if np.any(times <= 0):
         raise ParameterError("times must be positive")
-    x = np.asarray(x, dtype=float)
-    phi_x = _phi_at(sd, x, n_max, u_m)
+    bx = _eigenfunctions_at(sd, np.asarray(x, dtype=float), n_max, u_m)
     norms = (sd.coeffs[1:n_max, :u_m] ** 2
              * np.exp(sd.log_norms[:u_m])[None, :]).sum(axis=1)
-    amp = (np.exp(-model_mod.mean_fitness(sd.params, x))
-           * phi_x[1:] ** 2 / norms)
+    amp = bx[1:] ** 2 / norms
     return np.exp(-2.0 * np.outer(times, sd.eigenvalues[1:n_max])) @ amp
 
 

@@ -122,7 +122,7 @@ class _SparseRows:
         if v:
             self.rows[r][c] = v
 
-    def matmul(self, other):
+    def __matmul__(self, other):
         out = _SparseRows(self.size)
         for r, row in enumerate(self.rows):
             acc = out.rows[r]
@@ -145,6 +145,23 @@ def _multiset_products(coeffs):
         key = tuple(sorted(tup))
         out[key] = out.get(key, 0) + v
     return out
+
+
+def _chain_product(ms, mats, cache):
+    """G_{ms[0]} @ ... @ G_{ms[-1]}, multiplied left to right.
+
+    Every prefix product is kept in `cache`, so tuples that share a prefix
+    share its multiplications.
+    """
+    res = None
+    for k in range(1, len(ms) + 1):
+        key = ms[:k]
+        hit = cache.get(key)
+        if hit is None:
+            hit = mats[ms[0]] if k == 1 else res @ mats[ms[k - 1]]
+            cache[key] = hit
+        res = hit
+    return res
 
 
 def assemble_M(p, basis, pad=DEFAULT_PAD, precision="double"):
@@ -184,17 +201,6 @@ def _assemble_double(p, basis, pad):
     multis = _multiset_products(model_mod.q_coefficients(p))
     mats = {}
     cache = {}
-
-    def product(ms):
-        if ms in cache:
-            return cache[ms]
-        if len(ms) == 1:
-            res = mats[ms[0]]
-        else:
-            res = product(ms[:-1]) @ mats[ms[-1]]
-        cache[ms] = res
-        return res
-
     needed = sorted({i for ms, v in multis.items() if v for i in ms})
     for i in needed:
         mats[i] = basis_pad.recurrence_matrix(i)
@@ -203,7 +209,7 @@ def _assemble_double(p, basis, pad):
         qv = float(multis[ms])
         if qv == 0.0:
             continue
-        term = eye if ms == () else product(ms)
+        term = eye if ms == () else _chain_product(ms, mats, cache)
         acc = acc + qv * term
     U = total_count(K, D)
     block = acc.tocsr()[:U, :U].tocsr()
@@ -238,17 +244,6 @@ def _assemble_extended(p, basis, pad, bits):
                         g.rows[pos][col] = v
             mats[i] = g
         cache = {}
-
-        def product(ms):
-            if ms in cache:
-                return cache[ms]
-            if len(ms) == 1:
-                res = mats[ms[0]]
-            else:
-                res = product(ms[:-1]).matmul(mats[ms[-1]])
-            cache[ms] = res
-            return res
-
         for ms in sorted(multis):
             qv = multis[ms]
             if not qv:
@@ -257,7 +252,7 @@ def _assemble_extended(p, basis, pad, bits):
                 for r in range(upad):
                     acc.rows[r][r] = acc.rows[r].get(r, 0) + qv
             else:
-                product(ms).add_scaled_into(acc, qv)
+                _chain_product(ms, mats, cache).add_scaled_into(acc, qv)
         U = total_count(K, D)
         rows = []
         for r in range(U):
@@ -445,12 +440,13 @@ def write_eigenvalues_csv(sd, path):
 def write_coefficients_csv(sd, path, n_limit=None):
     """Coefficient export: (n, m_tuple, u); tuples render as ;-joined degrees."""
     limit = sd.size if n_limit is None else min(n_limit, sd.size)
-    indices = sd.basis.enumeration.indices
+    labels = [";".join(map(str, m)) for m in sd.basis.enumeration.indices]
     with open(path, "w", newline="") as fh:
         fh.write("n,m_tuple,u\n")
         for n in range(limit):
-            for pos, m in enumerate(indices):
-                v = sd.coeffs[n, pos]
-                if v != 0.0:
-                    mt = ";".join(str(d) for d in m)
-                    fh.write(f"{n},{mt},{v:.17g}\n")
+            row = sd.coeffs[n]
+            nz = np.flatnonzero(row)
+            args = [None] * (2 * len(nz))
+            args[0::2] = [labels[pos] for pos in nz.tolist()]
+            args[1::2] = row[nz].tolist()
+            fh.write((f"{n},%s,%.17g\n" * len(nz)) % tuple(args))

@@ -1,7 +1,8 @@
 """Command-line interface: subcommands, config plumbing, exit codes.
 
 Everything calls main() in-process with small truncations so the whole file
-stays fast; one subprocess test confirms the installed entry point works.
+stays fast; subprocess tests confirm that the installed entry point and
+`python -m wfspectral` work.
 """
 
 import json
@@ -9,12 +10,15 @@ import math
 import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from wfspectral import cli, model
 from wfspectral.model import ModelParams
+
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 def run(tmp_path, *args):
@@ -241,3 +245,20 @@ def test_installed_entry_point(tmp_path):
     assert proc.returncode == 0, proc.stderr
     assert (tmp_path / "spectrum_eigenvalues.csv").exists()
     assert "eigenpairs" in proc.stdout
+
+
+def test_module_entry_point(tmp_path):
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+
+    def run_module(*args):
+        return subprocess.run(
+            [sys.executable, "-m", "wfspectral", *args, "--out", str(tmp_path)],
+            capture_output=True, text=True, timeout=120, env=env)
+
+    ok = run_module("spectrum", "--set", "truncation=3")
+    assert ok.returncode == 0, ok.stderr
+    assert (tmp_path / "spectrum_eigenvalues.csv").exists()
+    assert "eigenpairs" in ok.stdout
+    bad = run_module("spectrum", "--set", "truncation")
+    assert bad.returncode == 2
+    assert json.loads(bad.stderr)["error"] == "parameter"

@@ -7,14 +7,22 @@ stationary limit.
 """
 
 import math
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from wfspectral import density, model, simplex, spectral
 from wfspectral.errors import ParameterError
 from wfspectral.model import ModelParams
 from wfspectral.oracles import gauss_jacobi_01
+
+SIGMA_K4 = np.array([[12.0, 14.0, 15.0, 10.0],
+                     [14.0, 11.0, 13.0, 9.0],
+                     [15.0, 13.0, 0.0, 8.0],
+                     [10.0, 9.0, 8.0, 0.0]])
 
 
 def decompose(theta, sigma, D, **kw):
@@ -267,3 +275,94 @@ def test_csv_writers(tmp_path):
     tlines = tpath.read_text().splitlines()
     assert tlines[0] == "t,d2"
     assert [float(v) for v in tlines[2].split(",")] == [1.0, 1e-4]
+
+
+# -- batched times ------------------------------------------------------------
+
+@pytest.fixture(scope="module", params=[3, 4], ids=["K3", "K4"])
+def selected_sd(request, theta_unit, sigma_1):
+    if request.param == 3:
+        return decompose(theta_unit, sigma_1, 16)
+    return decompose([0.3, 0.4, 0.3, 0.5], SIGMA_K4, 8)
+
+
+def random_points(K, size, seed):
+    return np.random.default_rng(seed).dirichlet(np.ones(K), size)[..., :K - 1]
+
+
+@settings(max_examples=20, deadline=None)
+@given(times=st.lists(st.floats(0.005, 4.0), min_size=1, max_size=6),
+       seed=st.integers(0, 2 ** 16))
+def test_batched_times_match_scalar_calls(selected_sd, times, seed):
+    sd = selected_sd
+    K = sd.params.K
+    x = random_points(K, None, seed)
+    xs = random_points(K, 3, seed + 1)
+    y = random_points(K, 40, seed + 2)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", UserWarning)
+        dens = density.transition_density(sd, np.array(times), x, y)
+        kern = density.smooth_kernel(sd, np.array(times), xs, y)
+        for i, t in enumerate(times):
+            one = density.transition_density(sd, t, x, y)
+            assert np.max(np.abs(dens[i] - one)) <= 1e-13 * np.max(np.abs(one))
+            one = density.smooth_kernel(sd, t, xs, y)
+            assert np.max(np.abs(kern[i] - one)) <= 1e-13 * np.max(np.abs(one))
+
+
+def test_scalar_and_batched_return_shapes(theta_unit, sigma_1):
+    sd = decompose(theta_unit, sigma_1, 8)
+    x = np.array([0.3, 0.3])
+    y = random_points(3, (4, 5), 0)
+    times = np.array([0.2, 0.5, 1.0])
+    one = density.transition_density(sd, 0.5, x, x)
+    assert isinstance(one, float)
+    assert density.transition_density(sd, 0.5, x, y).shape == (4, 5)
+    assert density.transition_density(sd, 0.5, x, y[0]).shape == (5,)
+    assert density.transition_density(sd, times, x, x).shape == (3,)
+    assert density.transition_density(sd, times, x, y).shape == (3, 4, 5)
+    assert density.transition_density(sd, [0.5], x, x)[0] == one
+    assert density.smooth_kernel(sd, 0.5, x, x).shape == (1, 1)
+    assert density.smooth_kernel(sd, 0.5, y[0], x).shape == (5, 1)
+    assert density.smooth_kernel(sd, times, x, y[0]).shape == (3, 1, 5)
+    with pytest.raises(ParameterError):
+        density.transition_density(sd, np.array([0.5, -1.0]), x, y)
+    with pytest.raises(ParameterError):
+        density.smooth_kernel(sd, np.ones((2, 2)), x, y)
+
+
+def test_tail_warning_fires_once_per_time(theta_unit):
+    sd = decompose(theta_unit, np.zeros((3, 3)), 10)
+    x = np.array([0.3, 0.3])
+    with warnings.catch_warnings(record=True) as notes:
+        warnings.simplefilter("always")
+        density.transition_density(sd, [0.05, 50.0, 0.1], x, x, n_max=3)
+    tails = [str(w.message) for w in notes if "n_max" in str(w.message)]
+    assert len(tails) == 2
+    assert "t=0.05;" in tails[0] and "t=0.1;" in tails[1]
+
+
+def test_undershoot_warns_and_clips_per_time(theta_unit):
+    sd = decompose(theta_unit, np.zeros((3, 3)), 8)
+    x = np.array([0.45, 0.45])
+    y = density.make_grid(3, 25)
+    times = [0.01, 5.0, 0.012]
+    with warnings.catch_warnings(record=True) as notes:
+        warnings.simplefilter("always")
+        raw = density.transition_density(sd, times, x, y)
+        clipped = density.transition_density(sd, times, x, y,
+                                              clip_negative=True)
+        singles = [density.transition_density(sd, t, x, y,
+                                               clip_negative=True)
+                   for t in times]
+    under = [str(w.message) for w in notes if "undershoot" in str(w.message)]
+    negative = [bool(np.min(v) < 0) for v in raw]
+    assert negative == [True, False, True]
+    assert len(under) == 3 * sum(negative)
+    # each batched warning carries the same numbers as its scalar call
+    assert under[:2] == under[4:]
+    for i in range(len(times)):
+        assert np.min(clipped[i]) >= 0.0
+        assert np.array_equal(clipped[i], np.maximum(raw[i], 0.0))
+        scale = np.max(np.abs(singles[i]))
+        assert np.max(np.abs(clipped[i] - singles[i])) <= 1e-13 * scale

@@ -8,10 +8,12 @@ violation is exercised with a doctored matrix.
 """
 
 import dataclasses
+import gc
 from collections import defaultdict
 
 import numpy as np
 import pytest
+import scipy.sparse
 
 from wfspectral import jacobi, model, spectral
 from wfspectral.basis import MultiJacobiBasis
@@ -279,6 +281,53 @@ def test_csv_exports_round_trip(tmp_path, theta_small, sigma_1):
         n, mt, u = line.split(",")
         m = tuple(int(s) for s in mt.split(";"))
         assert float(u) == pytest.approx(sd.coeffs[int(n), pos[m]], rel=1e-15)
+
+
+def reference_write_coefficients_csv(sd, path, n_limit=None):
+    """The plain per-entry coefficient writer, kept as the byte reference."""
+    limit = sd.size if n_limit is None else min(n_limit, sd.size)
+    indices = sd.basis.enumeration.indices
+    with open(path, "w", newline="") as fh:
+        fh.write("n,m_tuple,u\n")
+        for n in range(limit):
+            for pos, m in enumerate(indices):
+                v = sd.coeffs[n, pos]
+                if v != 0.0:
+                    mt = ";".join(str(d) for d in m)
+                    fh.write(f"{n},{mt},{v:.17g}\n")
+
+
+@pytest.mark.parametrize("selected", [True, False], ids=["sigma_1", "neutral"])
+@pytest.mark.parametrize("n_limit", [None, 7])
+def test_coefficients_csv_matches_reference_bytes(tmp_path, theta_small,
+                                                  sigma_1, selected, n_limit):
+    # the neutral rows are single-entry, so the zero skipping is exercised
+    sigma = sigma_1 if selected else np.zeros((3, 3))
+    _, sd = make(theta_small, sigma, 10)
+    got, want = tmp_path / "got.csv", tmp_path / "want.csv"
+    spectral.write_coefficients_csv(sd, got, n_limit=n_limit)
+    reference_write_coefficients_csv(sd, want, n_limit=n_limit)
+    assert got.read_bytes() == want.read_bytes()
+
+
+@pytest.mark.parametrize("precision", ["double", "extended"])
+def test_decompose_leaves_no_reference_cycles(theta_small, sigma_1, precision):
+    # everything assembly builds must be freed by reference counting alone,
+    # without waiting for the cyclic collector
+    p = ModelParams(theta_small, sigma_1)
+    D = 12 if precision == "double" else 3
+    gc.collect()
+    gc.set_debug(gc.DEBUG_SAVEALL)
+    try:
+        spectral.decompose(p, D, precision=precision)
+        gc.collect()
+        garbage = list(gc.garbage)
+    finally:
+        gc.set_debug(0)
+        gc.garbage.clear()
+    assert not [o for o in garbage if scipy.sparse.issparse(o)]
+    assert not [o for o in garbage if callable(o)
+                and str(getattr(o, "__module__", "")).startswith("wfspectral")]
 
 
 def test_assemble_rejects_mismatched_basis(theta_small, theta_unit, sigma_1):
