@@ -139,17 +139,34 @@ def _make_model(cfg):
     return ModelParams(cfg["model"]["theta"], cfg["model"]["sigma"])
 
 
-def _cutoffs(cfg, sd):
-    n_max = min(cfg["n_max"], sd.size) if cfg.get("n_max") else None
-    m_max = min(cfg["m_max"], sd.D) if cfg.get("m_max") is not None else None
-    return n_max, m_max
+def _cutoffs(cfg):
+    """(U, n_max, n_kept, m_max) from the config, before any solve.
+
+    U is the basis size, n_max the configured cutoff capped at U, and n_kept
+    the number of eigenpairs a series sums (n_max, or its default).
+    """
+    from .density import DEFAULT_N_MAX
+    from .indexing import total_count
+    D = cfg["truncation"]
+    U = total_count(_make_model(cfg).K, D)
+    n_max = min(cfg["n_max"], U) if cfg.get("n_max") else None
+    m_max = min(cfg["m_max"], D) if cfg.get("m_max") is not None else None
+    return U, n_max, n_max or min(DEFAULT_N_MAX, U), m_max
 
 
-def _decompose(cfg):
+def _decompose(cfg, n_eig=None):
     from . import spectral
     p = _make_model(cfg)
     return spectral.decompose(p, cfg["truncation"], pad=cfg["pad"],
-                              precision=cfg["precision"])
+                              precision=cfg["precision"], n_eig=n_eig)
+
+
+def _solve_meta(sd):
+    """Sidecar fields that identify the operator and say how it was solved."""
+    from . import spectral
+    return {"decomposition_hash": spectral.decomposition_hash(sd),
+            "precision_bits": sd.precision_bits,
+            "eigenpairs": sd.n_eig, "eigensolver": sd.eigensolver}
 
 
 def _out_dir(cfg):
@@ -179,19 +196,18 @@ def cmd_spectrum(cfg):
     spectral.write_eigenvalues_csv(sd, eig_path)
     spectral.write_coefficients_csv(sd, coef_path)
     _write_json(os.path.join(out, "spectrum_meta.json"), _meta(
-        cfg, decomposition_hash=spectral.decomposition_hash(sd),
-        precision_bits=sd.precision_bits, size=sd.size,
-        outputs=[eig_path, coef_path]))
-    print(f"wrote {eig_path} ({sd.size} eigenpairs)")
+        cfg, **_solve_meta(sd), size=sd.size, outputs=[eig_path, coef_path]))
+    print(f"wrote {eig_path} ({sd.n_eig} eigenpairs)")
     return 0
 
 
 def cmd_density(cfg):
     import numpy as np
 
-    from . import density, spectral
-    sd = _decompose(cfg)
-    n_max, m_max = _cutoffs(cfg, sd)
+    from . import density
+    U, n_max, n_kept, m_max = _cutoffs(cfg)
+    # the tail warning reads the first dropped eigenvalue
+    sd = _decompose(cfg, n_eig=min(n_kept + 1, U))
     x = np.asarray(cfg["x"], dtype=float)
     grid = density.make_grid(sd.params.K, cfg["grid_resolution"])
     out = _out_dir(cfg)
@@ -205,23 +221,18 @@ def cmd_density(cfg):
         outputs.append(path)
         print(f"wrote {path} ({len(grid)} points)")
     _write_json(os.path.join(out, "density_meta.json"), _meta(
-        cfg, decomposition_hash=spectral.decomposition_hash(sd),
-        precision_bits=sd.precision_bits,
-        n_max=n_max, m_max=m_max, outputs=outputs))
+        cfg, **_solve_meta(sd), n_max=n_max, m_max=m_max, outputs=outputs))
     return 0
 
 
 def cmd_normconst(cfg):
-    from . import density, spectral
-    sd = _decompose(cfg)
-    _, m_max = _cutoffs(cfg, sd)
+    from . import density
+    *_, m_max = _cutoffs(cfg)
+    sd = _decompose(cfg, n_eig=1)
     value = density.normalizing_constant(sd, m_max=m_max)
     out = _out_dir(cfg)
     path = os.path.join(out, "normconst.json")
-    _write_json(path, _meta(
-        cfg, C_stat=value,
-        decomposition_hash=spectral.decomposition_hash(sd),
-        precision_bits=sd.precision_bits))
+    _write_json(path, _meta(cfg, C_stat=value, **_solve_meta(sd)))
     print(f"C_stat = {value:.17g}")
     print(f"wrote {path}")
     return 0
@@ -254,9 +265,9 @@ def cmd_converge(cfg):
 def cmd_distance(cfg):
     import numpy as np
 
-    from . import density, spectral
-    sd = _decompose(cfg)
-    n_max, m_max = _cutoffs(cfg, sd)
+    from . import density
+    _, n_max, n_kept, m_max = _cutoffs(cfg)
+    sd = _decompose(cfg, n_eig=n_kept)
     x = np.asarray(cfg["x"], dtype=float)
     dist_cfg = cfg["distance"]
     if dist_cfg.get("points", 0) < 2:
@@ -269,8 +280,7 @@ def cmd_distance(cfg):
     path = os.path.join(out, "distance.csv")
     density.write_distance_csv(path, times, values)
     _write_json(os.path.join(out, "distance_meta.json"), _meta(
-        cfg, decomposition_hash=spectral.decomposition_hash(sd),
-        precision_bits=sd.precision_bits, outputs=[path]))
+        cfg, **_solve_meta(sd), outputs=[path]))
     print(f"wrote {path}")
     return 0
 
@@ -364,8 +374,8 @@ def _validate_mc(cfg):
     from .oracles import MCConfig, mc_simulate, simplex_quadrature, \
         write_mc_summary_csv
     p = _make_model(cfg)
-    sd = _decompose(cfg)
-    n_max, m_max = _cutoffs(cfg, sd)
+    _, n_max, n_kept, m_max = _cutoffs(cfg)
+    sd = _decompose(cfg, n_eig=n_kept)
     mc_cfg = cfg["mc"]
     config = MCConfig(N=mc_cfg["N"], generations=mc_cfg["generations"],
                       replicates=mc_cfg["replicates"], seed=cfg["seed"],
@@ -399,8 +409,8 @@ def _validate_chapman(cfg):
 
     from . import density
     from .oracles import simplex_quadrature
-    sd = _decompose(cfg)
-    n_max, m_max = _cutoffs(cfg, sd)
+    _, n_max, n_kept, m_max = _cutoffs(cfg)
+    sd = _decompose(cfg, n_eig=n_kept)
     p = sd.params
     theta = np.asarray(p.theta, dtype=float)
     s = t = 0.25

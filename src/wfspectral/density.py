@@ -28,11 +28,14 @@ TAIL_WARN_THRESHOLD = 1e-8
 
 
 def _resolve_cutoffs(sd, n_max, m_max):
-    U = sd.size
     if n_max is None:
-        n_max = min(DEFAULT_N_MAX, U)
-    if not 1 <= n_max <= U:
-        raise ParameterError(f"n_max must be in 1..{U}, got {n_max}")
+        n_max = min(DEFAULT_N_MAX, sd.n_eig)
+    if not 1 <= n_max <= sd.size:
+        raise ParameterError(f"n_max must be in 1..{sd.size}, got {n_max}")
+    if n_max > sd.n_eig:
+        raise ParameterError(
+            f"n_max={n_max} needs more eigenpairs than the {sd.n_eig} this "
+            f"decomposition holds; decompose with n_eig >= {n_max}")
     if m_max is None:
         m_max = min(DEFAULT_M_MAX, sd.D)
     if not 0 <= m_max <= sd.D:
@@ -117,7 +120,7 @@ def transition_density(sd, t, x, y, n_max=None, m_max=None,
         t: elapsed time, > 0, or a 1-D array of such times.
         x: start point, first K-1 coordinates.
         y: evaluation points, shape (..., K-1).
-        n_max: eigenpairs kept (default min(562, available)).
+        n_max: eigenpairs kept (default min(562, held)).
         m_max: coefficient degree kept (default min(36, truncation)).
         clip_negative: zero out small negative excursions near the boundary.
         warn_threshold: warn when the first dropped term still carries
@@ -132,8 +135,10 @@ def transition_density(sd, t, x, y, n_max=None, m_max=None,
     p = sd.params
     labels = np.atleast_1d(t).tolist()
     if n_max < sd.size:
-        for label, tail in zip(labels,
-                               np.exp(-sd.eigenvalues[n_max] * times)):
+        # the first dropped pair, or the last held one, whose weight bounds
+        # it, when the decomposition stops at n_max
+        dropped = sd.eigenvalues[min(n_max, sd.n_eig - 1)]
+        for label, tail in zip(labels, np.exp(-dropped * times)):
             if tail > warn_threshold:
                 warnings.warn(
                     f"first dropped eigenterm retains weight {tail:.2e} at "

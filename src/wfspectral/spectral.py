@@ -14,6 +14,11 @@ matrix via the diagonal scaling sqrt(C); we solve that symmetric problem and
 map eigenvectors back, which guarantees real spectra and C-weighted
 orthonormality. An optional extended-precision path reassembles and solves
 with multiprecision scalars for strong selection.
+
+Callers ask for the n_eig lowest eigenpairs they read. A single pair comes
+from ARPACK in shift-invert mode on the sparse symmetric matrix; a small
+share of the spectrum from a LAPACK subset solve; anything else from the
+full dense solve, sliced.
 """
 
 import hashlib
@@ -36,6 +41,12 @@ DEFAULT_PAD = 4            # selection polynomial degree; keeps the block exact
 SYMMETRY_DEFECT_TOL = 1e-9
 EXTENDED_SIGMA_THRESHOLD = 50.0
 DEFAULT_EXTENDED_BITS = 128
+# The truncated operator is positive semidefinite with a simple lowest
+# eigenvalue, so any negative shift keeps S - shift*I nonsingular and makes
+# Lambda_0 the dominant eigenvalue of the inverse.
+ARPACK_SHIFT = -0.1
+ARPACK_MIN_SIZE = 21       # below this the Lanczos basis spans the space
+SUBSET_FRACTION = 1 / 3    # LAPACK subset solve only up to this share of U
 
 
 def resolve_precision(precision, p, threshold=EXTENDED_SIGMA_THRESHOLD):
@@ -97,17 +108,25 @@ class OperatorMatrix:
 
 @dataclass(frozen=True)
 class SpectralDecomposition:
-    """Eigenvalues and C-orthonormal left-eigenvector coefficients."""
+    """Lowest eigenvalues and C-orthonormal left-eigenvector coefficients."""
     params: ModelParams
     D: int
     basis: MultiJacobiBasis
-    eigenvalues: np.ndarray      # (U,) ascending
-    coeffs: np.ndarray           # (U, U); row n holds u_{n,m}
+    eigenvalues: np.ndarray      # (n_eig,) ascending
+    coeffs: np.ndarray           # (n_eig, U); row n holds u_{n,m}
     log_norms: np.ndarray        # (U,) log C_m
     precision_bits: int | None
+    eigensolver: str             # the solver that produced the pairs
+    operator_hash: str           # see decomposition_hash
 
     @property
     def size(self):
+        """Basis size U."""
+        return len(self.log_norms)
+
+    @property
+    def n_eig(self):
+        """Number of eigenpairs held."""
         return len(self.eigenvalues)
 
 
@@ -266,17 +285,18 @@ def _assemble_extended(p, basis, pad, bits):
 def symmetrize(om):
     """Similarity-transform M to its symmetric form S = D^-1 M D, D = diag sqrt C.
 
-    Raises NumericalError when the symmetry defect exceeds tolerance, which
-    indicates detailed balance is broken upstream.
+    The double path stays sparse (csr); the extended path returns a dense
+    mpmath matrix. Raises NumericalError when the symmetry defect exceeds
+    tolerance, which indicates detailed balance is broken upstream.
     """
     if om.precision_bits is None:
         coo = om.matrix.tocoo()
         lg = om.log_norms
         data = coo.data * np.exp(0.5 * (lg[coo.col] - lg[coo.row]))
-        S = scipy.sparse.coo_matrix(
-            (data, (coo.row, coo.col)), shape=coo.shape).toarray()
-        defect = np.max(np.abs(S - S.T))
-        scale = np.max(np.abs(S))
+        S = scipy.sparse.csr_matrix((data, (coo.row, coo.col)),
+                                    shape=coo.shape)
+        defect = abs(S - S.T).max()
+        scale = abs(S).max()
         if defect > SYMMETRY_DEFECT_TOL * scale:
             raise NumericalError(
                 f"detailed balance broken: symmetry defect {defect:.3e} "
@@ -304,17 +324,85 @@ def symmetrize(om):
         return S
 
 
-def eigensolve(om):
-    """Solve the eigensystem and return C-orthonormal left eigenvectors.
+def _lowest_pair(S):
+    """Lowest eigenpair of sparse symmetric S by ARPACK in shift-invert mode.
 
-    Eigenvalues ascend; row n of the coefficient matrix satisfies
-    sum_m u_{n,m}^2 C_m = 1 with the largest-magnitude coefficient positive.
+    The inverse of S - ARPACK_SHIFT*I comes from one sparse LU; the start
+    vector is fixed so that reruns give the same bits.
     """
+    # imported here: only this path needs it, and it adds about 20 ms to
+    # the start-up of every command
+    import scipy.sparse.linalg
+    U = S.shape[0]
+    shifted = (S - ARPACK_SHIFT * scipy.sparse.identity(U)).tocsc()
+    lu = scipy.sparse.linalg.splu(shifted, permc_spec="MMD_AT_PLUS_A")
+    inverse = scipy.sparse.linalg.LinearOperator((U, U), matvec=lu.solve,
+                                                 dtype=float)
+    return scipy.sparse.linalg.eigsh(S, k=1, sigma=ARPACK_SHIFT, which="LM",
+                                     OPinv=inverse, v0=np.ones(U))
+
+
+def _solve(S, n_eig):
+    """The n_eig lowest eigenpairs of symmetric S, ascending.
+
+    Returns (eigenvalues, eigenvectors as columns, solver name). Double S is
+    sparse and is made dense only for LAPACK; extended S is an mpmath matrix.
+    """
+    if not scipy.sparse.issparse(S):
+        E, Q = mpmath.eigsy(S)
+        order = sorted(range(S.rows), key=lambda k: E[k])[:n_eig]
+        return [E[k] for k in order], [Q.column(k) for k in order], \
+            "mpmath_eigsy"
+    U = S.shape[0]
+    if n_eig == 1 and U >= ARPACK_MIN_SIZE:
+        w, V = _lowest_pair(S)
+        return w, V, "arpack_shift_invert"
+    # Fortran order lets LAPACK work in this one dense copy
+    if n_eig <= SUBSET_FRACTION * U:
+        w, V = scipy.linalg.eigh(S.toarray(order="F"), overwrite_a=True,
+                                 subset_by_index=[0, n_eig - 1])
+        return w, V, "eigh_subset"
+    w, V = scipy.linalg.eigh(S.toarray(order="F"), overwrite_a=True)
+    return w[:n_eig], V[:, :n_eig], "eigh"
+
+
+def _operator_hash(om):
+    """SHA-256 of the assembled operator and what sets its scaling."""
+    h = hashlib.sha256(repr((om.precision_bits, om.D, om.pad)).encode())
+    h.update(np.asarray(om.log_norms, dtype=float).tobytes())
+    if om.precision_bits is None:
+        M = om.matrix
+        if not M.has_canonical_format:
+            M = M.copy()
+            M.sum_duplicates()
+        for part in (M.data, M.indices.astype(np.int64),
+                     M.indptr.astype(np.int64)):
+            h.update(np.ascontiguousarray(part).tobytes())
+    else:
+        for r, row in enumerate(om.matrix):
+            h.update(repr([(c, mpmath.mpf(row[c]).man_exp)
+                           for c in sorted(row)]).encode())
+    return h.hexdigest()
+
+
+def eigensolve(om, n_eig=None):
+    """Solve for the n_eig lowest eigenpairs (all when None).
+
+    Returns C-orthonormal left eigenvectors: eigenvalues ascend, and row n of
+    the coefficient matrix satisfies sum_m u_{n,m}^2 C_m = 1 with the
+    largest-magnitude coefficient positive.
+    """
+    U = om.size
+    if n_eig is None:
+        n_eig = U
+    if not 1 <= n_eig <= U:
+        raise ParameterError(f"n_eig must be in 1..{U}, got {n_eig}")
     S = symmetrize(om)
     if om.precision_bits is None:
         try:
-            w, V = scipy.linalg.eigh(S)
-        except scipy.linalg.LinAlgError as exc:
+            w, V, solver = _solve(S, n_eig)
+        except (scipy.linalg.LinAlgError, RuntimeError) as exc:
+            # ARPACK and SuperLU failures are RuntimeError subclasses
             raise NumericalError(
                 f"eigensolver failed at truncation {om.D}: {exc}")
         coeffs = (V * np.exp(-0.5 * om.log_norms)[:, None]).T
@@ -322,18 +410,14 @@ def eigensolve(om):
     else:
         with mpmath.workprec(om.precision_bits):
             try:
-                E, Q = mpmath.eigsy(S)
+                E, Q, solver = _solve(S, n_eig)
             except Exception as exc:  # mpmath raises bare exceptions
                 raise NumericalError(
                     f"extended eigensolver failed at truncation {om.D}: {exc}")
-            U = S.rows
-            order = sorted(range(U), key=lambda k: E[k])
-            w = np.array([float(E[k]) for k in order])
+            w = np.array([float(e) for e in E])
             scale = [mpmath.exp(-lg / 2) for lg in om.log_norms]
-            coeffs = np.empty((U, U))
-            for rank, k in enumerate(order):
-                for m in range(U):
-                    coeffs[rank, m] = float(Q[m, k] * scale[m])
+            coeffs = np.array([[float(q[m] * scale[m]) for m in range(U)]
+                               for q in Q])
         log_norms = np.array([float(lg) for lg in om.log_norms])
     # deterministic sign: largest-magnitude coefficient positive
     lead = np.argmax(np.abs(coeffs), axis=1)
@@ -344,30 +428,24 @@ def eigensolve(om):
     return SpectralDecomposition(params=om.params, D=om.D, basis=om.basis,
                                  eigenvalues=w, coeffs=coeffs,
                                  log_norms=log_norms,
-                                 precision_bits=om.precision_bits)
+                                 precision_bits=om.precision_bits,
+                                 eigensolver=solver,
+                                 operator_hash=_operator_hash(om))
 
 
 def decompose(p, D, pad=DEFAULT_PAD, precision="auto",
-              sigma_threshold=EXTENDED_SIGMA_THRESHOLD):
-    """Convenience: build the basis, assemble, and eigensolve at level D."""
+              sigma_threshold=EXTENDED_SIGMA_THRESHOLD, n_eig=None):
+    """Convenience: build the basis, assemble, and eigensolve at level D.
+
+    n_eig: the number of lowest eigenpairs to solve for (None: all).
+    """
     if D < 0:
         raise ParameterError(f"truncation must be >= 0, got {D}")
     basis = MultiJacobiBasis(p.theta, BasisEnumeration(p.K, D))
     bits = resolve_precision(precision, p, threshold=sigma_threshold)
     om = assemble_M(p, basis, pad=pad,
                     precision="double" if bits is None else bits)
-    return eigensolve(om)
-
-
-def residual_max(om, sd):
-    """Largest left-eigenpair residual ||u M - Lambda u||_inf over ||u||_inf."""
-    M = om.dense_float()
-    worst = 0.0
-    for n in range(sd.size):
-        u = sd.coeffs[n]
-        r = u @ M - sd.eigenvalues[n] * u
-        worst = max(worst, np.max(np.abs(r)) / np.max(np.abs(u)))
-    return worst
+    return eigensolve(om, n_eig=n_eig)
 
 
 def eval_B(sd, n, x, m_count=None):
@@ -375,8 +453,8 @@ def eval_B(sd, n, x, m_count=None):
 
     B_n(x) = exp(-mean_fitness(x)/2) * sum_m u_{n,m} P_m(x).
     """
-    if not 0 <= n < sd.size:
-        raise ParameterError(f"eigenpair {n} outside 0..{sd.size - 1}")
+    if not 0 <= n < sd.n_eig:
+        raise ParameterError(f"eigenpair {n} outside the {sd.n_eig} held")
     weights = sd.coeffs[n] if m_count is None else sd.coeffs[n, :m_count]
     xi = to_cube(x)
     P = sd.basis.eval_prefix_cube(xi, count=len(weights))
@@ -400,14 +478,14 @@ def convergence_table(p, D_list, n_list, track=(), pad=DEFAULT_PAD,
     Returns:
         List of row dicts {"D", "Lambda": {n: value}, "u": {(n, m): value}}.
     """
+    n_eig = max([*n_list, *(n for n, _ in track)], default=0) + 1
     rows = []
     for D in D_list:
         U = total_count(p.K, D)
-        for n in n_list:
-            if n >= U:
-                raise ParameterError(
-                    f"eigenpair {n} not present at truncation {D} (size {U})")
-        sd = decompose(p, D, pad=pad, precision=precision)
+        if n_eig > U:
+            raise ParameterError(f"eigenpair {n_eig - 1} not present at "
+                                 f"truncation {D} (size {U})")
+        sd = decompose(p, D, pad=pad, precision=precision, n_eig=n_eig)
         lam = {n: float(sd.eigenvalues[n]) for n in n_list}
         uvals = {}
         for n, m in track:
@@ -420,12 +498,13 @@ def convergence_table(p, D_list, n_list, track=(), pad=DEFAULT_PAD,
 
 
 def decomposition_hash(sd):
-    """Content hash of the eigendata, for reproducibility metadata."""
-    h = hashlib.sha256()
-    h.update(np.ascontiguousarray(sd.eigenvalues).tobytes())
-    h.update(np.ascontiguousarray(sd.coeffs).tobytes())
-    h.update(np.ascontiguousarray(sd.log_norms).tobytes())
-    return h.hexdigest()
+    """Hash of the operator the decomposition solved, for reproducibility.
+
+    It covers the assembled matrix M, the norms log C, the truncation, the
+    pad and the precision, not the eigendata, so decompositions of one
+    operator that hold different numbers of pairs share it.
+    """
+    return sd.operator_hash
 
 
 def write_eigenvalues_csv(sd, path):
@@ -433,13 +512,13 @@ def write_eigenvalues_csv(sd, path):
     norms = (sd.coeffs ** 2 * np.exp(sd.log_norms)[None, :]).sum(axis=1)
     with open(path, "w", newline="") as fh:
         fh.write("n,Lambda,norm\n")
-        for n in range(sd.size):
+        for n in range(sd.n_eig):
             fh.write(f"{n},{sd.eigenvalues[n]:.17g},{norms[n]:.17g}\n")
 
 
 def write_coefficients_csv(sd, path, n_limit=None):
     """Coefficient export: (n, m_tuple, u); tuples render as ;-joined degrees."""
-    limit = sd.size if n_limit is None else min(n_limit, sd.size)
+    limit = sd.n_eig if n_limit is None else min(n_limit, sd.n_eig)
     labels = [";".join(map(str, m)) for m in sd.basis.enumeration.indices]
     with open(path, "w", newline="") as fh:
         fh.write("n,m_tuple,u\n")

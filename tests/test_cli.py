@@ -154,6 +154,49 @@ def test_distance_curve(tmp_path, sigma_1):
     assert all(a > b for a, b in zip(d2, d2[1:]))
 
 
+def test_cutoffs_come_from_the_config_before_solving():
+    cfg = dict(cli.DEFAULT_CONFIG, truncation=6, n_max=100)
+    assert cli._cutoffs(cfg) == (28, 28, 28, 6)
+    cfg.update(n_max=None, m_max=3)
+    assert cli._cutoffs(cfg) == (28, None, 28, 3)
+
+
+@pytest.mark.filterwarnings("ignore:first dropped eigenterm")
+def test_subcommands_solve_only_the_pairs_they_read(tmp_path, sigma_1):
+    # K=3 D=6: U=28, so n_max=5 keeps density and distance below U/3
+    base = ["--set", "truncation=6", "--set", "n_max=5",
+            "--set", f"model.sigma={json.dumps(sigma_1.tolist())}"]
+    want = {"spectrum": ("spectrum_meta.json", 28, "eigh"),
+            "density": ("density_meta.json", 6, "eigh_subset"),
+            "normconst": ("normconst.json", 1, "arpack_shift_invert"),
+            "distance": ("distance_meta.json", 5, "eigh_subset")}
+    hashes = set()
+    for sub, (name, pairs, solver) in want.items():
+        assert run(tmp_path / sub, sub, *base) == 0
+        meta = json.loads((tmp_path / sub / name).read_text())
+        assert (meta["eigenpairs"], meta["eigensolver"]) == (pairs, solver)
+        hashes.add(meta["decomposition_hash"])
+    assert len(hashes) == 1
+    _, rows = read_csv(tmp_path / "spectrum" / "spectrum_eigenvalues.csv")
+    assert len(rows) == 28
+
+
+def test_decomposition_hash_follows_the_operator(tmp_path, sigma_1):
+    def normconst(out, *extra):
+        assert run(tmp_path / out, "normconst", "--set", "truncation=6",
+                   "--set", f"model.sigma={json.dumps(sigma_1.tolist())}",
+                   *extra) == 0
+        return (tmp_path / out / "normconst.json").read_bytes()
+
+    first = normconst("a")
+    assert normconst("a") == first     # the config records the out dir
+    hashes = {json.loads(doc)["decomposition_hash"] for doc in [
+        first, normconst("D", "--set", "truncation=7"),
+        normconst("sigma", "--set", "model.sigma=[[1,2,3],[2,1,2],[3,2,0]]"),
+        normconst("extended", "--set", "precision=extended")]}
+    assert len(hashes) == 4
+
+
 def test_config_file_and_override_precedence(tmp_path):
     cfg_path = tmp_path / "job.json"
     cfg_path.write_text(json.dumps({"truncation": 8, "times": [0.3]}))

@@ -261,6 +261,29 @@ def test_cutoff_validation(theta_unit):
         density.transition_density(sd, 0.5, np.array([0.3, 0.3, 0.1]), x)
 
 
+def test_partial_decomposition_cutoffs(theta_unit, sigma_1):
+    full = decompose(theta_unit, sigma_1, 10)
+    sd = decompose(theta_unit, sigma_1, 10, n_eig=5)
+    x = np.array([0.3, 0.3])
+    ys = np.array([[0.2, 0.3], [0.5, 0.1]])
+    for call in (lambda: density.transition_density(sd, 0.5, x, ys, n_max=6),
+                 lambda: density.distance_to_stationarity(sd, x, [1.0],
+                                                          n_max=6)):
+        with pytest.raises(ParameterError, match="the 5 this decomposition"):
+            call()
+    # the default cutoff is what the decomposition holds
+    d2 = density.distance_to_stationarity(sd, x, [0.5, 1.0])
+    want = density.distance_to_stationarity(full, x, [0.5, 1.0], n_max=5)
+    assert np.allclose(d2, want, rtol=1e-10)
+    # pair 5 is not held, so the tail check bounds its weight by pair 4's
+    with pytest.warns(UserWarning, match="n_max"):
+        got = density.transition_density(sd, 0.5, x, ys)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        want = density.transition_density(full, 0.5, x, ys, n_max=5)
+    assert np.allclose(got, want, rtol=1e-10)
+
+
 def test_csv_writers(tmp_path):
     pts = np.array([[0.2, 0.3], [0.1, 0.5]])
     vals = np.array([1.25, 0.5])

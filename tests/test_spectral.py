@@ -14,12 +14,19 @@ from collections import defaultdict
 import numpy as np
 import pytest
 import scipy.sparse
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from wfspectral import jacobi, model, spectral
+from wfspectral import density, jacobi, model, spectral
 from wfspectral.basis import MultiJacobiBasis
 from wfspectral.errors import NumericalError, ParameterError
 from wfspectral.indexing import BasisEnumeration, count_at_degree
 from wfspectral.model import ModelParams
+
+SIGMA_K4 = np.array([[12.0, 14.0, 15.0, 10.0],
+                     [14.0, 11.0, 13.0, 9.0],
+                     [15.0, 13.0, 0.0, 8.0],
+                     [10.0, 9.0, 8.0, 0.0]])
 
 
 def make(theta, sigma, D, **kw):
@@ -135,10 +142,27 @@ def test_eigenvalues_match_general_solver(theta_small, sigma_1):
     assert np.max(np.abs(sd.eigenvalues - ref)) <= 1e-8 * scale
 
 
+def residual_max(om, sd):
+    """Largest left-eigenpair residual ||u M - Lambda u||_inf / ||u||_inf.
+
+    Runs over the held pairs only, with the sparse double-precision M:
+    O(nnz * n_eig).
+    """
+    u = sd.coeffs
+    r = (om.matrix.T @ u.T).T - sd.eigenvalues[:, None] * u
+    return float(np.max(np.max(np.abs(r), axis=1) / np.max(np.abs(u), axis=1)))
+
+
 def test_left_eigenpair_residual(theta_small, sigma_1):
+    # U = 66: the full solve, ARPACK for one pair, a LAPACK subset below U/3
+    # and a sliced full solve above it
     p, om = assemble(theta_small, sigma_1, 10)
-    sd = spectral.eigensolve(om)
-    assert spectral.residual_max(om, sd) <= 1e-8
+    for n_eig, solver in [(None, "eigh"), (1, "arpack_shift_invert"),
+                          (5, "eigh_subset"), (40, "eigh")]:
+        sd = spectral.eigensolve(om, n_eig=n_eig)
+        assert sd.eigensolver == solver
+        assert sd.n_eig == (n_eig or om.size)
+        assert residual_max(om, sd) <= 1e-8
 
 
 def test_eigenvalues_ascend_from_zero(theta_small, sigma_1):
@@ -261,6 +285,117 @@ def test_decomposition_hash_reproducible(theta_small, sigma_1):
     assert len(h1) == 64
 
 
+def test_eigensolve_rejects_pair_counts_outside_the_basis(theta_small, sigma_1):
+    _, om = assemble(theta_small, sigma_1, 4)
+    for bad in (0, om.size + 1):
+        with pytest.raises(ParameterError, match="n_eig"):
+            spectral.eigensolve(om, n_eig=bad)
+
+
+def _random_model(K, seed):
+    rng = np.random.default_rng(seed)
+    theta = rng.uniform(0.05, 2.0, size=K)
+    sigma = rng.uniform(-8.0, 8.0, size=(K, K))
+    sigma = 0.5 * (sigma + sigma.T)
+    sigma[K - 1, K - 1] = 0.0
+    return ModelParams(theta, sigma)
+
+
+def assert_pairs_agree(sd, ref):
+    """sd's pairs against the leading pairs of the full solve ref."""
+    k = sd.n_eig
+    lam, want = sd.eigenvalues, ref.eigenvalues[:k]
+    # relative to the spectral scale, the accuracy a backward-stable solver
+    # has; a small eigenvalue can differ by more than 1e-12 of itself
+    scale = np.max(np.abs(ref.eigenvalues))
+    assert abs(lam[0] - want[0]) <= 1e-12
+    assert np.all(np.abs(lam - want) <= 1e-12 * scale)
+    # rows of eigenvalues closer than this to a neighbour are not unique
+    gaps = np.diff(ref.eigenvalues)
+    near = np.minimum(np.r_[np.inf, gaps], np.r_[gaps, np.inf])[:k]
+    separated = near > 1e-5 * scale
+    u, u_ref = sd.coeffs[separated], ref.coeffs[:k][separated]
+    row_max = np.max(np.abs(u_ref), axis=1)
+    assert np.all(np.max(np.abs(u - u_ref), axis=1) <= 1e-10 * row_max)
+
+
+# per K, the truncations that put U between 21 (ARPACK's floor) and ~120
+PATH_TRUNCATIONS = {2: (20, 60), 3: (5, 13), 4: (4, 7)}
+
+
+@settings(max_examples=25, deadline=None)
+@given(K=st.sampled_from(sorted(PATH_TRUNCATIONS)), pick=st.floats(0, 1),
+       seed=st.integers(0, 2 ** 16))
+def test_solver_paths_agree_with_the_full_solve(K, pick, seed):
+    lo, hi = PATH_TRUNCATIONS[K]
+    D = lo + round(pick * (hi - lo))
+    p = _random_model(K, seed)
+    basis = MultiJacobiBasis(p.theta, BasisEnumeration(K, D))
+    om = spectral.assemble_M(p, basis)
+    ref = spectral.eigensolve(om)
+    assert ref.eigensolver == "eigh"
+    U = om.size
+    for n_eig, solver in [(1, "arpack_shift_invert"),
+                          (max(2, U // 4), "eigh_subset"),
+                          (U // 2, "eigh")]:
+        sd = spectral.eigensolve(om, n_eig=n_eig)
+        assert sd.eigensolver == solver
+        assert sd.coeffs.shape == (n_eig, U)
+        assert sd.operator_hash == ref.operator_hash
+        assert_pairs_agree(sd, ref)
+
+
+@pytest.mark.parametrize("K, D", [(3, 40), (4, 10)])
+def test_arpack_normalizing_constant_matches_full_solve(K, D, sigma_1):
+    p = ModelParams((0.01, 0.02, 0.03, 0.04)[:K],
+                    sigma_1 if K == 3 else SIGMA_K4)
+    one = spectral.decompose(p, D, n_eig=1)
+    assert one.eigensolver == "arpack_shift_invert"
+    full = spectral.decompose(p, D)
+    want = density.normalizing_constant(full)
+    assert density.normalizing_constant(one) == pytest.approx(want, rel=1e-9)
+
+
+@pytest.mark.parametrize("D, U", [(0, 1), (1, 3)])
+def test_tiny_bases_fall_back_to_dense(theta_small, sigma_1, D, U):
+    p = ModelParams(theta_small, sigma_1)
+    full = spectral.decompose(p, D)
+    for n_eig in range(1, U + 1):
+        sd = spectral.decompose(p, D, n_eig=n_eig)
+        assert sd.eigensolver in ("eigh", "eigh_subset")
+        assert sd.size == U and sd.n_eig == n_eig
+        assert_pairs_agree(sd, full)
+
+
+def test_extended_partial_solve_is_the_leading_rows(theta_small, sigma_1):
+    p = ModelParams(theta_small, sigma_1)
+    full = spectral.decompose(p, 3, precision="extended")
+    part = spectral.decompose(p, 3, precision="extended", n_eig=4)
+    assert part.eigensolver == full.eigensolver == "mpmath_eigsy"
+    assert np.array_equal(part.eigenvalues, full.eigenvalues[:4])
+    assert np.array_equal(part.coeffs, full.coeffs[:4])
+
+
+def test_partial_decomposition_consumers(tmp_path, theta_small, sigma_1):
+    p = ModelParams(theta_small, sigma_1)
+    full = spectral.decompose(p, 8)
+    sd = spectral.decompose(p, 8, n_eig=7)
+    assert (sd.size, sd.n_eig) == (45, 7)
+    x = np.array([[0.2, 0.3]])
+    assert np.allclose(spectral.eval_B(sd, 6, x), spectral.eval_B(full, 6, x),
+                       rtol=1e-10)
+    with pytest.raises(ParameterError, match="7 held"):
+        spectral.eval_B(sd, 7, x)
+    spectral.write_eigenvalues_csv(sd, tmp_path / "eigs.csv")
+    assert len((tmp_path / "eigs.csv").read_text().splitlines()) == 1 + 7
+    spectral.write_coefficients_csv(sd, tmp_path / "got.csv")
+    reference_write_coefficients_csv(sd, tmp_path / "want.csv")
+    got = (tmp_path / "got.csv").read_bytes()
+    assert got == (tmp_path / "want.csv").read_bytes()
+    assert {line.split(",")[0] for line in got.decode().splitlines()[1:]} == {
+        str(n) for n in range(7)}
+
+
 def test_csv_exports_round_trip(tmp_path, theta_small, sigma_1):
     _, sd = make(theta_small, sigma_1, 4)
     epath = tmp_path / "eigs.csv"
@@ -285,7 +420,8 @@ def test_csv_exports_round_trip(tmp_path, theta_small, sigma_1):
 
 def reference_write_coefficients_csv(sd, path, n_limit=None):
     """The plain per-entry coefficient writer, kept as the byte reference."""
-    limit = sd.size if n_limit is None else min(n_limit, sd.size)
+    held = len(sd.coeffs)
+    limit = held if n_limit is None else min(n_limit, held)
     indices = sd.basis.enumeration.indices
     with open(path, "w", newline="") as fh:
         fh.write("n,m_tuple,u\n")
