@@ -12,8 +12,11 @@ univariate norms at the same shifted parameters.
 
 Multiplication by a coordinate x_i maps P_n into a sparse combination of
 neighbors: a G factor at slot i and one H/I/J factor per slot j < i, selected
-by how the suffix degree changes (down/unchanged/up). recurrence_matrix
-materializes this as a sparse matrix over a graded enumeration.
+by how the suffix degree changes (down/unchanged/up). row_entries walks one
+row with the scalar tables (any scalar type; the extended-precision assembly
+uses it), and recurrence_matrix builds the sparse float matrix over a graded
+enumeration for all rows at once, gathering the factors from per-slot arrays
+of the same tables.
 """
 
 import math
@@ -24,7 +27,7 @@ import scipy.sparse
 
 from . import jacobi
 from .errors import ParameterError
-from .indexing import BasisEnumeration, tail_sums
+from .indexing import BasisEnumeration, graded_positions, tail_sums
 from .simplex import to_cube
 
 # Entries smaller than this are dropped from sparse storage (exact zeros).
@@ -231,26 +234,67 @@ class MultiJacobiBasis:
 
         Returns a CSR matrix; rows/columns follow graded-lex positions of the
         (padded) enumeration. Entries with magnitude below 1e-300 are dropped.
+
+        Builds every row at once, with the entries row_entries gives: each
+        slot below the pivot picks one of three outgoing suffix changes, so
+        a row has at most 3^i candidate neighbors, and the factors come from
+        per-slot tables of the univariate coefficients indexed by
+        (degree, suffix degree).
         """
-        self._check_coord(i)
+        piv = self._check_coord(i)
         if pad < 0:
             raise ParameterError(f"pad must be >= 0, got {pad}")
         enum = self.enumeration if pad == 0 else BasisEnumeration(self.K, self.D + pad)
-        rows, cols, vals = [], [], []
-        for pos, n in enumerate(enum.indices):
-            for m, v in self.row_entries(n, i):
-                col = enum.position.get(m)
-                if col is None:
-                    continue  # neighbor beyond the padded block
-                fv = float(v)
-                if abs(fv) < ENTRY_FLOOR:
-                    continue
-                rows.append(pos)
-                cols.append(col)
-                vals.append(fv)
+        top = enum.D
         U = len(enum)
+        n = np.array(enum.indices, dtype=np.int64).reshape(U, self.K - 1)
+        tails = np.cumsum(n[:, ::-1], axis=1)[:, ::-1] - n
+        rows = np.arange(U)
+        m = n
+        d = np.zeros(U, dtype=np.int64)
+        val = np.ones(U)
+        # pivot slot: the G band, m - n in {-1, 0, 1}, leaves d = n - m
+        g = self._band_table(jacobi.coeff_G, -1, piv, top)
+        # slots below: the H/I/J table picked by the incoming d, and an
+        # outgoing d in {-1, 0, 1} fixing m_j = n_j + d_in - d_out; that is
+        # band position 1 - d_out in every table
+        hij = [np.stack([self._band_table(jacobi.coeff_H, -2, j, top),
+                         self._band_table(jacobi.coeff_I, -1, j, top),
+                         self._band_table(jacobi.coeff_J, 0, j, top)])
+               for j in range(piv)]
+        for j in range(piv, -1, -1):
+            d_out = np.repeat(np.array([1, 0, -1]), len(rows))
+            rows, m, d, val = (np.tile(rows, 3), np.tile(m, (3, 1)),
+                               np.tile(d, 3), np.tile(val, 3))
+            nj, tj = n[rows, j], tails[rows, j]
+            if j == piv:
+                f = g[nj, tj, 1 - d_out]
+            else:
+                f = hij[j][d + 1, nj, tj, 1 - d_out]
+            m[:, j] = nj + d - d_out
+            d = d_out
+            val = val * f
+        keep = ((np.abs(val) >= ENTRY_FLOOR) & (m.min(axis=1) >= 0)
+                & (m.sum(axis=1) <= top))  # drop neighbors beyond the block
         return scipy.sparse.csr_matrix(
-            (vals, (rows, cols)), shape=(U, U), dtype=float)
+            (val[keep], (rows[keep], graded_positions(m[keep]))),
+            shape=(U, U), dtype=float)
+
+    def _band_table(self, table, lo, j, top):
+        """table(n_j, n_j + lo + k, a, b) for k in 0..2 at axis j.
+
+        Indexed [n_j, t, k] for every degree n_j and suffix degree t with
+        n_j + t <= top; the weight exponents depend on t as in axis_params.
+        The J table starts at t = 1: a lowering step needs a suffix degree
+        to lower.
+        """
+        out = np.zeros((top + 1, top + 1, 3))
+        for t in range(1 if table is jacobi.coeff_J else 0, top + 1):
+            a, b = self.axis_params(j, t)
+            for nj in range(top + 1 - t):
+                for k in range(3):
+                    out[nj, t, k] = table(nj, nj + lo + k, a, b)
+        return out
 
     def _check_coord(self, i):
         if not 1 <= i <= self.K - 1:
@@ -258,11 +302,3 @@ class MultiJacobiBasis:
                 f"coordinate label must be in 1..{self.K - 1}, got {i}")
         return i - 1
 
-
-def dump_matrix_csv(matrix, path):
-    """Debug dump of a sparse recurrence matrix as (row, col, value) triplets."""
-    coo = matrix.tocoo()
-    with open(path, "w", newline="") as fh:
-        fh.write("row,col,value\n")
-        for r, c, v in zip(coo.row, coo.col, coo.data):
-            fh.write(f"{r},{c},{v:.17g}\n")

@@ -9,6 +9,8 @@ tuple itself are interchangeable keys.
 
 from math import comb
 
+import numpy as np
+
 from .errors import ParameterError
 
 
@@ -73,6 +75,29 @@ class BasisEnumeration:
         if d > self.D:
             raise ParameterError(f"degree {d} exceeds enumeration bound {self.D}")
         return range(total_count(self.K, d))
+
+
+def graded_positions(m):
+    """Graded-lex positions of the rows of an integer array of index tuples.
+
+    Rows must be nonnegative. A position does not depend on the truncation
+    degree, since each degree block follows all lower ones. Within degree l
+    the tuples are weak compositions of l in lexicographic order, so the rank
+    adds, slot by slot, the compositions whose entry there is smaller.
+    """
+    m = np.asarray(m, dtype=np.int64)
+    parts = m.shape[1]
+    deg = m.sum(axis=1)
+    top = int(deg.max(initial=0)) + parts
+    binom = np.array([[comb(x, k) for k in range(parts + 1)]
+                      for x in range(top + 1)], dtype=np.int64)
+    pos = binom[deg + parts - 1, parts]   # tuples of lower degree
+    rest = deg.copy()
+    for s in range(parts - 1):
+        q = parts - s
+        pos += binom[rest + q - 1, q - 1] - binom[rest - m[:, s] + q - 1, q - 1]
+        rest -= m[:, s]
+    return pos
 
 
 def tail_sums(n):

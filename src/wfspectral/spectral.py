@@ -7,7 +7,10 @@ degree-4 selection polynomial applied through coordinate-recurrence matrices:
 
 Recurrence matrices are built over an enlarged (padded) enumeration so that
 the products are exact on the retained block; the G_i commute, so tuples are
-canonicalized to sorted multisets before multiplying.
+canonicalized to sorted multisets before multiplying. The double path sums
+the multisets in nested (Horner) form, one sparse product per multiset
+suffix, and forms only the columns of degree <= D + depth that the retained
+block can reach.
 
 Detailed balance (M_{k,m} C_m = M_{m,k} C_k) makes M similar to a symmetric
 matrix via the diagonal scaling sqrt(C); we solve that symmetric problem and
@@ -16,13 +19,14 @@ orthonormality. An optional extended-precision path reassembles and solves
 with multiprecision scalars for strong selection.
 
 Callers ask for the n_eig lowest eigenpairs they read. A single pair comes
-from ARPACK in shift-invert mode on the sparse symmetric matrix; a small
-share of the spectrum from a LAPACK subset solve; anything else from the
-full dense solve, sliced.
+from ARPACK in shift-invert mode on the sparse symmetric matrix, with the
+inverse from a banded Cholesky factorization (the graded order keeps S
+within a band); a small share of the spectrum from a LAPACK subset solve;
+anything else from the full dense solve, sliced.
 """
 
+import functools
 import hashlib
-import math
 from dataclasses import dataclass
 
 import mpmath
@@ -42,8 +46,9 @@ SYMMETRY_DEFECT_TOL = 1e-9
 EXTENDED_SIGMA_THRESHOLD = 50.0
 DEFAULT_EXTENDED_BITS = 128
 # The truncated operator is positive semidefinite with a simple lowest
-# eigenvalue, so any negative shift keeps S - shift*I nonsingular and makes
-# Lambda_0 the dominant eigenvalue of the inverse.
+# eigenvalue, so any negative shift makes S - shift*I positive definite, as
+# its Cholesky factorization needs, and Lambda_0 the dominant eigenvalue of
+# the inverse.
 ARPACK_SHIFT = -0.1
 ARPACK_MIN_SIZE = 21       # below this the Lanczos basis spans the space
 SUBSET_FRACTION = 1 / 3    # LAPACK subset solve only up to this share of U
@@ -93,17 +98,6 @@ class OperatorMatrix:
     @property
     def size(self):
         return len(self.basis.enumeration)
-
-    def dense_float(self):
-        """Dense float64 view of the matrix (for residual checks and tests)."""
-        if self.precision_bits is None:
-            return self.matrix.toarray()
-        U = self.size
-        out = np.zeros((U, U))
-        for r, row in enumerate(self.matrix):
-            for c, v in row.items():
-                out[r, c] = float(v)
-        return out
 
 
 @dataclass(frozen=True)
@@ -210,31 +204,71 @@ def assemble_M(p, basis, pad=DEFAULT_PAD, precision="double"):
 def _assemble_double(p, basis, pad):
     D = basis.D
     K = p.K
-    enum_pad = BasisEnumeration(K, D + pad)
-    basis_pad = MultiJacobiBasis(p.theta, enum_pad)
-    upad = len(enum_pad)
-    degrees = np.fromiter((sum(n) for n in enum_pad.indices), dtype=float,
-                          count=upad)
+    basis_pad = MultiJacobiBasis(p.theta, BasisEnumeration(K, D + pad))
+    multis = {ms: float(v) for ms, v in
+              _multiset_products(model_mod.q_coefficients(p)).items()}
+    multis = {ms: v for ms, v in multis.items() if v != 0.0}
+    live = {ms[k:] for ms in multis for k in range(len(ms) + 1)}
+    depth = max(map(len, multis), default=0)
+    # columns of degree <= D + k are all that depth k of the nesting reaches
+    cols = [total_count(K, D + min(k, pad)) for k in range(depth + 1)]
+    U = cols[0]
+    # G_i maps the cols[k + 1] columns of a depth k + 1 term to the cols[k]
+    # of depth k
+    blocks = {}
+    for i in sorted({i for ms in multis for i in ms}):
+        G = basis_pad.recurrence_matrix(i)
+        for k in range(depth):
+            blocks[i, k] = G[:cols[k + 1], :cols[k]]
+    degrees = np.fromiter((sum(n) for n in basis.enumeration.indices),
+                          dtype=float, count=U)
     lam = 0.5 * degrees * (degrees - 1.0 + p.theta_total)
-    acc = scipy.sparse.diags(lam, format="csr")
-    multis = _multiset_products(model_mod.q_coefficients(p))
-    mats = {}
-    cache = {}
-    needed = sorted({i for ms, v in multis.items() if v for i in ms})
-    for i in needed:
-        mats[i] = basis_pad.recurrence_matrix(i)
-    eye = scipy.sparse.identity(upad, format="csr")
-    for ms in sorted(multis):
-        qv = float(multis[ms])
-        if qv == 0.0:
-            continue
-        term = eye if ms == () else _chain_product(ms, mats, cache)
-        acc = acc + qv * term
-    U = total_count(K, D)
-    block = acc.tocsr()[:U, :U].tocsr()
+    block = _horner((), multis.get((), 0.0) + lam, multis, live, blocks,
+                    cols)
     return OperatorMatrix(params=p, D=D, pad=pad, basis=basis, matrix=block,
                           log_norms=basis.log_norms_all(),
                           precision_bits=None)
+
+
+def _horner(suffix, diagonal, multis, live, blocks, cols):
+    """Nested selection products above a multiset suffix, first U rows.
+
+    A(suffix) = q(suffix) I + sum over l <= suffix[0] of A(l + suffix) G_l,
+    so every sorted multiset i1 <= ... <= iL contributes q G_i1 ... G_iL in
+    the order the padded products took, and the root is the polynomial's
+    part of M. Only the leading cols[len(suffix)] columns are formed. The
+    diagonal (length U) stands in for q(suffix); it and the children's terms
+    are summed in one product [diag | A(l + suffix) ...] @ [I; G_l; ...].
+    """
+    k = len(suffix)
+    n, U = cols[k], cols[0]
+    left = [_diagonal(diagonal, U)]
+    right = [_diagonal(np.ones(U), n)]
+    for (l, j), G in blocks.items():
+        child = (l,) + suffix
+        # live suffixes are sorted, so l <= suffix[0]
+        if j == k and child in live:
+            left.append(_horner(child, np.full(U, multis.get(child, 0.0)),
+                                multis, live, blocks, cols))
+            right.append(G)
+    if len(left) == 1:
+        return _diagonal(diagonal, n)
+    return (scipy.sparse.hstack(left, format="csr")
+            @ scipy.sparse.vstack(right, format="csr"))
+
+
+def _diagonal(values, n):
+    """CSR matrix of len(values) rows and n >= len(values) columns with
+    the nonzero values on its main diagonal.
+
+    sparse.diags goes through the DIA format, which at small U costs more
+    than the products it feeds.
+    """
+    pos = np.flatnonzero(values)
+    indptr = np.zeros(len(values) + 1, dtype=pos.dtype)
+    indptr[pos + 1] = 1
+    return scipy.sparse.csr_matrix((values[pos], pos, np.cumsum(indptr)),
+                                   shape=(len(values), n))
 
 
 def _assemble_extended(p, basis, pad, bits):
@@ -327,17 +361,27 @@ def symmetrize(om):
 def _lowest_pair(S):
     """Lowest eigenpair of sparse symmetric S by ARPACK in shift-invert mode.
 
-    The inverse of S - ARPACK_SHIFT*I comes from one sparse LU; the start
-    vector is fixed so that reruns give the same bits.
+    The inverse of S - ARPACK_SHIFT*I comes from one banded Cholesky
+    factorization, with the bandwidth read from the nonzeros of S: the
+    graded order keeps every coupling within four degrees. The shifted
+    matrix must be positive definite; when it is not, the factorization
+    raises LinAlgError instead of letting ARPACK return the eigenvalue
+    nearest the shift. The start vector is fixed so that reruns give the
+    same bits.
     """
     # imported here: only this path needs it, and it adds about 20 ms to
     # the start-up of every command
     import scipy.sparse.linalg
     U = S.shape[0]
-    shifted = (S - ARPACK_SHIFT * scipy.sparse.identity(U)).tocsc()
-    lu = scipy.sparse.linalg.splu(shifted, permc_spec="MMD_AT_PLUS_A")
-    inverse = scipy.sparse.linalg.LinearOperator((U, U), matvec=lu.solve,
-                                                 dtype=float)
+    lower = scipy.sparse.tril(S, format="coo")
+    band = np.zeros((int((lower.row - lower.col).max(initial=0)) + 1, U))
+    band[lower.row - lower.col, lower.col] = lower.data
+    band[0] -= ARPACK_SHIFT
+    factor = scipy.linalg.cholesky_banded(band, overwrite_ab=True, lower=True)
+    inverse = scipy.sparse.linalg.LinearOperator(
+        (U, U), dtype=float,
+        matvec=functools.partial(scipy.linalg.cho_solve_banded, (factor, True),
+                                 check_finite=False))
     return scipy.sparse.linalg.eigsh(S, k=1, sigma=ARPACK_SHIFT, which="LM",
                                      OPinv=inverse, v0=np.ones(U))
 

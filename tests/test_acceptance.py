@@ -72,7 +72,7 @@ def test_criterion_03_detailed_balance_symmetry(theta_small, sigma_1):
     p = ModelParams(theta_small, sigma_1)
     basis = MultiJacobiBasis(p.theta, BasisEnumeration(3, 12))
     om = spectral.assemble_M(p, basis)
-    M = om.dense_float()
+    M = om.matrix.toarray()
     weighted = M * np.exp(om.log_norms)[None, :]
     defect = np.max(np.abs(weighted - weighted.T))
     assert defect <= 1e-9 * np.max(np.abs(weighted))

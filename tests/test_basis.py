@@ -11,9 +11,12 @@ import math
 import mpmath
 import numpy as np
 import pytest
+import scipy.sparse
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from wfspectral import jacobi, simplex
-from wfspectral.basis import MultiJacobiBasis, dump_matrix_csv
+from wfspectral.basis import MultiJacobiBasis
 from wfspectral.errors import ParameterError
 from wfspectral.indexing import BasisEnumeration, tail_sums
 from wfspectral.oracles import gauss_jacobi_01
@@ -226,15 +229,35 @@ def test_recurrence_matrices_commute():
     assert np.max(np.abs(A - B)) <= 1e-12 * scale
 
 
-def test_recurrence_matrix_entries_match_rows():
-    basis = make_basis([0.3, 0.4, 0.3], 5)
-    enum = basis.enumeration
-    G = basis.recurrence_matrix(1).toarray()
+def matrix_from_rows(basis, i, pad):
+    """recurrence_matrix rebuilt entry by entry from the scalar row walk."""
+    enum = BasisEnumeration(basis.K, basis.D + pad)
+    rows, cols, vals = [], [], []
     for pos, n in enumerate(enum.indices):
-        for m, v in basis.row_entries(n, 1):
-            col = enum.position.get(m)
-            if col is not None:
-                assert G[pos, col] == pytest.approx(float(v), rel=1e-15)
+        for m, v in basis.row_entries(n, i):
+            if m in enum.position:
+                rows.append(pos)
+                cols.append(enum.position[m])
+                vals.append(float(v))
+    return scipy.sparse.csr_matrix((vals, (rows, cols)),
+                                   shape=(len(enum), len(enum)))
+
+
+@settings(max_examples=10, deadline=None)
+@given(theta=st.lists(st.floats(0.005, 5.0), min_size=5, max_size=5))
+def test_recurrence_matrix_entries_match_rows(theta):
+    for K, D in [(2, 10), (3, 7), (4, 5), (5, 4)]:
+        basis = make_basis(theta[:K], D)
+        for pad in (0, 4):
+            for i in range(1, K):
+                got = basis.recurrence_matrix(i, pad=pad)
+                want = matrix_from_rows(basis, i, pad)
+                for mat in (got, want):
+                    mat.sum_duplicates()   # sorted column indices per row
+                assert np.array_equal(got.indptr, want.indptr)
+                assert np.array_equal(got.indices, want.indices)
+                assert np.all(np.abs(got.data - want.data)
+                              <= 1e-15 * np.abs(want.data))
 
 
 def test_entries_finite_across_theta_scales():
@@ -260,23 +283,6 @@ def test_multiprecision_theta_path():
             float(basis.recurrence_entry((2, 1), (1, 1), 1)), rel=1e-13)
         assert float(basis_mp.log_norm_C((2, 1))) == pytest.approx(
             float(basis.log_norm_C((2, 1))), rel=1e-13)
-
-
-def test_dump_matrix_csv(tmp_path):
-    basis = make_basis([0.3, 0.4, 0.3], 2)
-    G = basis.recurrence_matrix(1)
-    path = tmp_path / "g1.csv"
-    dump_matrix_csv(G, path)
-    lines = path.read_text().splitlines()
-    assert lines[0] == "row,col,value"
-    seen = {}
-    for line in lines[1:]:
-        r, c, v = line.split(",")
-        seen[(int(r), int(c))] = float(v)
-    dense = G.toarray()
-    for (r, c), v in seen.items():
-        assert dense[r, c] == pytest.approx(v, rel=1e-15)
-    assert len(seen) == G.nnz
 
 
 def test_coordinate_label_validation():

@@ -24,8 +24,9 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy.sparse
 
-from wfspectral import cli, model
+from wfspectral import cli, model, spectral
 from wfspectral.model import ModelParams
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -215,6 +216,20 @@ def test_malformed_sigma_exit_code_and_message(tmp_path, capsys):
     err = json.loads(capsys.readouterr().err)
     assert err["error"] == "parameter"
     assert "symmetric" in err["message"]
+
+
+def test_indefinite_operator_exit_code(tmp_path, capsys, monkeypatch):
+    # an operator with eigenvalues below the one-pair solve's shift
+    lam = np.r_[-0.3, -0.05, np.linspace(1.0, 30.0, 28)]
+    monkeypatch.setattr(spectral, "symmetrize",
+                        lambda om: scipy.sparse.diags(lam, format="csr"))
+    code = run(tmp_path, "normconst", "--set", "truncation=29",
+               "--set", "model.theta=[0.5,0.5]",
+               "--set", "model.sigma=[[0,0],[0,0]]")
+    assert code == 3
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "numerical"
+    assert not (tmp_path / "normconst.json").exists()
 
 
 def test_zero_time_rejected(tmp_path, capsys):

@@ -5,7 +5,7 @@ import pytest
 
 from wfspectral.errors import ParameterError
 from wfspectral.indexing import (BasisEnumeration, count_at_degree,
-                                 tail_sums, total_count)
+                                 graded_positions, tail_sums, total_count)
 
 
 def test_enumeration_k3_d2_is_graded_lex():
@@ -69,6 +69,16 @@ def test_degree_slice_covers_degrees():
         sl = enum.degree_slice(d)
         assert all(sum(enum.indices[i]) <= d for i in sl)
         assert len(sl) == total_count(3, d)
+
+
+def test_graded_positions_match_the_enumeration():
+    for K in range(2, 7):
+        enum = BasisEnumeration(K, 8)
+        tuples = np.array(enum.indices).reshape(len(enum), K - 1)
+        assert np.array_equal(graded_positions(tuples), np.arange(len(enum)))
+        # a position depends on its own row only
+        order = np.random.default_rng(K).permutation(len(enum))
+        assert np.array_equal(graded_positions(tuples[order]), order)
 
 
 def test_known_position_of_8_2():

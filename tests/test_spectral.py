@@ -1,8 +1,9 @@
 """Operator assembly and eigendecomposition.
 
 The assembled matrix is checked against an independently built dense
-two-allele reference, against a general nonsymmetric eigensolver, and against
-its own defining left-eigenpair residual. The detailed-balance symmetry that
+two-allele reference, against the plain sum of multiset chain products that
+the nested assembly reorganizes, against a general nonsymmetric eigensolver,
+and against its own defining left-eigenpair residual. The detailed-balance symmetry that
 the solver relies on is asserted entrywise, and the guard that detects its
 violation is exercised with a doctored matrix.
 """
@@ -20,7 +21,7 @@ from hypothesis import strategies as st
 from wfspectral import density, jacobi, model, spectral
 from wfspectral.basis import MultiJacobiBasis
 from wfspectral.errors import NumericalError, ParameterError
-from wfspectral.indexing import BasisEnumeration, count_at_degree
+from wfspectral.indexing import BasisEnumeration, count_at_degree, total_count
 from wfspectral.model import ModelParams
 
 SIGMA_K4 = np.array([[12.0, 14.0, 15.0, 10.0],
@@ -42,7 +43,7 @@ def assemble(theta, sigma, D, **kw):
 
 def test_neutral_matrix_is_diagonal(theta_small):
     p, om = assemble(theta_small, np.zeros((3, 3)), 8)
-    M = om.dense_float()
+    M = om.matrix.toarray()
     off = M - np.diag(np.diag(M))
     assert np.max(np.abs(off)) == 0.0
     for pos, n in enumerate(om.basis.enumeration.indices):
@@ -86,14 +87,14 @@ def test_two_allele_matches_dense_reference():
     basis = MultiJacobiBasis(p.theta, BasisEnumeration(2, 12))
     om = spectral.assemble_M(p, basis)
     ref = dense_two_allele_reference(p, 12, spectral.DEFAULT_PAD)
-    got = om.dense_float()
+    got = om.matrix.toarray()
     scale = np.max(np.abs(ref))
     assert np.max(np.abs(got - ref)) <= 1e-12 * scale
 
 
 def test_detailed_balance_entrywise(theta_small, sigma_1):
     p, om = assemble(theta_small, sigma_1, 12)
-    M = om.dense_float()
+    M = om.matrix.toarray()
     C = np.exp(om.log_norms)
     lhs = M * C[None, :]
     defect = np.max(np.abs(lhs - lhs.T))
@@ -102,7 +103,7 @@ def test_detailed_balance_entrywise(theta_small, sigma_1):
 
 def test_band_structure(theta_small, sigma_1):
     p, om = assemble(theta_small, sigma_1, 10)
-    M = om.dense_float()
+    M = om.matrix.toarray()
     degs = np.array([sum(n) for n in om.basis.enumeration.indices])
     far = np.abs(degs[:, None] - degs[None, :]) > 4
     assert np.max(np.abs(M[far])) == 0.0
@@ -111,14 +112,56 @@ def test_band_structure(theta_small, sigma_1):
 def test_pad_choice_does_not_change_block(theta_small, sigma_1):
     _, om4 = assemble(theta_small, sigma_1, 8, pad=4)
     _, om5 = assemble(theta_small, sigma_1, 8, pad=5)
-    a, b = om4.dense_float(), om5.dense_float()
+    a, b = om4.matrix.toarray(), om5.matrix.toarray()
     assert np.max(np.abs(a - b)) <= 1e-13 * np.max(np.abs(a))
+
+
+def summed_multiset_assembly(p, D, pad):
+    """The operator as a plain sum over sorted multisets, for reference.
+
+    Each multiset's chain product G_i1 @ ... @ G_iL is formed over the whole
+    padded enumeration (prefixes shared through a cache) and added with its
+    weight; the leading U x U block is kept at the end.
+    """
+    enum_pad = BasisEnumeration(p.K, D + pad)
+    basis_pad = MultiJacobiBasis(p.theta, enum_pad)
+    degrees = np.array([sum(n) for n in enum_pad.indices], dtype=float)
+    acc = scipy.sparse.diags(0.5 * degrees * (degrees - 1.0 + p.theta_total),
+                             format="csr")
+    weights = defaultdict(float)
+    for tup, c in model.q_coefficients(p).items():
+        weights[tuple(sorted(tup))] += c
+    mats = {i: basis_pad.recurrence_matrix(i) for i in range(1, p.K)}
+    products = {(): scipy.sparse.identity(len(enum_pad), format="csr")}
+    for ms in sorted(weights):
+        if weights[ms] == 0.0:
+            continue
+        for k in range(1, len(ms) + 1):
+            if ms[:k] not in products:
+                products[ms[:k]] = products[ms[:k - 1]] @ mats[ms[k - 1]]
+        acc = acc + weights[ms] * products[ms]
+    U = total_count(p.K, D)
+    return acc.tocsr()[:U, :U].toarray()
+
+
+@pytest.mark.parametrize("pad", [0, 2, 4])
+@pytest.mark.parametrize("theta,sigma,D", [
+    ([0.01, 0.02], [[3.0, -1.5], [-1.5, 0.0]], 30),
+    ([0.01, 0.02, 0.03], "sigma_1", 20),
+    ([0.01, 0.02, 0.03, 0.04], SIGMA_K4, 10)])
+def test_assembly_matches_summed_multiset_reference(theta, sigma, D, pad,
+                                                    sigma_1):
+    p, om = assemble(theta, sigma_1 if isinstance(sigma, str) else sigma, D,
+                     pad=pad)
+    want = summed_multiset_assembly(p, D, pad)
+    got = om.matrix.toarray()
+    assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
 
 
 def test_symmetrize_neutral_is_identity_transform(theta_small):
     _, om = assemble(theta_small, np.zeros((3, 3)), 6)
     S = spectral.symmetrize(om)
-    assert np.max(np.abs(S - om.dense_float())) == 0.0
+    assert np.max(np.abs(S - om.matrix.toarray())) == 0.0
 
 
 def test_symmetrize_guard_trips_on_doctored_matrix(theta_small):
@@ -135,7 +178,7 @@ def test_eigenvalues_match_general_solver(theta_small, sigma_1):
 
     p, om = assemble(theta_small, sigma_1, 8)
     sd = spectral.eigensolve(om)
-    w = scipy.linalg.eig(om.dense_float(), left=False, right=False)
+    w = scipy.linalg.eig(om.matrix.toarray(), left=False, right=False)
     assert np.max(np.abs(w.imag)) <= 1e-9 * np.max(np.abs(w.real))
     ref = np.sort(w.real)
     scale = np.max(np.abs(ref))
@@ -290,6 +333,26 @@ def test_eigensolve_rejects_pair_counts_outside_the_basis(theta_small, sigma_1):
     for bad in (0, om.size + 1):
         with pytest.raises(ParameterError, match="n_eig"):
             spectral.eigensolve(om, n_eig=bad)
+
+
+def indefinite_operator():
+    """A U = 30 operator whose two lowest eigenvalues lie below the shift."""
+    lam = np.r_[-0.3, -0.05, np.linspace(1.0, 30.0, 28)]
+    p = ModelParams([0.5, 0.5], np.zeros((2, 2)))
+    basis = MultiJacobiBasis(p.theta, BasisEnumeration(2, 29))
+    return spectral.OperatorMatrix(
+        params=p, D=29, pad=spectral.DEFAULT_PAD, basis=basis,
+        matrix=scipy.sparse.diags(lam, format="csr"), log_norms=np.zeros(30),
+        precision_bits=None)
+
+
+def test_one_pair_solve_refuses_an_indefinite_operator():
+    # shift-invert alone would return -0.05, the eigenvalue nearest the
+    # shift; the Cholesky factorization of S - shift I fails instead
+    om = indefinite_operator()
+    with pytest.raises(NumericalError, match="eigensolver failed"):
+        spectral.eigensolve(om, 1)
+    assert spectral.eigensolve(om).eigenvalues[0] == -0.3
 
 
 def _random_model(K, seed):
