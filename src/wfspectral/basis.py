@@ -27,11 +27,14 @@ import scipy.sparse
 
 from . import jacobi
 from .errors import ParameterError
-from .indexing import BasisEnumeration, graded_positions, tail_sums
+from .indexing import (BasisEnumeration, graded_positions, index_arrays,
+                       tail_sums)
 from .simplex import to_cube
 
 # Entries smaller than this are dropped from sparse storage (exact zeros).
 ENTRY_FLOOR = 1e-300
+# eval_prefix_cube gathers about this many values at a time
+GATHER_BLOCK = 1 << 16
 
 
 class MultiJacobiBasis:
@@ -60,9 +63,13 @@ class MultiJacobiBasis:
         # suffix sums theta[j+1] + ... + theta[K-1], one per axis
         self.theta_tail = [sum(theta[j + 1:]) for j in range(self.K - 1)]
         self._log_norms = None
+        self._band_tables = {}
 
     def axis_params(self, j, tail_degree):
-        """Univariate weight exponents (a, b) at axis j given suffix degree."""
+        """Univariate weight exponents (a, b) at axis j given suffix degree.
+
+        An integer array of suffix degrees gives b as an array.
+        """
         return self.theta[j], self.theta_tail[j] + 2 * tail_degree
 
     # -- evaluation ---------------------------------------------------------
@@ -86,9 +93,9 @@ class MultiJacobiBasis:
     def eval_prefix_cube(self, xi, count=None):
         """Evaluate the first `count` basis members at cube points.
 
-        Shares the per-axis recurrence tables across indices, so the cost is
-        one univariate table per (axis, suffix-degree) pair plus one product
-        per basis member.
+        Shares the per-axis recurrence tables across indices: one univariate
+        table per (axis, suffix degree) pair, stacked per axis, from which
+        each member's factors are gathered in blocks of rows.
 
         Returns an array of shape (count,) + xi.shape[:-1].
         """
@@ -99,31 +106,44 @@ class MultiJacobiBasis:
         if count > len(enum):
             raise ParameterError(
                 f"requested {count} basis members, enumeration holds {len(enum)}")
-        pts = xi.shape[:-1]
         naxes = self.K - 1
-        r_tables = [dict() for _ in range(naxes)]
-        pow_tables = []
+        n, tails = index_arrays(enum.indices[:count], naxes)
+        top = int(n.sum(axis=1).max(initial=0))
+        flat_xi = xi.reshape(-1, naxes)
+        # (table, row of each member), in the order of the product over the
+        # axes: R_{n_j} from the rows of suffix degree t_j, times
+        # (1 - xi_j)^t_j, which the first axis folds into its table
+        factors = []
         for j in range(naxes):
-            pows = np.ones((self.D + 1,) + pts)
-            base = 1.0 - xi[..., j]
-            for e in range(1, self.D + 1):
-                pows[e] = pows[e - 1] * base
-            pow_tables.append(pows)
-        out = np.empty((count,) + pts)
-        for pos in range(count):
-            n = enum.indices[pos]
-            tails = tail_sums(n)
-            val = np.ones(pts)
-            for j in range(naxes):
-                tab = r_tables[j].get(tails[j])
-                if tab is None:
-                    a, b = self.axis_params(j, tails[j])
-                    tab = jacobi.eval_R_all(self.D - tails[j], a, b, xi[..., j])
-                    r_tables[j][tails[j]] = tab
-                val = val * tab[n[j]]
-                if tails[j]:
-                    val = val * pow_tables[j][tails[j]]
-            out[pos] = val
+            lengths = top + 1 - np.arange(tails[:, j].max(initial=0) + 1)
+            start = np.cumsum(lengths) - lengths
+            table = np.empty((lengths.sum(), len(flat_xi)))
+            pows = np.ones((len(lengths), len(flat_xi)))
+            for t, size in enumerate(lengths.tolist()):
+                a, b = self.axis_params(j, t)
+                rows = table[start[t]:start[t] + size]
+                rows[...] = jacobi.eval_R_all(size - 1, a, b, flat_xi[:, j])
+                if t:
+                    pows[t] = pows[t - 1] * (1.0 - flat_xi[:, j])
+                    if j == 0:
+                        # every member's product starts with R (1 - xi)^t,
+                        # so forming it here rounds the same way
+                        rows *= pows[t]
+            factors.append((table, start[tails[:, j]] + n[:, j]))
+            if j and len(lengths) > 1:
+                factors.append((pows, tails[:, j]))
+        out = np.empty((count,) + xi.shape[:-1])
+        flat = out.reshape(count, len(flat_xi))
+        step = max(1, GATHER_BLOCK // max(len(flat_xi), 1))
+        part = np.empty((min(step, count), len(flat_xi)))
+        for lo in range(0, count, step):
+            block = flat[lo:lo + step]
+            for k, (table, pick) in enumerate(factors):
+                # the first factor lands in place; 1 * R is R exactly
+                into = block if k == 0 else part[:len(block)]
+                np.take(table, pick[lo:lo + step], axis=0, out=into)
+                if k:
+                    block *= into
         return out
 
     # -- norms ---------------------------------------------------------------
@@ -144,46 +164,28 @@ class MultiJacobiBasis:
         return mpmath.exp(lg)
 
     def log_norms_all(self):
-        """Vector of log C_n over the whole enumeration (cached, float path)."""
+        """Vector of log C_n over the whole enumeration (cached, float path).
+
+        Equals log_norm_C member by member: the per-axis terms come from one
+        log_norm_c table per axis, indexed [degree, suffix degree], and are
+        summed over the axes in the same order.
+        """
         if self._log_norms is None:
-            self._log_norms = np.array(
-                [float(self.log_norm_C(n)) for n in self.enumeration.indices])
+            n, tails = index_arrays(self.enumeration.indices, self.K - 1)
+            total = np.zeros(len(n))
+            for j in range(self.K - 1):
+                # the last axis has no suffix
+                a, b = self.axis_params(
+                    j, np.arange(self.D + 1 if j < self.K - 2 else 1))
+                table = np.zeros((self.D + 1, len(b)))
+                for nj in range(self.D + 1):
+                    bs = b[:self.D + 1 - nj]
+                    table[nj, :len(bs)] = jacobi.log_norm_c(nj, a, bs)
+                total = total + table[n[:, j], tails[:, j]]
+            self._log_norms = total
         return self._log_norms
 
     # -- coordinate-multiplication recurrence --------------------------------
-
-    def recurrence_entry(self, n, m, i):
-        """Coefficient of P_m in the expansion of x_i * P_n.
-
-        Args:
-            n, m: index tuples.
-            i: coordinate label, 1-based in 1..K-1.
-
-        Returns exact 0.0 when m is outside the admissible neighbor set of n.
-        """
-        piv = self._check_coord(i)
-        if any(m[j] != n[j] for j in range(piv + 1, self.K - 1)):
-            return 0.0
-        if any(v < 0 for v in m):
-            return 0.0
-        tails_n = tail_sums(n)
-        tails_m = tail_sums(m)
-        a, b = self.axis_params(piv, tails_n[piv])
-        val = jacobi.coeff_G(n[piv], m[piv], a, b)
-        for j in range(piv - 1, -1, -1):
-            if val == 0.0:
-                return 0.0
-            d = tails_n[j] - tails_m[j]
-            a, b = self.axis_params(j, tails_n[j])
-            if d == -1:
-                val = val * jacobi.coeff_H(n[j], m[j], a, b)
-            elif d == 0:
-                val = val * jacobi.coeff_I(n[j], m[j], a, b)
-            elif d == 1:
-                val = val * jacobi.coeff_J(n[j], m[j], a, b)
-            else:
-                return 0.0
-        return val
 
     def row_entries(self, n, i):
         """All (m, coefficient) pairs of the x_i * P_n expansion.
@@ -247,8 +249,7 @@ class MultiJacobiBasis:
         enum = self.enumeration if pad == 0 else BasisEnumeration(self.K, self.D + pad)
         top = enum.D
         U = len(enum)
-        n = np.array(enum.indices, dtype=np.int64).reshape(U, self.K - 1)
-        tails = np.cumsum(n[:, ::-1], axis=1)[:, ::-1] - n
+        n, tails = index_arrays(enum.indices, self.K - 1)
         rows = np.arange(U)
         m = n
         d = np.zeros(U, dtype=np.int64)
@@ -286,15 +287,19 @@ class MultiJacobiBasis:
         Indexed [n_j, t, k] for every degree n_j and suffix degree t with
         n_j + t <= top; the weight exponents depend on t as in axis_params.
         The J table starts at t = 1: a lowering step needs a suffix degree
-        to lower.
+        to lower. One call per (n_j, k) fills every t, with b as an array.
+        Kept: the matrices of all coordinates above slot j read its tables.
         """
-        out = np.zeros((top + 1, top + 1, 3))
-        for t in range(1 if table is jacobi.coeff_J else 0, top + 1):
-            a, b = self.axis_params(j, t)
-            for nj in range(top + 1 - t):
+        key = (table, lo, j, top)
+        if key not in self._band_tables:
+            first = 1 if table is jacobi.coeff_J else 0
+            a, b = self.axis_params(j, np.arange(top + 1))
+            out = self._band_tables[key] = np.zeros((top + 1, top + 1, 3))
+            for nj in range(top + 1 - first):
                 for k in range(3):
-                    out[nj, t, k] = table(nj, nj + lo + k, a, b)
-        return out
+                    out[nj, first:top + 1 - nj, k] = table(
+                        nj, nj + lo + k, a, b[first:top + 1 - nj])
+        return self._band_tables[key]
 
     def _check_coord(self, i):
         if not 1 <= i <= self.K - 1:

@@ -18,13 +18,14 @@ import numpy as np
 
 from . import model as model_mod
 from .errors import NumericalError, ParameterError
-from .indexing import BasisEnumeration, total_count
+from .indexing import BasisEnumeration, index_arrays, total_count
 from .jacobi import log_R_at_zero
 from .simplex import clamp_simplex, to_cube
 
 DEFAULT_N_MAX = 562    # eigenpairs kept; level-36 block size for K=3
 DEFAULT_M_MAX = 36     # coefficient degree kept
 TAIL_WARN_THRESHOLD = 1e-8
+CSV_BLOCK = 1024       # density rows formatted per write
 
 
 def _resolve_cutoffs(sd, n_max, m_max):
@@ -204,23 +205,21 @@ def normalizing_constant(sd, m_max=None):
 
     C_stat = sum_m u_{0,m}^2 C_m / (sum_m u_{0,m} P_m(corner))^2, evaluated
     at the corner where every stick coordinate vanishes; no quadrature.
+    There P_m is the product of R_{m_j}(0) over the axes, taken from one
+    log |R_n(0)| table per axis with the sign (-1)^|m|.
     """
     _, u_m = _resolve_cutoffs(sd, 1, m_max)
-    p = sd.params
     u0 = sd.coeffs[0, :u_m]
     num = float(np.sum(u0 ** 2 * np.exp(sd.log_norms[:u_m])))
-    den = 0.0
-    for pos, m in enumerate(sd.basis.enumeration.indices[:u_m]):
-        if u0[pos] == 0.0:
-            continue
-        lr = 0.0
-        sign = 1.0
-        for j, mj in enumerate(m):
-            a, _ = sd.basis.axis_params(j, 0)
-            lr += log_R_at_zero(mj, a)
-            if mj % 2:
-                sign = -sign
-        den += u0[pos] * sign * np.exp(lr)
+    m, _ = index_arrays(sd.basis.enumeration.indices[:u_m], sd.params.K - 1)
+    log_r = np.zeros(u_m)
+    for j in range(sd.params.K - 1):
+        a, _ = sd.basis.axis_params(j, 0)
+        table = np.array([log_R_at_zero(d, a) for d in range(sd.D + 1)])
+        log_r = log_r + table[m[:, j]]
+    sign = 1 - 2 * (m.sum(axis=1) % 2)
+    nz = np.flatnonzero(u0)
+    den = float(np.sum(u0[nz] * sign[nz] * np.exp(log_r[nz])))
     if abs(den) < 1e-300 * max(1.0, abs(num)):
         raise NumericalError("lead eigenvector vanishes at the corner; "
                              "cannot form the stationary normalizer")
@@ -269,13 +268,18 @@ def make_grid(K, resolution):
 
 
 def write_density_csv(path, points, values, K):
-    """Density table export: one row per point, columns y_1..y_{K-1},p."""
+    """Density table export: one row per point, columns y_1..y_{K-1},p.
+
+    Rows go out in blocks of CSV_BLOCK, each formatted by one %-template.
+    """
     header = ",".join(f"y_{i + 1}" for i in range(K - 1)) + ",p"
+    table = np.column_stack([points, values])
+    line = ",".join(["%.17g"] * K) + "\n"
     with open(path, "w", newline="") as fh:
         fh.write(header + "\n")
-        for pt, v in zip(points, values):
-            coords = ",".join(f"{c:.17g}" for c in pt)
-            fh.write(f"{coords},{v:.17g}\n")
+        for lo in range(0, len(table), CSV_BLOCK):
+            block = table[lo:lo + CSV_BLOCK]
+            fh.write((line * len(block)) % tuple(block.ravel().tolist()))
 
 
 def write_distance_csv(path, times, distances):

@@ -67,15 +67,6 @@ class BasisEnumeration:
     def __iter__(self):
         return iter(self.indices)
 
-    def degree_slice(self, d):
-        """Positions of all tuples with total degree <= d, as a range.
-
-        Graded order puts them first, so this is always a prefix.
-        """
-        if d > self.D:
-            raise ParameterError(f"degree {d} exceeds enumeration bound {self.D}")
-        return range(total_count(self.K, d))
-
 
 def graded_positions(m):
     """Graded-lex positions of the rows of an integer array of index tuples.
@@ -98,6 +89,14 @@ def graded_positions(m):
         pos += binom[rest + q - 1, q - 1] - binom[rest - m[:, s] + q - 1, q - 1]
         rest -= m[:, s]
     return pos
+
+
+def index_arrays(indices, parts):
+    """Index tuples as an int64 array of shape (len(indices), parts), and
+    the suffix sums tail_sums gives for each row, as an array of that shape.
+    """
+    n = np.array(indices, dtype=np.int64).reshape(len(indices), parts)
+    return n, np.cumsum(n[:, ::-1], axis=1)[:, ::-1] - n
 
 
 def tail_sums(n):

@@ -14,6 +14,9 @@ Four coefficient tables are exposed:
 
 All tables return exact 0.0 outside their declared offset band. The arithmetic
 is plain Python so the same formulas run under float or multiprecision inputs.
+The tables and log_norm_c also take a float array b, one exponent per suffix
+degree: their branches depend only on the integer degrees, so each entry
+equals the scalar call bit for bit.
 """
 
 import math
@@ -23,9 +26,13 @@ import numpy as np
 
 from .errors import ParameterError
 
+# an exact type test against a module global keeps the scalar path as cheap
+# as a plain comparison
+_ARRAY = np.ndarray
+
 
 def _check_params(a, b):
-    if not (a > 0 and b > 0):
+    if not (a > 0 and (b > 0 if type(b) is not _ARRAY else (b > 0).all())):
         raise ParameterError(f"weight exponents must be positive, got a={a}, b={b}")
 
 
@@ -34,14 +41,22 @@ def _check_degree(n):
         raise ParameterError(f"polynomial degree must be >= 0, got {n}")
 
 
-def _is_mp(*vals):
-    return any(isinstance(v, mpmath.mpf) for v in vals)
-
-
 def _lgamma(z):
+    return _libm(math.lgamma, mpmath.loggamma, z)
+
+
+def _log(z):
+    return _libm(math.log, mpmath.log, z)
+
+
+def _libm(fn, fn_mp, z):
+    # fn per entry of an array: numpy's own log can differ from libm in the
+    # last bit, and the entries must equal the scalar calls
     if isinstance(z, mpmath.mpf):
-        return mpmath.loggamma(z)
-    return math.lgamma(z)
+        return fn_mp(z)
+    if type(z) is _ARRAY:
+        return np.array([fn(v) for v in z.tolist()])
+    return fn(z)
 
 
 def eval_R(n, a, b, x):
@@ -89,18 +104,17 @@ def log_norm_c(n, a, b):
     """
     _check_params(a, b)
     _check_degree(n)
-    log = mpmath.log if _is_mp(a, b) else math.log
     base = (_lgamma(n + a) + _lgamma(n + b)
             - _lgamma(n + a + b) - _lgamma(n + 1))
     if n == 0:
         return base
-    return base + log(n + a + b - 1) - log(2 * n + a + b - 1)
+    return base + _log(n + a + b - 1) - _log(2 * n + a + b - 1)
 
 
 def norm_c(n, a, b):
     """Squared norm c_n^(a,b) = Gamma(n+a)Gamma(n+b) / ((2n+a+b-1)Gamma(n+a+b-1)n!)."""
     lg = log_norm_c(n, a, b)
-    return mpmath.exp(lg) if _is_mp(a, b) else math.exp(lg)
+    return mpmath.exp(lg) if isinstance(lg, mpmath.mpf) else math.exp(lg)
 
 
 def log_R_at_zero(n, a):
@@ -197,7 +211,7 @@ def coeff_J(n, m, a, b):
     band m-n in {0,1,2}. Requires b > 2 (the target weight needs b-2 > 0)."""
     _check_params(a, b)
     _check_degree(n)
-    if not b > 2:
+    if not (b > 2 if type(b) is not _ARRAY else (b > 2).all()):
         raise ParameterError(f"lowering the second exponent requires b > 2, got b={b}")
     if m < 0:
         return 0.0
@@ -213,16 +227,3 @@ def coeff_J(n, m, a, b):
         return ((n + 1) * (n + 2)
                 / ((2 * n + a + b - 1) * (2 * n + a + b)))
     return 0.0
-
-
-def raise_b(n, a, b):
-    """Expansion of R_n^(a,b) in the (a, b+1) family.
-
-    Returns a list of (coefficient, degree) pairs; a single pair when n = 0.
-    """
-    _check_params(a, b)
-    _check_degree(n)
-    if n == 0:
-        return [(1.0, 0)]  # general leading coefficient is 0/0 at a+b=1
-    s = 2 * n + a + b - 1
-    return [((n + a + b - 1) / s, n), (-(n + a - 1) / s, n - 1)]

@@ -11,7 +11,6 @@ from mean/marginal fitness. The two must agree; tests enforce it.
 """
 
 import itertools
-import json
 from dataclasses import dataclass
 
 import numpy as np
@@ -81,13 +80,6 @@ class ModelParams:
             raise ParameterError(f"theta has {len(theta)} entries, K={K}")
         return cls(theta, sigma)
 
-    @classmethod
-    def from_json(cls, text):
-        try:
-            return cls.from_dict(json.loads(text))
-        except json.JSONDecodeError as exc:
-            raise ParameterError(f"invalid model JSON: {exc}")
-
 
 @dataclass(frozen=True)
 class LocalGeneratorCoefficients:
@@ -100,14 +92,6 @@ def mean_fitness(p, x):
     """sigma-weighted quadratic form sum_ij sigma_ij x_i x_j (x_K implied)."""
     xf = full_point(x)
     return np.einsum("...i,ij,...j->...", xf, p.sigma, xf)
-
-
-def marginal_fitness(p, i, x):
-    """sum_j sigma_ij x_j for allele i (1-based in 1..K)."""
-    if not 1 <= i <= p.K:
-        raise ParameterError(f"allele label must be in 1..{p.K}, got {i}")
-    xf = full_point(x)
-    return xf @ p.sigma[i - 1]
 
 
 def marginal_fitness_all(p, x):

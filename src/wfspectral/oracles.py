@@ -19,7 +19,6 @@ import scipy.special
 
 from . import model as model_mod
 from .errors import NumericalError, ParameterError
-from .model import LocalGeneratorCoefficients  # noqa: F401  (re-export)
 from .simplex import from_cube
 
 QUADRATURE_KS = (2, 3, 4)
@@ -271,15 +270,3 @@ def write_mc_summary_csv(result, path):
             row += [format(result.covs[k, i, j], ".17g")
                     for i in range(d) for j in range(i + 1, d)]
             fh.write(",".join(row) + "\n")
-
-
-def write_histogram_csv(samples, edges, path):
-    """Binned counts of scalar samples; the bin edges ride in the header."""
-    samples = np.asarray(samples, dtype=float)
-    edges = np.asarray(edges, dtype=float)
-    counts, _ = np.histogram(samples, bins=edges)
-    with open(path, "w", newline="") as fh:
-        fh.write("# bin edges: " + " ".join(format(e, ".17g") for e in edges) + "\n")
-        fh.write("bin_lo,bin_hi,count\n")
-        for i, c in enumerate(counts):
-            fh.write(f"{edges[i]:.17g},{edges[i+1]:.17g},{int(c)}\n")

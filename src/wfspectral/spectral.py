@@ -225,6 +225,7 @@ def _assemble_double(p, basis, pad):
     lam = 0.5 * degrees * (degrees - 1.0 + p.theta_total)
     block = _horner((), multis.get((), 0.0) + lam, multis, live, blocks,
                     cols)
+    block.sum_duplicates()   # canonical: sorted in place, hashed as it is
     return OperatorMatrix(params=p, D=D, pad=pad, basis=basis, matrix=block,
                           log_norms=basis.log_norms_all(),
                           precision_bits=None)
@@ -322,20 +323,32 @@ def symmetrize(om):
     The double path stays sparse (csr); the extended path returns a dense
     mpmath matrix. Raises NumericalError when the symmetry defect exceeds
     tolerance, which indicates detailed balance is broken upstream.
+
+    Double S is M's data scaled once, on M's own indices. When its transpose
+    has the same pattern, as detailed balance makes it, the defect and the
+    average are taken on the two data arrays; otherwise by sparse arithmetic.
     """
     if om.precision_bits is None:
-        coo = om.matrix.tocoo()
+        M = om.matrix
         lg = om.log_norms
-        data = coo.data * np.exp(0.5 * (lg[coo.col] - lg[coo.row]))
-        S = scipy.sparse.csr_matrix((data, (coo.row, coo.col)),
-                                    shape=coo.shape)
-        defect = abs(S - S.T).max()
-        scale = abs(S).max()
+        rows = np.repeat(np.arange(M.shape[0]), np.diff(M.indptr))
+        S = scipy.sparse.csr_matrix(
+            (M.data * np.exp(0.5 * (lg[M.indices] - lg[rows])), M.indices,
+             M.indptr), shape=M.shape)
+        T = S.T.tocsr()
+        scale = np.abs(S.data).max(initial=0.0)
+        if (np.array_equal(T.indptr, S.indptr)
+                and np.array_equal(T.indices, S.indices)):
+            defect = np.abs(S.data - T.data).max(initial=0.0)
+            S.data = 0.5 * (S.data + T.data)
+        else:
+            defect = abs(S - T).max()
+            S = 0.5 * (S + T)
         if defect > SYMMETRY_DEFECT_TOL * scale:
             raise NumericalError(
                 f"detailed balance broken: symmetry defect {defect:.3e} "
                 f"exceeds {SYMMETRY_DEFECT_TOL:.1e} * {scale:.3e}")
-        return 0.5 * (S + S.T)
+        return S
     with mpmath.workprec(om.precision_bits):
         U = len(om.matrix)
         lg = om.log_norms
@@ -391,6 +404,8 @@ def _solve(S, n_eig):
 
     Returns (eigenvalues, eigenvectors as columns, solver name). Double S is
     sparse and is made dense only for LAPACK; extended S is an mpmath matrix.
+    A double solve fails with LinAlgError from LAPACK or from the banded
+    Cholesky, or with an ARPACK RuntimeError.
     """
     if not scipy.sparse.issparse(S):
         E, Q = mpmath.eigsy(S)
@@ -446,7 +461,9 @@ def eigensolve(om, n_eig=None):
         try:
             w, V, solver = _solve(S, n_eig)
         except (scipy.linalg.LinAlgError, RuntimeError) as exc:
-            # ARPACK and SuperLU failures are RuntimeError subclasses
+            # LAPACK failures, the banded Cholesky of an indefinite shifted
+            # operator among them, raise LinAlgError; ARPACK's are
+            # RuntimeError subclasses
             raise NumericalError(
                 f"eigensolver failed at truncation {om.D}: {exc}")
         coeffs = (V * np.exp(-0.5 * om.log_norms)[:, None]).T

