@@ -13,15 +13,13 @@ univariate norms at the same shifted parameters.
 Multiplication by a coordinate x_i maps P_n into a sparse combination of
 neighbors: a G factor at slot i and one H/I/J factor per slot j < i, selected
 by how the suffix degree changes (down/unchanged/up). row_entries walks one
-row with the scalar tables (any scalar type; the extended-precision assembly
-uses it), and recurrence_matrix builds the sparse float matrix over a graded
-enumeration for all rows at once, gathering the factors from per-slot arrays
-of the same tables.
+row with the scalar tables, and recurrence_matrix builds the sparse matrix
+over a graded enumeration for all rows at once, gathering the factors from
+per-slot arrays of the same tables.
 """
 
 import math
 
-import mpmath
 import numpy as np
 import scipy.sparse
 
@@ -41,16 +39,12 @@ class MultiJacobiBasis:
     """Basis of multivariate Jacobi polynomials over a graded enumeration.
 
     Args:
-        theta: K positive mutation weights. Floats normally; an object array
-            of multiprecision scalars is accepted and propagates through the
-            coefficient tables and norms.
+        theta: K positive mutation weights.
         enumeration: BasisEnumeration with matching K.
     """
 
     def __init__(self, theta, enumeration):
-        theta = np.asarray(theta)
-        if theta.dtype != object:
-            theta = theta.astype(float)
+        theta = np.asarray(theta, dtype=float)
         if theta.ndim != 1 or len(theta) != enumeration.K:
             raise ParameterError(
                 f"need {enumeration.K} mutation weights, got shape {theta.shape}")
@@ -117,18 +111,14 @@ class MultiJacobiBasis:
         for j in range(naxes):
             lengths = top + 1 - np.arange(tails[:, j].max(initial=0) + 1)
             start = np.cumsum(lengths) - lengths
-            table = np.empty((lengths.sum(), len(flat_xi)))
+            table = self._axis_table(j, lengths, start, flat_xi[:, j])
             pows = np.ones((len(lengths), len(flat_xi)))
-            for t, size in enumerate(lengths.tolist()):
-                a, b = self.axis_params(j, t)
-                rows = table[start[t]:start[t] + size]
-                rows[...] = jacobi.eval_R_all(size - 1, a, b, flat_xi[:, j])
-                if t:
-                    pows[t] = pows[t - 1] * (1.0 - flat_xi[:, j])
-                    if j == 0:
-                        # every member's product starts with R (1 - xi)^t,
-                        # so forming it here rounds the same way
-                        rows *= pows[t]
+            for t in range(1, len(lengths)):
+                pows[t] = pows[t - 1] * (1.0 - flat_xi[:, j])
+                if j == 0:
+                    # every member's product starts with R (1 - xi)^t, so
+                    # forming it here rounds the same way
+                    table[start[t]:start[t] + lengths[t]] *= pows[t]
             factors.append((table, start[tails[:, j]] + n[:, j]))
             if j and len(lengths) > 1:
                 factors.append((pows, tails[:, j]))
@@ -146,6 +136,41 @@ class MultiJacobiBasis:
                     block *= into
         return out
 
+    def _axis_table(self, j, lengths, start, x):
+        """R_k at axis j and suffix degree t for every k < lengths[t].
+
+        Row start[t] + k holds R_k^(a, b_t)(x), equal bit for bit to
+        jacobi.eval_R_all(lengths[t] - 1, a, b_t, x)[k]. The lengths fall
+        with t, so degree k is needed for a leading run of suffix degrees:
+        one recurrence step serves them all, with b as an array over them.
+        A single suffix degree takes eval_R_all itself, whose scalar
+        coefficient calls cost less than array ones.
+        """
+        if len(lengths) == 1:
+            a, b = self.axis_params(j, 0)
+            return jacobi.eval_R_all(int(lengths[0]) - 1, a, b, x)
+        a, b = self.axis_params(j, np.arange(len(lengths)))
+        b = b[:, None]
+        table = np.empty((lengths.sum(), len(x)))
+        top = int(lengths[0]) - 1
+        prev, cur = None, np.ones((len(b), len(x)))
+        for k in range(top):
+            table[start[:len(cur)] + k] = cur
+            # the suffix degrees t < top - k reach degree k + 1
+            live = min(len(b), top - k)
+            bk = b[:live]
+            if k == 0:
+                nxt = (a + bk) * x - a
+            else:
+                # x R_k = G_{k,k-1} R_{k-1} + G_{k,k} R_k + G_{k,k+1} R_{k+1}
+                sub = jacobi.coeff_G(k, k - 1, a, bk)
+                diag = jacobi.coeff_G(k, k, a, bk)
+                sup = jacobi.coeff_G(k, k + 1, a, bk)
+                nxt = ((x - diag) * cur[:live] - sub * prev[:live]) / sup
+            prev, cur = cur, nxt
+        table[start[:len(cur)] + top] = cur
+        return table
+
     # -- norms ---------------------------------------------------------------
 
     def log_norm_C(self, n):
@@ -158,13 +183,10 @@ class MultiJacobiBasis:
         return total
 
     def norm_C(self, n):
-        lg = self.log_norm_C(n)
-        if isinstance(lg, float):
-            return math.exp(lg)
-        return mpmath.exp(lg)
+        return math.exp(self.log_norm_C(n))
 
     def log_norms_all(self):
-        """Vector of log C_n over the whole enumeration (cached, float path).
+        """Vector of log C_n over the whole enumeration (cached).
 
         Equals log_norm_C member by member: the per-axis terms come from one
         log_norm_c table per axis, indexed [degree, suffix degree], and are

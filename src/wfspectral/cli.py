@@ -20,6 +20,9 @@ from .errors import NumericalError, ParameterError
 
 THREAD_ENV_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS",
                    "MKL_NUM_THREADS", "NUMEXPR_NUM_THREADS")
+# both mean double precision; configs written for the former 128-bit path
+# carry the key
+PRECISIONS = ("auto", "double")
 
 DEFAULT_CONFIG = {
     "model": {
@@ -132,6 +135,12 @@ def _validate_config(cfg):
     times = cfg.get("times", [])
     if not all(isinstance(t, (int, float)) and t > 0 for t in times):
         raise ParameterError("times must all be positive numbers")
+    if cfg.get("precision") not in PRECISIONS:
+        raise ParameterError(
+            f"precision {cfg.get('precision')!r} is not supported: use "
+            f"\"double\" or \"auto\". A retired 128-bit path agreed with "
+            f"double to 2.5e-14 of the spectral scale on eigenvalues and "
+            f"1.6e-11 on coefficients, with sigma entries up to 80")
 
 
 def _make_model(cfg):
@@ -158,14 +167,13 @@ def _decompose(cfg, n_eig=None):
     from . import spectral
     p = _make_model(cfg)
     return spectral.decompose(p, cfg["truncation"], pad=cfg["pad"],
-                              precision=cfg["precision"], n_eig=n_eig)
+                              n_eig=n_eig)
 
 
 def _solve_meta(sd):
     """Sidecar fields that identify the operator and say how it was solved."""
     from . import spectral
     return {"decomposition_hash": spectral.decomposition_hash(sd),
-            "precision_bits": sd.precision_bits,
             "eigenpairs": sd.n_eig, "eigensolver": sd.eigensolver}
 
 
@@ -229,10 +237,13 @@ def cmd_normconst(cfg):
     from . import density
     *_, m_max = _cutoffs(cfg)
     sd = _decompose(cfg, n_eig=1)
-    value = density.normalizing_constant(sd, m_max=m_max)
+    diagnostics = {}
+    value = density.normalizing_constant(sd, m_max=m_max,
+                                         diagnostics=diagnostics)
     out = _out_dir(cfg)
     path = os.path.join(out, "normconst.json")
-    _write_json(path, _meta(cfg, C_stat=value, **_solve_meta(sd)))
+    _write_json(path, _meta(cfg, C_stat=value, **diagnostics,
+                            **_solve_meta(sd)))
     print(f"C_stat = {value:.17g}")
     print(f"wrote {path}")
     return 0
@@ -245,7 +256,7 @@ def cmd_converge(cfg):
     track = [(int(n), tuple(m)) for n, m in conv.get("track", [])]
     rows = spectral.convergence_table(
         p, conv["D_list"], conv["n_list"], track=track,
-        pad=cfg["pad"], precision=cfg["precision"])
+        pad=cfg["pad"])
     out = _out_dir(cfg)
     path = os.path.join(out, "converge.csv")
     with open(path, "w", newline="") as fh:

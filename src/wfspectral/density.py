@@ -8,8 +8,8 @@ The density at elapsed time t factors through the eigenbasis:
 with B~_n the C-orthonormal polynomial combinations and pi0 the unnormalized
 neutral stationary density. Series cutoffs: n_max eigenpairs, coefficients
 kept through total degree m_max. The stationary density itself is
-pi(y) = C_stat e^{-sbar(y)} pi0(y) with C_stat computed from the lead
-eigenvector without any quadrature.
+pi(y) = e^{sbar(y)} pi0(y) / C_stat with C_stat computed from the lead
+eigenvector without any quadrature, at its best-conditioned point.
 """
 
 import warnings
@@ -18,14 +18,14 @@ import numpy as np
 
 from . import model as model_mod
 from .errors import NumericalError, ParameterError
-from .indexing import BasisEnumeration, index_arrays, total_count
-from .jacobi import log_R_at_zero
+from .indexing import BasisEnumeration, total_count
 from .simplex import clamp_simplex, to_cube
 
 DEFAULT_N_MAX = 562    # eigenpairs kept; level-36 block size for K=3
 DEFAULT_M_MAX = 36     # coefficient degree kept
 TAIL_WARN_THRESHOLD = 1e-8
 CSV_BLOCK = 1024       # density rows formatted per write
+NORMCONST_GRID = 10    # grid resolution of the stationary-ratio candidates
 
 
 def _resolve_cutoffs(sd, n_max, m_max):
@@ -200,30 +200,40 @@ def neutral_transition_density(p, t, x, y, D):
     return out if np.ndim(out) else float(out)
 
 
-def normalizing_constant(sd, m_max=None):
-    """Stationary normalizer from the lead eigenvector alone.
+def normalizing_constant(sd, m_max=None, diagnostics=None):
+    """Stationary normalizer from the lead eigenvector alone; no quadrature.
 
-    C_stat = sum_m u_{0,m}^2 C_m / (sum_m u_{0,m} P_m(corner))^2, evaluated
-    at the corner where every stick coordinate vanishes; no quadrature.
-    There P_m is the product of R_{m_j}(0) over the axes, taken from one
-    log |R_n(0)| table per axis with the sign (-1)^|m|.
+    f(y) = sum_m u_{0,m} P_m(y) is proportional to e^{sbar(y)/2}, so
+
+        C_stat = sum_m u_{0,m}^2 C_m e^{sbar(y)} / f(y)^2
+
+    at any point y. Where the terms of f cancel, as they do at the corner
+    under strong selection, f loses the digits the ratio needs. So the ratio
+    is taken at the candidate with the smallest condition number
+    kappa(y) = sum_m |u_{0,m} P_m(y)| / |f(y)|. The candidates are fixed:
+    the interior grid make_grid(K, NORMCONST_GRID) and the K vertices.
+
+    A dict passed as diagnostics receives "C_stat_kappa", kappa at the
+    chosen point, and "C_stat_point", the point itself.
     """
     _, u_m = _resolve_cutoffs(sd, 1, m_max)
     u0 = sd.coeffs[0, :u_m]
     num = float(np.sum(u0 ** 2 * np.exp(sd.log_norms[:u_m])))
-    m, _ = index_arrays(sd.basis.enumeration.indices[:u_m], sd.params.K - 1)
-    log_r = np.zeros(u_m)
-    for j in range(sd.params.K - 1):
-        a, _ = sd.basis.axis_params(j, 0)
-        table = np.array([log_R_at_zero(d, a) for d in range(sd.D + 1)])
-        log_r = log_r + table[m[:, j]]
-    sign = 1 - 2 * (m.sum(axis=1) % 2)
-    nz = np.flatnonzero(u0)
-    den = float(np.sum(u0[nz] * sign[nz] * np.exp(log_r[nz])))
-    if abs(den) < 1e-300 * max(1.0, abs(num)):
-        raise NumericalError("lead eigenvector vanishes at the corner; "
-                             "cannot form the stationary normalizer")
-    return num / den ** 2
+    K = sd.params.K
+    pts = np.concatenate([make_grid(K, NORMCONST_GRID), np.eye(K)[:, :K - 1]])
+    terms = u0[:, None] * sd.basis.eval_prefix_cube(to_cube(pts), count=u_m)
+    f = terms.sum(axis=0)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        kappa = np.abs(terms).sum(axis=0) / np.abs(f)
+    best = int(np.argmin(np.where(np.isnan(kappa), np.inf, kappa)))
+    if not np.isfinite(kappa[best]):
+        raise NumericalError("lead eigenvector vanishes at every candidate "
+                             "point; cannot form the stationary normalizer")
+    if diagnostics is not None:
+        diagnostics.update(C_stat_kappa=float(kappa[best]),
+                           C_stat_point=pts[best].tolist())
+    return float(num * np.exp(model_mod.mean_fitness(sd.params, pts[best]))
+                 / f[best] ** 2)
 
 
 def stationary_density(sd, y, m_max=None):

@@ -12,16 +12,14 @@ Four coefficient tables are exposed:
     I: expansion of (1-x) * R_n       in {R_{n-1}, R_n, R_{n+1}} at (a, b)
     J: expansion of (1-x)**2 * R_n    in {R_n, R_{n+1}, R_{n+2}} at (a, b-2)
 
-All tables return exact 0.0 outside their declared offset band. The arithmetic
-is plain Python so the same formulas run under float or multiprecision inputs.
-The tables and log_norm_c also take a float array b, one exponent per suffix
+All tables return exact 0.0 outside their declared offset band. The tables
+and log_norm_c also take a float array b, one exponent per suffix
 degree: their branches depend only on the integer degrees, so each entry
 equals the scalar call bit for bit.
 """
 
 import math
 
-import mpmath
 import numpy as np
 
 from .errors import ParameterError
@@ -42,18 +40,16 @@ def _check_degree(n):
 
 
 def _lgamma(z):
-    return _libm(math.lgamma, mpmath.loggamma, z)
+    return _libm(math.lgamma, z)
 
 
 def _log(z):
-    return _libm(math.log, mpmath.log, z)
+    return _libm(math.log, z)
 
 
-def _libm(fn, fn_mp, z):
+def _libm(fn, z):
     # fn per entry of an array: numpy's own log can differ from libm in the
     # last bit, and the entries must equal the scalar calls
-    if isinstance(z, mpmath.mpf):
-        return fn_mp(z)
     if type(z) is _ARRAY:
         return np.array([fn(v) for v in z.tolist()])
     return fn(z)
@@ -113,19 +109,7 @@ def log_norm_c(n, a, b):
 
 def norm_c(n, a, b):
     """Squared norm c_n^(a,b) = Gamma(n+a)Gamma(n+b) / ((2n+a+b-1)Gamma(n+a+b-1)n!)."""
-    lg = log_norm_c(n, a, b)
-    return mpmath.exp(lg) if isinstance(lg, mpmath.mpf) else math.exp(lg)
-
-
-def log_R_at_zero(n, a):
-    """Log magnitude of R_n(0); the sign is (-1)**n.
-
-    R_n^(a,b)(0) = (-1)^n Gamma(n+a) / (Gamma(n+1) Gamma(a)), independent of b.
-    """
-    _check_degree(n)
-    if not a > 0:
-        raise ParameterError(f"weight exponent must be positive, got a={a}")
-    return _lgamma(n + a) - _lgamma(n + 1) - _lgamma(a)
+    return math.exp(log_norm_c(n, a, b))
 
 
 def coeff_G(n, m, a, b):

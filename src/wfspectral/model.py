@@ -173,7 +173,7 @@ def q_coefficients(p):
 
 
 def q_tables(theta, sigma):
-    """Same closed forms with caller-supplied scalars (floats or multiprecision)."""
+    """Same closed forms from theta and sigma given apart."""
     K = len(theta)
     tt = sum(theta)
 

@@ -15,8 +15,9 @@ block can reach.
 Detailed balance (M_{k,m} C_m = M_{m,k} C_k) makes M similar to a symmetric
 matrix via the diagonal scaling sqrt(C); we solve that symmetric problem and
 map eigenvectors back, which guarantees real spectra and C-weighted
-orthonormality. An optional extended-precision path reassembles and solves
-with multiprecision scalars for strong selection.
+orthonormality. Everything runs in double precision: under strong selection
+(5 times the benchmark sigma, and sigma entries up to 80) a former 128-bit
+path agreed with it to 2.5e-14 of the spectral scale on eigenvalues.
 
 Callers ask for the n_eig lowest eigenpairs they read. A single pair comes
 from ARPACK in shift-invert mode on the sparse symmetric matrix, with the
@@ -29,7 +30,6 @@ import functools
 import hashlib
 from dataclasses import dataclass
 
-import mpmath
 import numpy as np
 import scipy.linalg
 import scipy.sparse
@@ -38,13 +38,12 @@ from . import model as model_mod
 from .basis import MultiJacobiBasis
 from .errors import NumericalError, ParameterError
 from .indexing import BasisEnumeration, total_count
-from .model import ModelParams, q_tables
+# q_tables is unused here, but bench/spans.py wraps spectral.q_tables by name
+from .model import ModelParams, q_tables  # noqa: F401
 from .simplex import to_cube
 
 DEFAULT_PAD = 4            # selection polynomial degree; keeps the block exact
 SYMMETRY_DEFECT_TOL = 1e-9
-EXTENDED_SIGMA_THRESHOLD = 50.0
-DEFAULT_EXTENDED_BITS = 128
 # The truncated operator is positive semidefinite with a simple lowest
 # eigenvalue, so any negative shift makes S - shift*I positive definite, as
 # its Cholesky factorization needs, and Lambda_0 the dominant eigenvalue of
@@ -54,50 +53,22 @@ ARPACK_MIN_SIZE = 21       # below this the Lanczos basis spans the space
 SUBSET_FRACTION = 1 / 3    # LAPACK subset solve only up to this share of U
 
 
-def resolve_precision(precision, p, threshold=EXTENDED_SIGMA_THRESHOLD):
-    """Normalize a precision request to None (double) or a bit count.
-
-    Accepts "double", "auto", "extended", "extended:<bits>", or an int bit
-    count. "auto" selects extended precision when max|sigma| exceeds the
-    threshold.
-    """
-    if precision is None or precision == "double":
-        return None
-    if precision == "auto":
-        if np.max(np.abs(p.sigma)) > threshold:
-            return DEFAULT_EXTENDED_BITS
-        return None
-    if precision == "extended":
-        return DEFAULT_EXTENDED_BITS
-    if isinstance(precision, str) and precision.startswith("extended:"):
-        try:
-            bits = int(precision.split(":", 1)[1])
-        except ValueError:
-            raise ParameterError(f"cannot parse precision {precision!r}")
-    elif isinstance(precision, int):
-        bits = precision
-    else:
-        raise ParameterError(f"unknown precision {precision!r}")
-    if bits < DEFAULT_EXTENDED_BITS:
-        raise ParameterError(
-            f"extended precision needs >= {DEFAULT_EXTENDED_BITS} bits, got {bits}")
-    return bits
-
-
 @dataclass(frozen=True)
 class OperatorMatrix:
     """Assembled truncated operator with its scaling data."""
     params: ModelParams
     D: int
     pad: int
-    basis: MultiJacobiBasis      # float basis at level D
-    matrix: object               # csr (double) or list-of-dict rows (extended)
-    log_norms: object            # per-position log C (float array or mpf list)
-    precision_bits: int | None
+    basis: MultiJacobiBasis      # basis at level D
+    matrix: scipy.sparse.csr_matrix
+    log_norms: np.ndarray        # (U,) log C_m
 
     @property
     def size(self):
         return len(self.basis.enumeration)
+
+    # always None (double precision); bench/spans.py reads it
+    precision_bits = None
 
 
 @dataclass(frozen=True)
@@ -109,7 +80,6 @@ class SpectralDecomposition:
     eigenvalues: np.ndarray      # (n_eig,) ascending
     coeffs: np.ndarray           # (n_eig, U); row n holds u_{n,m}
     log_norms: np.ndarray        # (U,) log C_m
-    precision_bits: int | None
     eigensolver: str             # the solver that produced the pairs
     operator_hash: str           # see decomposition_hash
 
@@ -123,32 +93,8 @@ class SpectralDecomposition:
         """Number of eigenpairs held."""
         return len(self.eigenvalues)
 
-
-class _SparseRows:
-    """Minimal row-wise sparse matrix over arbitrary scalars (mpf-friendly)."""
-
-    def __init__(self, size):
-        self.size = size
-        self.rows = [dict() for _ in range(size)]
-
-    def set(self, r, c, v):
-        if v:
-            self.rows[r][c] = v
-
-    def __matmul__(self, other):
-        out = _SparseRows(self.size)
-        for r, row in enumerate(self.rows):
-            acc = out.rows[r]
-            for k, v in row.items():
-                for c, w in other.rows[k].items():
-                    acc[c] = acc.get(c, 0) + v * w
-        return out
-
-    def add_scaled_into(self, target, s):
-        for r, row in enumerate(self.rows):
-            acc = target.rows[r]
-            for c, v in row.items():
-                acc[c] = acc.get(c, 0) + s * v
+    # always None (double precision); bench/spans.py reads it
+    precision_bits = None
 
 
 def _multiset_products(coeffs):
@@ -160,48 +106,23 @@ def _multiset_products(coeffs):
     return out
 
 
-def _chain_product(ms, mats, cache):
-    """G_{ms[0]} @ ... @ G_{ms[-1]}, multiplied left to right.
-
-    Every prefix product is kept in `cache`, so tuples that share a prefix
-    share its multiplications.
-    """
-    res = None
-    for k in range(1, len(ms) + 1):
-        key = ms[:k]
-        hit = cache.get(key)
-        if hit is None:
-            hit = mats[ms[0]] if k == 1 else res @ mats[ms[k - 1]]
-            cache[key] = hit
-        res = hit
-    return res
-
-
-def assemble_M(p, basis, pad=DEFAULT_PAD, precision="double"):
+def assemble_M(p, basis, pad=DEFAULT_PAD):
     """Assemble the truncated operator matrix over the basis enumeration.
 
     Args:
         p: ModelParams (theta must match the basis).
-        basis: float MultiJacobiBasis at the target truncation level.
+        basis: MultiJacobiBasis at the target truncation level.
         pad: enlargement of the working enumeration; the default covers the
             degree-4 selection polynomial exactly.
-        precision: see resolve_precision.
 
     Returns:
         OperatorMatrix whose retained block carries no truncation error
         relative to the untruncated operator, provided pad >= polynomial degree.
     """
-    if not np.allclose(np.asarray(basis.theta, dtype=float), p.theta):
+    if not np.allclose(basis.theta, p.theta):
         raise ParameterError("basis and model disagree on mutation rates")
     if pad < 0:
         raise ParameterError(f"pad must be >= 0, got {pad}")
-    bits = resolve_precision(precision, p)
-    if bits is None:
-        return _assemble_double(p, basis, pad)
-    return _assemble_extended(p, basis, pad, bits)
-
-
-def _assemble_double(p, basis, pad):
     D = basis.D
     K = p.K
     basis_pad = MultiJacobiBasis(p.theta, BasisEnumeration(K, D + pad))
@@ -227,8 +148,7 @@ def _assemble_double(p, basis, pad):
                     cols)
     block.sum_duplicates()   # canonical: sorted in place, hashed as it is
     return OperatorMatrix(params=p, D=D, pad=pad, basis=basis, matrix=block,
-                          log_norms=basis.log_norms_all(),
-                          precision_bits=None)
+                          log_norms=basis.log_norms_all())
 
 
 def _horner(suffix, diagonal, multis, live, blocks, cols):
@@ -272,103 +192,36 @@ def _diagonal(values, n):
                                    shape=(len(values), n))
 
 
-def _assemble_extended(p, basis, pad, bits):
-    D = basis.D
-    K = p.K
-    with mpmath.workprec(bits):
-        theta_mp = np.array([mpmath.mpf(float(t)) for t in p.theta], dtype=object)
-        sigma_mp = [[mpmath.mpf(float(v)) for v in row] for row in p.sigma]
-        enum_pad = BasisEnumeration(K, D + pad)
-        basis_mp = MultiJacobiBasis(theta_mp, enum_pad)
-        upad = len(enum_pad)
-        tt = sum(theta_mp)
-        acc = _SparseRows(upad)
-        for pos, n in enumerate(enum_pad.indices):
-            l = sum(n)
-            acc.set(pos, pos, mpmath.mpf(l) * (l - 1 + tt) / 2)
-        multis = _multiset_products(q_tables(theta_mp, sigma_mp))
-        needed = sorted({i for ms, v in multis.items() if v for i in ms})
-        mats = {}
-        for i in needed:
-            g = _SparseRows(upad)
-            for pos, n in enumerate(enum_pad.indices):
-                for m, v in basis_mp.row_entries(n, i):
-                    col = enum_pad.position.get(m)
-                    if col is not None and v:
-                        g.rows[pos][col] = v
-            mats[i] = g
-        cache = {}
-        for ms in sorted(multis):
-            qv = multis[ms]
-            if not qv:
-                continue
-            if ms == ():
-                for r in range(upad):
-                    acc.rows[r][r] = acc.rows[r].get(r, 0) + qv
-            else:
-                _chain_product(ms, mats, cache).add_scaled_into(acc, qv)
-        U = total_count(K, D)
-        rows = []
-        for r in range(U):
-            rows.append({c: v for c, v in acc.rows[r].items() if c < U})
-        log_norms = [basis_mp.log_norm_C(n)
-                     for n in enum_pad.indices[:U]]
-    return OperatorMatrix(params=p, D=D, pad=pad, basis=basis, matrix=rows,
-                          log_norms=log_norms, precision_bits=bits)
-
-
 def symmetrize(om):
     """Similarity-transform M to its symmetric form S = D^-1 M D, D = diag sqrt C.
 
-    The double path stays sparse (csr); the extended path returns a dense
-    mpmath matrix. Raises NumericalError when the symmetry defect exceeds
-    tolerance, which indicates detailed balance is broken upstream.
+    S stays sparse (csr). Raises NumericalError when the symmetry defect
+    exceeds tolerance, which indicates detailed balance is broken upstream.
 
-    Double S is M's data scaled once, on M's own indices. When its transpose
-    has the same pattern, as detailed balance makes it, the defect and the
-    average are taken on the two data arrays; otherwise by sparse arithmetic.
+    S is M's data scaled once, on M's own indices. When its transpose has the
+    same pattern, as detailed balance makes it, the defect and the average
+    are taken on the two data arrays; otherwise by sparse arithmetic.
     """
-    if om.precision_bits is None:
-        M = om.matrix
-        lg = om.log_norms
-        rows = np.repeat(np.arange(M.shape[0]), np.diff(M.indptr))
-        S = scipy.sparse.csr_matrix(
-            (M.data * np.exp(0.5 * (lg[M.indices] - lg[rows])), M.indices,
-             M.indptr), shape=M.shape)
-        T = S.T.tocsr()
-        scale = np.abs(S.data).max(initial=0.0)
-        if (np.array_equal(T.indptr, S.indptr)
-                and np.array_equal(T.indices, S.indices)):
-            defect = np.abs(S.data - T.data).max(initial=0.0)
-            S.data = 0.5 * (S.data + T.data)
-        else:
-            defect = abs(S - T).max()
-            S = 0.5 * (S + T)
-        if defect > SYMMETRY_DEFECT_TOL * scale:
-            raise NumericalError(
-                f"detailed balance broken: symmetry defect {defect:.3e} "
-                f"exceeds {SYMMETRY_DEFECT_TOL:.1e} * {scale:.3e}")
-        return S
-    with mpmath.workprec(om.precision_bits):
-        U = len(om.matrix)
-        lg = om.log_norms
-        S = mpmath.zeros(U, U)
-        for r, row in enumerate(om.matrix):
-            for c, v in row.items():
-                S[r, c] = v * mpmath.exp((lg[c] - lg[r]) / 2)
-        defect = max((abs(S[r, c] - S[c, r])
-                      for r in range(U) for c in range(r + 1, U)),
-                     default=mpmath.mpf(0))
-        scale = max(abs(S[r, c]) for r in range(U) for c in range(U))
-        if defect > SYMMETRY_DEFECT_TOL * scale:
-            raise NumericalError(
-                f"detailed balance broken: symmetry defect {float(defect):.3e}")
-        for r in range(U):
-            for c in range(r + 1, U):
-                v = (S[r, c] + S[c, r]) / 2
-                S[r, c] = v
-                S[c, r] = v
-        return S
+    M = om.matrix
+    lg = om.log_norms
+    rows = np.repeat(np.arange(M.shape[0]), np.diff(M.indptr))
+    S = scipy.sparse.csr_matrix(
+        (M.data * np.exp(0.5 * (lg[M.indices] - lg[rows])), M.indices,
+         M.indptr), shape=M.shape)
+    T = S.T.tocsr()
+    scale = np.abs(S.data).max(initial=0.0)
+    if (np.array_equal(T.indptr, S.indptr)
+            and np.array_equal(T.indices, S.indices)):
+        defect = np.abs(S.data - T.data).max(initial=0.0)
+        S.data = 0.5 * (S.data + T.data)
+    else:
+        defect = abs(S - T).max()
+        S = 0.5 * (S + T)
+    if defect > SYMMETRY_DEFECT_TOL * scale:
+        raise NumericalError(
+            f"detailed balance broken: symmetry defect {defect:.3e} "
+            f"exceeds {SYMMETRY_DEFECT_TOL:.1e} * {scale:.3e}")
+    return S
 
 
 def _lowest_pair(S):
@@ -400,18 +253,12 @@ def _lowest_pair(S):
 
 
 def _solve(S, n_eig):
-    """The n_eig lowest eigenpairs of symmetric S, ascending.
+    """The n_eig lowest eigenpairs of sparse symmetric S, ascending.
 
-    Returns (eigenvalues, eigenvectors as columns, solver name). Double S is
-    sparse and is made dense only for LAPACK; extended S is an mpmath matrix.
-    A double solve fails with LinAlgError from LAPACK or from the banded
-    Cholesky, or with an ARPACK RuntimeError.
+    Returns (eigenvalues, eigenvectors as columns, solver name). S is made
+    dense only for LAPACK. A solve fails with LinAlgError from LAPACK or from
+    the banded Cholesky, or with an ARPACK RuntimeError.
     """
-    if not scipy.sparse.issparse(S):
-        E, Q = mpmath.eigsy(S)
-        order = sorted(range(S.rows), key=lambda k: E[k])[:n_eig]
-        return [E[k] for k in order], [Q.column(k) for k in order], \
-            "mpmath_eigsy"
     U = S.shape[0]
     if n_eig == 1 and U >= ARPACK_MIN_SIZE:
         w, V = _lowest_pair(S)
@@ -427,20 +274,17 @@ def _solve(S, n_eig):
 
 def _operator_hash(om):
     """SHA-256 of the assembled operator and what sets its scaling."""
-    h = hashlib.sha256(repr((om.precision_bits, om.D, om.pad)).encode())
-    h.update(np.asarray(om.log_norms, dtype=float).tobytes())
-    if om.precision_bits is None:
-        M = om.matrix
-        if not M.has_canonical_format:
-            M = M.copy()
-            M.sum_duplicates()
-        for part in (M.data, M.indices.astype(np.int64),
-                     M.indptr.astype(np.int64)):
-            h.update(np.ascontiguousarray(part).tobytes())
-    else:
-        for r, row in enumerate(om.matrix):
-            h.update(repr([(c, mpmath.mpf(row[c]).man_exp)
-                           for c in sorted(row)]).encode())
+    # None fills the slot a precision took when there were two paths, so
+    # the hash of a given operator has not changed
+    h = hashlib.sha256(repr((None, om.D, om.pad)).encode())
+    h.update(om.log_norms.tobytes())
+    M = om.matrix
+    if not M.has_canonical_format:
+        M = M.copy()
+        M.sum_duplicates()
+    for part in (M.data, M.indices.astype(np.int64),
+                 M.indptr.astype(np.int64)):
+        h.update(np.ascontiguousarray(part).tobytes())
     return h.hexdigest()
 
 
@@ -457,29 +301,15 @@ def eigensolve(om, n_eig=None):
     if not 1 <= n_eig <= U:
         raise ParameterError(f"n_eig must be in 1..{U}, got {n_eig}")
     S = symmetrize(om)
-    if om.precision_bits is None:
-        try:
-            w, V, solver = _solve(S, n_eig)
-        except (scipy.linalg.LinAlgError, RuntimeError) as exc:
-            # LAPACK failures, the banded Cholesky of an indefinite shifted
-            # operator among them, raise LinAlgError; ARPACK's are
-            # RuntimeError subclasses
-            raise NumericalError(
-                f"eigensolver failed at truncation {om.D}: {exc}")
-        coeffs = (V * np.exp(-0.5 * om.log_norms)[:, None]).T
-        log_norms = np.asarray(om.log_norms, dtype=float)
-    else:
-        with mpmath.workprec(om.precision_bits):
-            try:
-                E, Q, solver = _solve(S, n_eig)
-            except Exception as exc:  # mpmath raises bare exceptions
-                raise NumericalError(
-                    f"extended eigensolver failed at truncation {om.D}: {exc}")
-            w = np.array([float(e) for e in E])
-            scale = [mpmath.exp(-lg / 2) for lg in om.log_norms]
-            coeffs = np.array([[float(q[m] * scale[m]) for m in range(U)]
-                               for q in Q])
-        log_norms = np.array([float(lg) for lg in om.log_norms])
+    try:
+        w, V, solver = _solve(S, n_eig)
+    except (scipy.linalg.LinAlgError, RuntimeError) as exc:
+        # LAPACK failures, the banded Cholesky of an indefinite shifted
+        # operator among them, raise LinAlgError; ARPACK's are RuntimeError
+        # subclasses
+        raise NumericalError(
+            f"eigensolver failed at truncation {om.D}: {exc}")
+    coeffs = (V * np.exp(-0.5 * om.log_norms)[:, None]).T
     # deterministic sign: largest-magnitude coefficient positive
     lead = np.argmax(np.abs(coeffs), axis=1)
     flip = coeffs[np.arange(len(lead)), lead] < 0
@@ -488,14 +318,11 @@ def eigensolve(om, n_eig=None):
         raise NumericalError(f"non-finite eigendata at truncation {om.D}")
     return SpectralDecomposition(params=om.params, D=om.D, basis=om.basis,
                                  eigenvalues=w, coeffs=coeffs,
-                                 log_norms=log_norms,
-                                 precision_bits=om.precision_bits,
-                                 eigensolver=solver,
+                                 log_norms=om.log_norms, eigensolver=solver,
                                  operator_hash=_operator_hash(om))
 
 
-def decompose(p, D, pad=DEFAULT_PAD, precision="auto",
-              sigma_threshold=EXTENDED_SIGMA_THRESHOLD, n_eig=None):
+def decompose(p, D, pad=DEFAULT_PAD, n_eig=None):
     """Convenience: build the basis, assemble, and eigensolve at level D.
 
     n_eig: the number of lowest eigenpairs to solve for (None: all).
@@ -503,10 +330,7 @@ def decompose(p, D, pad=DEFAULT_PAD, precision="auto",
     if D < 0:
         raise ParameterError(f"truncation must be >= 0, got {D}")
     basis = MultiJacobiBasis(p.theta, BasisEnumeration(p.K, D))
-    bits = resolve_precision(precision, p, threshold=sigma_threshold)
-    om = assemble_M(p, basis, pad=pad,
-                    precision="double" if bits is None else bits)
-    return eigensolve(om, n_eig=n_eig)
+    return eigensolve(assemble_M(p, basis, pad=pad), n_eig=n_eig)
 
 
 def eval_B(sd, n, x, m_count=None):
@@ -523,8 +347,7 @@ def eval_B(sd, n, x, m_count=None):
     return np.exp(-0.5 * sbar) * np.tensordot(weights, P, axes=(0, 0))
 
 
-def convergence_table(p, D_list, n_list, track=(), pad=DEFAULT_PAD,
-                      precision="auto"):
+def convergence_table(p, D_list, n_list, track=(), pad=DEFAULT_PAD):
     """Eigenvalue/coefficient traces across truncation levels.
 
     Args:
@@ -546,7 +369,7 @@ def convergence_table(p, D_list, n_list, track=(), pad=DEFAULT_PAD,
         if n_eig > U:
             raise ParameterError(f"eigenpair {n_eig - 1} not present at "
                                  f"truncation {D} (size {U})")
-        sd = decompose(p, D, pad=pad, precision=precision, n_eig=n_eig)
+        sd = decompose(p, D, pad=pad, n_eig=n_eig)
         lam = {n: float(sd.eigenvalues[n]) for n in n_list}
         uvals = {}
         for n, m in track:
@@ -561,8 +384,8 @@ def convergence_table(p, D_list, n_list, track=(), pad=DEFAULT_PAD,
 def decomposition_hash(sd):
     """Hash of the operator the decomposition solved, for reproducibility.
 
-    It covers the assembled matrix M, the norms log C, the truncation, the
-    pad and the precision, not the eigendata, so decompositions of one
+    It covers the assembled matrix M, the norms log C, the truncation and
+    the pad, not the eigendata, so decompositions of one
     operator that hold different numbers of pairs share it.
     """
     return sd.operator_hash

@@ -8,7 +8,6 @@ reproduce x_i * P_n at random simplex points).
 import itertools
 import math
 
-import mpmath
 import numpy as np
 import pytest
 import scipy.sparse
@@ -390,20 +389,6 @@ def test_entries_finite_across_theta_scales():
                 for _, v in basis.row_entries(n, i):
                     assert math.isfinite(float(v))
         assert np.all(np.isfinite(basis.log_norms_all()))
-
-
-def test_multiprecision_theta_path():
-    with mpmath.workprec(160):
-        theta_mp = np.array([mpmath.mpf("0.3"), mpmath.mpf("0.4"),
-                             mpmath.mpf("0.3")], dtype=object)
-        basis_mp = make_basis(theta_mp, 4)
-        basis = make_basis([0.3, 0.4, 0.3], 4)
-        v_mp = recurrence_entry(basis_mp, (2, 1), (1, 1), 1)
-        assert isinstance(v_mp, mpmath.mpf)
-        assert float(v_mp) == pytest.approx(
-            float(recurrence_entry(basis, (2, 1), (1, 1), 1)), rel=1e-13)
-        assert float(basis_mp.log_norm_C((2, 1))) == pytest.approx(
-            float(basis.log_norm_C((2, 1))), rel=1e-13)
 
 
 def test_coordinate_label_validation():

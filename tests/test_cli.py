@@ -194,8 +194,32 @@ def test_decomposition_hash_follows_the_operator(tmp_path, sigma_1):
     hashes = {json.loads(doc)["decomposition_hash"] for doc in [
         first, normconst("D", "--set", "truncation=7"),
         normconst("sigma", "--set", "model.sigma=[[1,2,3],[2,1,2],[3,2,0]]"),
-        normconst("extended", "--set", "precision=extended")]}
+        normconst("pad", "--set", "pad=5")]}
     assert len(hashes) == 4
+
+
+def test_auto_and_double_both_mean_double(tmp_path, sigma_1):
+    # configs written when "auto" could pick a 128-bit path still run
+    sigma = json.dumps((5 * sigma_1).tolist())
+    docs = []
+    for precision in ("auto", "double"):
+        assert run(tmp_path / precision, "normconst", "--set", "truncation=6",
+                   "--set", f"model.sigma={sigma}",
+                   "--set", f"precision={precision}") == 0
+        docs.append(json.loads(
+            (tmp_path / precision / "normconst.json").read_text()))
+    assert docs[0]["C_stat"] == docs[1]["C_stat"]
+    assert docs[0]["decomposition_hash"] == docs[1]["decomposition_hash"]
+
+
+def test_extended_precision_is_refused(tmp_path, capsys):
+    code = run(tmp_path, "normconst", "--set", "truncation=6",
+               "--set", "precision=extended")
+    assert code == 2
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "parameter"
+    assert "double" in err["message"] and "agreed" in err["message"]
+    assert not (tmp_path / "normconst.json").exists()
 
 
 def test_config_file_and_override_precedence(tmp_path):
@@ -368,7 +392,7 @@ def test_solve_path_loads_no_scipy_special(tmp_path):
     # the libraries the package does use must not pull it in either
     code = """
 import sys
-import mpmath, numpy, scipy.linalg, scipy.sparse
+import numpy, scipy.linalg, scipy.sparse
 def special():
     return {m for m in sys.modules if m.startswith("scipy.special")}
 before = special()
@@ -382,6 +406,43 @@ print(sorted(special() - before))
                           env=dict(os.environ, PYTHONPATH=str(SRC)))
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.splitlines()[-1] == "[]"
+
+
+def test_normconst_run_loads_no_mpmath(tmp_path):
+    code = """
+import sys
+import wfspectral.cli
+assert wfspectral.cli.main(["normconst", "--set", "truncation=8",
+                            "--out", sys.argv[1]]) == 0
+print("mpmath" in sys.modules)
+"""
+    proc = subprocess.run([sys.executable, "-c", code, str(tmp_path)],
+                          capture_output=True, text=True, timeout=120,
+                          env=dict(os.environ, PYTHONPATH=str(SRC)))
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "False"
+
+
+def test_strong_selection_normconst_finishes(tmp_path, sigma_1):
+    # 5 x SIGMA_1 at the default truncation 40: "auto" once sent this to a
+    # 128-bit solve that did not finish, and the corner ratio was 77% off
+    from wfspectral.oracles import simplex_quadrature
+    sigma = 5 * sigma_1
+    proc = subprocess.run(
+        [sys.executable, "-m", "wfspectral", "normconst",
+         "--set", f"model.sigma={json.dumps(sigma.tolist())}",
+         "--out", str(tmp_path)],
+        capture_output=True, text=True, timeout=120,
+        env=dict(os.environ, PYTHONPATH=str(SRC)))
+    assert proc.returncode == 0, proc.stderr
+    doc = json.loads((tmp_path / "normconst.json").read_text())
+    assert doc["config"]["truncation"] == 40
+    p = ModelParams([0.01, 0.02, 0.03], sigma)
+    want = simplex_quadrature(lambda y: np.exp(model.mean_fitness(p, y)),
+                              3, 120, theta=p.theta)
+    assert doc["C_stat"] == pytest.approx(want, rel=1e-6)
+    assert 1.0 <= doc["C_stat_kappa"] < 10.0
+    assert len(doc["C_stat_point"]) == 2
 
 
 def test_module_entry_point(tmp_path):

@@ -14,9 +14,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from wfspectral import density, model, simplex, spectral
+from wfspectral import density, model, oracles, simplex, spectral
 from wfspectral.errors import ParameterError
-from wfspectral.jacobi import log_R_at_zero
 from wfspectral.model import ModelParams
 from wfspectral.oracles import gauss_jacobi_01
 
@@ -75,24 +74,24 @@ def test_normalizer_with_selection_matches_quadrature(theta_unit, sigma_1):
     assert density.normalizing_constant(sd) == pytest.approx(want, rel=1e-6)
 
 
-def corner_loop_normalizing_constant(sd, m_max=None):
-    """normalizing_constant with the corner value summed member by member."""
+def candidate_loop_normalizing_constant(sd, m_max=None):
+    """normalizing_constant with f(y) = sum_m u_{0,m} P_m(y) and its
+    condition number summed member by member, each P_m from eval_P, at the
+    simplex corners and a resolution-10 interior grid."""
     _, u_m = density._resolve_cutoffs(sd, 1, m_max)
     u0 = sd.coeffs[0, :u_m]
     num = float(np.sum(u0 ** 2 * np.exp(sd.log_norms[:u_m])))
-    den = 0.0
+    K = sd.params.K
+    pts = np.concatenate([density.make_grid(K, 10), np.eye(K)[:, :K - 1]])
+    f = np.zeros(len(pts))
+    size = np.zeros(len(pts))
     for pos, m in enumerate(sd.basis.enumeration.indices[:u_m]):
-        if u0[pos] == 0.0:
-            continue
-        lr = 0.0
-        sign = 1.0
-        for j, mj in enumerate(m):
-            a, _ = sd.basis.axis_params(j, 0)
-            lr += log_R_at_zero(mj, a)
-            if mj % 2:
-                sign = -sign
-        den += u0[pos] * sign * np.exp(lr)
-    return num / den ** 2
+        term = u0[pos] * sd.basis.eval_P(m, pts)
+        f += term
+        size += np.abs(term)
+    best = np.argmin(size / np.abs(f))
+    return (num * np.exp(model.mean_fitness(sd.params, pts[best]))
+            / f[best] ** 2)
 
 
 @pytest.mark.parametrize("theta,sigma,D,m_max", [
@@ -101,11 +100,30 @@ def corner_loop_normalizing_constant(sd, m_max=None):
     ([0.01, 0.02, 0.03], "sigma_1", 24, 17),
     ([0.01, 0.02, 0.03, 0.04], SIGMA_K4, 10, None)])
 def test_normalizer_matches_corner_loop(theta, sigma, D, m_max, sigma_1):
+    # the loop takes the ratio at the corners and the grid alike
     sd = decompose(theta, sigma_1 if isinstance(sigma, str) else sigma, D,
                    n_eig=1)
     got = density.normalizing_constant(sd, m_max=m_max)
-    assert got == pytest.approx(corner_loop_normalizing_constant(sd, m_max),
+    assert got == pytest.approx(candidate_loop_normalizing_constant(sd, m_max),
                                 rel=1e-13)
+
+
+@pytest.mark.parametrize("scale", [1, 2, 3, 5])
+@pytest.mark.parametrize("which", ["sigma_1", "sigma_het"])
+def test_normalizer_holds_under_strong_selection(scale, which, sigma_1,
+                                                 sigma_het):
+    # at the corner alone the lead terms cancel: kappa reached 4e7 at
+    # 3 x SIGMA_1 and 3e12 at 5 x SIGMA_1, and C_stat was off by up to 77%
+    theta = [0.01, 0.02, 0.03]
+    sigma = scale * (sigma_1 if which == "sigma_1" else sigma_het)
+    sd = decompose(theta, sigma, 40, n_eig=1)
+    diagnostics = {}
+    got = density.normalizing_constant(sd, diagnostics=diagnostics)
+    want = oracles.simplex_quadrature(
+        lambda y: np.exp(model.mean_fitness(sd.params, y)), 3, 120,
+        theta=theta)
+    assert got == pytest.approx(want, rel=1e-7)
+    assert 1.0 <= diagnostics["C_stat_kappa"] < 10.0
 
 
 def test_stationary_density_integrates_to_one(theta_unit, sigma_1):

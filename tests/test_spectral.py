@@ -6,12 +6,15 @@ the nested assembly reorganizes, against a general nonsymmetric eigensolver,
 and against its own defining left-eigenpair residual. The detailed-balance symmetry that
 the solver relies on is asserted entrywise, symmetrize is compared with a
 five-pass sparse reference, and the guard that detects a broken balance is
-exercised with doctored matrices.
+exercised with doctored matrices. Strong-selection eigensystems are compared
+with 128-bit references frozen from a multiprecision solve.
 """
 
 import dataclasses
 import gc
+import json
 from collections import defaultdict
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -29,6 +32,9 @@ SIGMA_K4 = np.array([[12.0, 14.0, 15.0, 10.0],
                      [14.0, 11.0, 13.0, 9.0],
                      [15.0, 13.0, 0.0, 8.0],
                      [10.0, 9.0, 8.0, 0.0]])
+
+EXTENDED_REFERENCE = json.loads(
+    (Path(__file__).parent / "extended_reference_d6.json").read_text())
 
 
 def make(theta, sigma, D, **kw):
@@ -314,35 +320,24 @@ def test_weak_selection_continuity(theta_unit, sigma_1):
     assert gaps[0] <= 0.1
 
 
-def test_extended_precision_agrees_with_double(theta_small, sigma_1):
-    p = ModelParams(theta_small, sigma_1)
-    sd_d = spectral.decompose(p, 5, precision="double")
-    sd_x = spectral.decompose(p, 5, precision="extended")
-    assert sd_x.precision_bits == 128
-    scale = np.max(np.abs(sd_d.eigenvalues))
-    assert np.max(np.abs(sd_d.eigenvalues - sd_x.eigenvalues)) <= 1e-10 * scale
-    assert np.max(np.abs(np.abs(sd_d.coeffs) - np.abs(sd_x.coeffs))) <= 1e-8
-
-
-def test_auto_precision_switches_on_strong_selection(theta_small):
-    strong = np.array([[80.0, 10.0, 5.0], [10.0, 60.0, 2.0], [5.0, 2.0, 0.0]])
-    p = ModelParams(theta_small, strong)
-    assert spectral.resolve_precision("auto", p) == 128
-    mild = ModelParams(theta_small, 0.1 * strong)
-    assert spectral.resolve_precision("auto", mild) is None
-    sd = spectral.decompose(p, 3)
-    assert sd.precision_bits == 128
-
-
-def test_resolve_precision_validation(theta_small):
-    p = ModelParams(theta_small, np.zeros((3, 3)))
-    assert spectral.resolve_precision("double", p) is None
-    assert spectral.resolve_precision("extended:192", p) == 192
-    assert spectral.resolve_precision(256, p) == 256
-    with pytest.raises(ParameterError):
-        spectral.resolve_precision("extended:64", p)
-    with pytest.raises(ParameterError):
-        spectral.resolve_precision("sometimes", p)
+@pytest.mark.parametrize("case", sorted(EXTENDED_REFERENCE["cases"]))
+def test_double_matches_frozen_extended_reference(case):
+    # a 128-bit assembly and solve gave these; double agreed with them to
+    # 2.5e-14 of the spectral scale on eigenvalues (1.1e-11 relative to the
+    # smallest) and to 1.6e-11 on the coefficients
+    ref = EXTENDED_REFERENCE["cases"][case]
+    p = ModelParams(EXTENDED_REFERENCE["theta"], ref["sigma"])
+    want_lam = np.array(ref["eigenvalues"])
+    want_u = np.abs(np.array(ref["coefficients"]))
+    scale = np.max(np.abs(want_lam))
+    full = spectral.decompose(p, EXTENDED_REFERENCE["D"])
+    lead = spectral.decompose(p, EXTENDED_REFERENCE["D"], n_eig=1)
+    assert lead.eigensolver == "arpack_shift_invert"
+    for sd in (full, lead):
+        k = min(sd.n_eig, len(want_u))
+        assert np.max(np.abs(sd.eigenvalues - want_lam[:sd.n_eig])) \
+            <= 1e-12 * scale
+        assert np.max(np.abs(np.abs(sd.coeffs[:k]) - want_u[:k])) <= 1e-10
 
 
 def test_convergence_table_neutral_rows(theta_unit):
@@ -387,8 +382,7 @@ def indefinite_operator():
     basis = MultiJacobiBasis(p.theta, BasisEnumeration(2, 29))
     return spectral.OperatorMatrix(
         params=p, D=29, pad=spectral.DEFAULT_PAD, basis=basis,
-        matrix=scipy.sparse.diags(lam, format="csr"), log_norms=np.zeros(30),
-        precision_bits=None)
+        matrix=scipy.sparse.diags(lam, format="csr"), log_norms=np.zeros(30))
 
 
 def test_one_pair_solve_refuses_an_indefinite_operator():
@@ -475,15 +469,6 @@ def test_tiny_bases_fall_back_to_dense(theta_small, sigma_1, D, U):
         assert_pairs_agree(sd, full)
 
 
-def test_extended_partial_solve_is_the_leading_rows(theta_small, sigma_1):
-    p = ModelParams(theta_small, sigma_1)
-    full = spectral.decompose(p, 3, precision="extended")
-    part = spectral.decompose(p, 3, precision="extended", n_eig=4)
-    assert part.eigensolver == full.eigensolver == "mpmath_eigsy"
-    assert np.array_equal(part.eigenvalues, full.eigenvalues[:4])
-    assert np.array_equal(part.coeffs, full.coeffs[:4])
-
-
 def test_partial_decomposition_consumers(tmp_path, theta_small, sigma_1):
     p = ModelParams(theta_small, sigma_1)
     full = spectral.decompose(p, 8)
@@ -554,16 +539,14 @@ def test_coefficients_csv_matches_reference_bytes(tmp_path, theta_small,
     assert got.read_bytes() == want.read_bytes()
 
 
-@pytest.mark.parametrize("precision", ["double", "extended"])
-def test_decompose_leaves_no_reference_cycles(theta_small, sigma_1, precision):
+def test_decompose_leaves_no_reference_cycles(theta_small, sigma_1):
     # everything assembly builds must be freed by reference counting alone,
     # without waiting for the cyclic collector
     p = ModelParams(theta_small, sigma_1)
-    D = 12 if precision == "double" else 3
     gc.collect()
     gc.set_debug(gc.DEBUG_SAVEALL)
     try:
-        spectral.decompose(p, D, precision=precision)
+        spectral.decompose(p, 12)
         gc.collect()
         garbage = list(gc.garbage)
     finally:
