@@ -13,9 +13,10 @@ univariate norms at the same shifted parameters.
 Multiplication by a coordinate x_i maps P_n into a sparse combination of
 neighbors: a G factor at slot i and one H/I/J factor per slot j < i, selected
 by how the suffix degree changes (down/unchanged/up). row_entries walks one
-row with the scalar tables, and recurrence_matrix builds the sparse matrix
-over a graded enumeration for all rows at once, gathering the factors from
-per-slot arrays of the same tables.
+row, taking each band it visits from one table call, and recurrence_matrix
+builds the sparse matrix over a graded enumeration for all rows at once,
+gathering the factors from per-slot arrays of the same tables, each filled
+by one broadcast call over (degree, suffix degree).
 """
 
 import math
@@ -25,8 +26,7 @@ import scipy.sparse
 
 from . import jacobi
 from .errors import ParameterError
-from .indexing import (BasisEnumeration, graded_positions, index_arrays,
-                       tail_sums)
+from .indexing import graded_positions, index_arrays, tail_sums
 from .simplex import to_cube
 
 # Entries smaller than this are dropped from sparse storage (exact zeros).
@@ -142,15 +142,12 @@ class MultiJacobiBasis:
         Row start[t] + k holds R_k^(a, b_t)(x), equal bit for bit to
         jacobi.eval_R_all(lengths[t] - 1, a, b_t, x)[k]. The lengths fall
         with t, so degree k is needed for a leading run of suffix degrees:
-        one recurrence step serves them all, with b as an array over them.
-        A single suffix degree takes eval_R_all itself, whose scalar
-        coefficient calls cost less than array ones.
+        one recurrence step serves them all, with b as an array over them
+        and the coefficients read from the G table.
         """
-        if len(lengths) == 1:
-            a, b = self.axis_params(j, 0)
-            return jacobi.eval_R_all(int(lengths[0]) - 1, a, b, x)
-        a, b = self.axis_params(j, np.arange(len(lengths)))
-        b = b[:, None]
+        a, b = self.axis_params(j, np.arange(len(lengths))[:, None])
+        # G_{k,k-1}, G_{k,k}, G_{k,k+1}, indexed [band, k, t, point]
+        g = np.moveaxis(self._band_table(jacobi.coeff_G, -1, j), 2, 0)[..., None]
         table = np.empty((lengths.sum(), len(x)))
         top = int(lengths[0]) - 1
         prev, cur = None, np.ones((len(b), len(x)))
@@ -158,14 +155,11 @@ class MultiJacobiBasis:
             table[start[:len(cur)] + k] = cur
             # the suffix degrees t < top - k reach degree k + 1
             live = min(len(b), top - k)
-            bk = b[:live]
             if k == 0:
-                nxt = (a + bk) * x - a
+                nxt = (a + b[:live]) * x - a
             else:
                 # x R_k = G_{k,k-1} R_{k-1} + G_{k,k} R_k + G_{k,k+1} R_{k+1}
-                sub = jacobi.coeff_G(k, k - 1, a, bk)
-                diag = jacobi.coeff_G(k, k, a, bk)
-                sup = jacobi.coeff_G(k, k + 1, a, bk)
+                sub, diag, sup = g[:, k, :live]
                 nxt = ((x - diag) * cur[:live] - sub * prev[:live]) / sup
             prev, cur = cur, nxt
         table[start[:len(cur)] + top] = cur
@@ -189,20 +183,17 @@ class MultiJacobiBasis:
         """Vector of log C_n over the whole enumeration (cached).
 
         Equals log_norm_C member by member: the per-axis terms come from one
-        log_norm_c table per axis, indexed [degree, suffix degree], and are
-        summed over the axes in the same order.
+        log_norm_c table per axis, indexed [degree, suffix degree] and filled
+        by one call, and are summed over the axes in the same order.
         """
         if self._log_norms is None:
             n, tails = index_arrays(self.enumeration.indices, self.K - 1)
             total = np.zeros(len(n))
             for j in range(self.K - 1):
                 # the last axis has no suffix
-                a, b = self.axis_params(
-                    j, np.arange(self.D + 1 if j < self.K - 2 else 1))
-                table = np.zeros((self.D + 1, len(b)))
-                for nj in range(self.D + 1):
-                    bs = b[:self.D + 1 - nj]
-                    table[nj, :len(bs)] = jacobi.log_norm_c(nj, a, bs)
+                nj, t = _triangle(self.D, 0, self.D if j < self.K - 2 else 0)
+                table = np.zeros((self.D + 1, t.max() + 1))
+                table[nj, t] = jacobi.log_norm_c(nj, *self.axis_params(j, t))
                 total = total + table[n[:, j], tails[:, j]]
             self._log_norms = total
         return self._log_norms
@@ -222,42 +213,35 @@ class MultiJacobiBasis:
         a, b = self.axis_params(piv, tails[piv])
         # partial expansions (d, value, chosen degrees of slots j+1..piv),
         # extended one slot at a time in lexicographic order of the choices
-        partial = []
-        for mp in range(max(n[piv] - 1, 0), n[piv] + 2):
-            g = jacobi.coeff_G(n[piv], mp, a, b)
-            if g == 0.0:
-                continue
-            partial.append((n[piv] - mp, g, (mp,)))
+        partial = [(n[piv] - mp, g, (mp,))
+                   for mp, g in _band_entries(jacobi.coeff_G, n[piv], -1, a, b)]
         for j in range(piv - 1, -1, -1):
             a_j, b_j = self.axis_params(j, tails[j])
+            # the band of the table each incoming d selects, built on first
+            # use: J needs a suffix degree to lower, which d = 1 implies
+            bands = {}
             extended = []
             for d, value, chosen in partial:
-                if d == -1:
-                    table, lo = jacobi.coeff_H, n[j] - 2
-                elif d == 0:
-                    table, lo = jacobi.coeff_I, n[j] - 1
-                else:
-                    table, lo = jacobi.coeff_J, n[j]
-                for mj in range(max(lo, 0), lo + 3):
-                    f = table(n[j], mj, a_j, b_j)
-                    if f == 0.0:
-                        continue
+                if d not in bands:
+                    table, lo = ((jacobi.coeff_H, -2), (jacobi.coeff_I, -1),
+                                 (jacobi.coeff_J, 0))[d + 1]
+                    bands[d] = _band_entries(table, n[j], lo, a_j, b_j)
+                for mj, f in bands[d]:
                     extended.append((d + n[j] - mj, value * f, (mj,) + chosen))
             partial = extended
         suffix = n[piv + 1:]
         return [(chosen + suffix, value) for _, value, chosen in partial]
 
-    def recurrence_matrix(self, i, pad=0):
+    def recurrence_matrix(self, i):
         """Sparse coordinate-multiplication matrix over the enumeration.
 
         Args:
             i: coordinate label in 1..K-1.
-            pad: build over an enlarged enumeration at degree D + pad, so that
-                products of up to `pad` such matrices are exact on the
-                degree-D block.
 
         Returns a CSR matrix; rows/columns follow graded-lex positions of the
-        (padded) enumeration. Entries with magnitude below 1e-300 are dropped.
+        enumeration. Entries with magnitude below 1e-300 are dropped, and so
+        are neighbors beyond degree D: products of up to p such matrices are
+        exact on the block of degree D - p.
 
         Builds every row at once, with the entries row_entries gives: each
         slot below the pivot picks one of three outgoing suffix changes, so
@@ -266,24 +250,20 @@ class MultiJacobiBasis:
         (degree, suffix degree).
         """
         piv = self._check_coord(i)
-        if pad < 0:
-            raise ParameterError(f"pad must be >= 0, got {pad}")
-        enum = self.enumeration if pad == 0 else BasisEnumeration(self.K, self.D + pad)
-        top = enum.D
-        U = len(enum)
-        n, tails = index_arrays(enum.indices, self.K - 1)
+        U = len(self.enumeration)
+        n, tails = index_arrays(self.enumeration.indices, self.K - 1)
         rows = np.arange(U)
         m = n
         d = np.zeros(U, dtype=np.int64)
         val = np.ones(U)
         # pivot slot: the G band, m - n in {-1, 0, 1}, leaves d = n - m
-        g = self._band_table(jacobi.coeff_G, -1, piv, top)
+        g = self._band_table(jacobi.coeff_G, -1, piv)
         # slots below: the H/I/J table picked by the incoming d, and an
         # outgoing d in {-1, 0, 1} fixing m_j = n_j + d_in - d_out; that is
         # band position 1 - d_out in every table
-        hij = [np.stack([self._band_table(jacobi.coeff_H, -2, j, top),
-                         self._band_table(jacobi.coeff_I, -1, j, top),
-                         self._band_table(jacobi.coeff_J, 0, j, top)])
+        hij = [np.stack([self._band_table(jacobi.coeff_H, -2, j),
+                         self._band_table(jacobi.coeff_I, -1, j),
+                         self._band_table(jacobi.coeff_J, 0, j)])
                for j in range(piv)]
         for j in range(piv, -1, -1):
             d_out = np.repeat(np.array([1, 0, -1]), len(rows))
@@ -298,29 +278,28 @@ class MultiJacobiBasis:
             d = d_out
             val = val * f
         keep = ((np.abs(val) >= ENTRY_FLOOR) & (m.min(axis=1) >= 0)
-                & (m.sum(axis=1) <= top))  # drop neighbors beyond the block
+                & (m.sum(axis=1) <= self.D))  # drop neighbors beyond the block
         return scipy.sparse.csr_matrix(
             (val[keep], (rows[keep], graded_positions(m[keep]))),
             shape=(U, U), dtype=float)
 
-    def _band_table(self, table, lo, j, top):
+    def _band_table(self, table, lo, j):
         """table(n_j, n_j + lo + k, a, b) for k in 0..2 at axis j.
 
         Indexed [n_j, t, k] for every degree n_j and suffix degree t with
-        n_j + t <= top; the weight exponents depend on t as in axis_params.
+        n_j + t <= D; the weight exponents depend on t as in axis_params.
         The J table starts at t = 1: a lowering step needs a suffix degree
-        to lower. One call per (n_j, k) fills every t, with b as an array.
-        Kept: the matrices of all coordinates above slot j read its tables.
+        to lower. One call fills the table. Kept: the matrices of all
+        coordinates above slot j, and eval_prefix_cube, read its tables.
         """
-        key = (table, lo, j, top)
+        key = (table, lo, j)
         if key not in self._band_tables:
-            first = 1 if table is jacobi.coeff_J else 0
-            a, b = self.axis_params(j, np.arange(top + 1))
-            out = self._band_tables[key] = np.zeros((top + 1, top + 1, 3))
-            for nj in range(top + 1 - first):
-                for k in range(3):
-                    out[nj, first:top + 1 - nj, k] = table(
-                        nj, nj + lo + k, a, b[first:top + 1 - nj])
+            nj, t = _triangle(self.D, 1 if table is jacobi.coeff_J else 0,
+                              self.D)
+            a, b = self.axis_params(j, t[:, None])
+            out = self._band_tables[key] = np.zeros((self.D + 1, self.D + 1, 3))
+            out[nj, t] = table(nj[:, None], nj[:, None] + lo + np.arange(3),
+                               a, b)
         return self._band_tables[key]
 
     def _check_coord(self, i):
@@ -329,3 +308,17 @@ class MultiJacobiBasis:
                 f"coordinate label must be in 1..{self.K - 1}, got {i}")
         return i - 1
 
+
+def _band_entries(table, n, lo, a, b):
+    """(m, table(n, m, a, b)) for m in n + lo .. n + lo + 2, zeros dropped."""
+    m = n + lo + np.arange(3)
+    return [(mj, f) for mj, f in zip(m.tolist(), table(n, m, a, b).tolist())
+            if f != 0.0]
+
+
+def _triangle(top, t_lo, t_hi):
+    """Degrees n and suffix degrees t with n + t <= top and t_lo <= t <= t_hi."""
+    n, t = np.nonzero(np.add.outer(np.arange(top + 1), np.arange(t_hi + 1))
+                      <= top)
+    keep = t >= t_lo
+    return n[keep], t[keep]

@@ -351,6 +351,7 @@ def _validate_neutral(cfg):
     import numpy as np
 
     from . import density, spectral
+    from .indexing import count_at_degree
     from .model import ModelParams
     theta = cfg["model"]["theta"]
     K = len(theta)
@@ -359,7 +360,7 @@ def _validate_neutral(cfg):
     tt = float(np.sum(theta))
     expect = np.sort(np.array([0.5 * l * (l - 1 + tt)
                                for l in range(11) for _ in range(
-                                   _degree_count(K, l))]))
+                                   count_at_degree(K, l))]))
     eig_defect = float(np.max(np.abs(sd.eigenvalues - expect)))
     rng = np.random.default_rng(cfg["seed"])
     pts = rng.dirichlet(np.ones(K), size=8)[:, :K - 1]
@@ -371,11 +372,6 @@ def _validate_neutral(cfg):
     passed = eig_defect <= 1e-10 and path_defect <= 1e-6
     return {"eigenvalue_defect": eig_defect, "cross_path_rel": path_defect,
             "tolerances": [1e-10, 1e-6], "passed": bool(passed)}
-
-
-def _degree_count(K, l):
-    from .indexing import count_at_degree
-    return count_at_degree(K, l)
 
 
 def _validate_mc(cfg):

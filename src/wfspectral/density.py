@@ -113,7 +113,7 @@ def smooth_kernel(sd, t, x, y, n_max=None, m_max=None):
 
 
 def transition_density(sd, t, x, y, n_max=None, m_max=None,
-                       clip_negative=False, warn_threshold=TAIL_WARN_THRESHOLD):
+                       clip_negative=False):
     """Evaluate the transition density from x after elapsed time t at y.
 
     Args:
@@ -124,8 +124,6 @@ def transition_density(sd, t, x, y, n_max=None, m_max=None,
         n_max: eigenpairs kept (default min(562, held)).
         m_max: coefficient degree kept (default min(36, truncation)).
         clip_negative: zero out small negative excursions near the boundary.
-        warn_threshold: warn when the first dropped term still carries
-            weight e^{-Lambda_{n_max} t} above this.
 
     Returns the density at y (scalar for a single point and a scalar t). An
     array of times adds a leading time axis; the warnings and the clipping
@@ -140,7 +138,7 @@ def transition_density(sd, t, x, y, n_max=None, m_max=None,
         # it, when the decomposition stops at n_max
         dropped = sd.eigenvalues[min(n_max, sd.n_eig - 1)]
         for label, tail in zip(labels, np.exp(-dropped * times)):
-            if tail > warn_threshold:
+            if tail > TAIL_WARN_THRESHOLD:
                 warnings.warn(
                     f"first dropped eigenterm retains weight {tail:.2e} at "
                     f"t={label}; raise n_max or the truncation level",

@@ -265,8 +265,10 @@ def test_raise_b_reconstructs_pointwise():
             assert np.max(np.abs(lhs - rhs)) <= 1e-12 * scale
 
 
+@pytest.mark.filterwarnings("error")
 def test_array_exponents_equal_scalar_calls():
-    # an array b stands for one scalar call per entry, bit for bit
+    # an array argument stands for one scalar call per entry, bit for bit;
+    # the masked-out branches raise no warning
     b = np.random.default_rng(11).uniform(2.0, 6.0, 400)
     tables = (jacobi.coeff_G, jacobi.coeff_H, jacobi.coeff_I, jacobi.coeff_J)
     for n in (0, 1, 2, 7):
@@ -278,6 +280,22 @@ def test_array_exponents_equal_scalar_calls():
                     want = [table(n, m, a, v) for v in b.tolist()]
                     got = np.broadcast_to(table(n, m, a, b), b.shape)
                     assert np.array_equal(got, want)
+    # array degrees: every offset m - n in -4..4, so outside each band and
+    # m < 0 too, against a column of exponents; a + b = 1 and a + b = 2 are
+    # the 0/0 cases of the printed forms at n = 0, and a + b < 1 makes the
+    # n = 0 log arguments of log_norm_c negative
+    n = np.arange(13)
+    m = n[:, None] + np.arange(-4, 5)
+    for a, b in [(0.25, 0.75), (0.5, 1.5), (1.0, 1.0), (0.25, 0.5),
+                 (0.7, 2.6), (0.01, 3.0)]:
+        want = [jacobi.log_norm_c(k, a, b) for k in n.tolist()]
+        assert np.array_equal(jacobi.log_norm_c(n, a, b), want)
+        for table in tables:
+            bs = np.array([b, b + 0.5]) + (2.0 if table is jacobi.coeff_J else 0.0)
+            want = [[[table(k, mk, a, v) for v in bs.tolist()] for mk in row]
+                    for k, row in zip(n.tolist(), m.tolist())]
+            got = table(n[:, None, None], m[:, :, None], a, bs)
+            assert np.array_equal(got, want)
 
 
 def test_parameter_domain_errors():
