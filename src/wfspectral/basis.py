@@ -26,7 +26,7 @@ import scipy.sparse
 
 from . import jacobi
 from .errors import ParameterError
-from .indexing import graded_positions, index_arrays, tail_sums
+from .indexing import graded_positions, index_arrays, tail_sums, total_count
 from .simplex import to_cube
 
 # Entries smaller than this are dropped from sparse storage (exact zeros).
@@ -135,6 +135,91 @@ class MultiJacobiBasis:
                 if k:
                     block *= into
         return out
+
+    def sum_prefix_cube(self, weights, xi):
+        """weights @ eval_prefix_cube(xi, count), without the basis matrix.
+
+        weights has shape (rows, count), with count = total_count(K, top)
+        for some top <= D: whole degree blocks of members. Returns an array
+        of shape (rows,) + xi.shape[:-1].
+
+        The sum over members runs one axis at a time. A member is (n_0, s),
+        with s its suffix tuple at axis 1, and its axis-0 factor
+        R_{n_0}(xi_0) (1 - xi_0)^|s| depends on s only through |s|. So for
+        each suffix degree t one matrix product of the weights' (s, n_0)
+        block with the axis-0 table rows of degree t sums over n_0. Each
+        further axis j multiplies those partial sums by R_{n_j}(xi_j)
+        (1 - xi_j)^t_j and adds the ones that share the rest of the suffix;
+        axis 1 takes each degree block as the product makes it. The products
+        run on the distinct values of xi_0 only, so they cost at most about
+        2 rows count points flops; a lattice, whose rows share xi_0, needs
+        far fewer. No (count, points) array is formed.
+        """
+        weights = np.asarray(weights, dtype=float)
+        xi = np.asarray(xi, dtype=float)
+        naxes = self.K - 1
+        count = weights.shape[-1]
+        n, _ = index_arrays(self.enumeration.indices[:count], naxes)
+        top = int(n.sum(axis=1).max(initial=0))
+        if count != total_count(self.K, top):
+            raise ParameterError(
+                f"{count} weights do not fill the degree blocks of the basis")
+        flat_xi = xi.reshape(-1, naxes)
+        rows = len(weights)
+        npts = len(flat_xi)
+        # a lattice repeats xi_0 across its rows, so axis 0 runs on the
+        # distinct values and its sums are spread to the points after
+        x0, spread = np.unique(flat_xi[:, 0], return_inverse=True)
+        # per axis: its table, the table row of (degree 0, suffix degree t),
+        # and (1 - xi_j)^t
+        tables, starts, pows = [], [], []
+        for j, x in enumerate([x0] + [flat_xi[:, j] for j in range(1, naxes)]):
+            lengths = top + 1 - np.arange(top + 1 if j < naxes - 1 else 1)
+            start = np.cumsum(lengths) - lengths
+            tables.append(self._axis_table(j, lengths, start, x))
+            starts.append(start)
+            pows.append(np.vander(1.0 - x, len(lengths), increasing=True).T)
+        # the suffix tuples at axis j are the members with n_0..n_{j-1} = 0,
+        # in graded-lex order, so each degree block is a contiguous run;
+        # accs[j] holds the sums over the axes below j, one row per tuple
+        suffixes = [n[np.all(n[:, :j] == 0, axis=1), j:]
+                    for j in range(naxes + 1)]
+        accs = [None, None] + [np.zeros((rows, len(s), npts))
+                               for s in suffixes[2:]]
+
+        def degree_blocks(tuples):
+            # (t, the rows of degree t), for each degree present
+            bounds = np.searchsorted(tuples.sum(axis=1), np.arange(top + 2))
+            return [(t, slice(lo, hi)) for t, (lo, hi)
+                    in enumerate(zip(bounds[:-1], bounds[1:])) if hi > lo]
+
+        def fold(j, part, tuples):
+            nj, rest = tuples[:, 0], tuples[:, 1:]
+            t = rest.sum(axis=1)
+            part *= tables[j][starts[j][t] + nj] * pows[j][t]
+            # one degree block: no two of its tuples share a rest
+            at = graded_positions(rest) if rest.shape[1] else slice(None)
+            accs[j + 1][:, at] += part
+
+        # axis 0: member positions indexed [suffix tuple, n_0]
+        pick = np.zeros((len(suffixes[1]), top + 1), dtype=np.int64)
+        group = graded_positions(n[:, 1:]) if naxes > 1 else 0
+        pick[group, n[:, 0]] = np.arange(count)
+        for t, block in degree_blocks(suffixes[1]):
+            span = top + 1 - t
+            w = weights[:, pick[block, :span]].reshape(-1, span)
+            part = w @ tables[0][starts[0][t]:starts[0][t] + span]
+            part *= pows[0][t]
+            part = part[:, spread].reshape(rows, block.stop - block.start,
+                                           npts)
+            if naxes == 1:
+                accs[1] = part
+            else:
+                fold(1, part, suffixes[1][block])
+        for j in range(2, naxes):
+            for _, block in degree_blocks(suffixes[j]):
+                fold(j, accs[j][:, block], suffixes[j][block])
+        return accs[naxes].reshape((rows,) + xi.shape[:-1])
 
     def _axis_table(self, j, lengths, start, x):
         """R_k at axis j and suffix degree t for every k < lengths[t].

@@ -220,16 +220,18 @@ def cmd_density(cfg):
     grid = density.make_grid(sd.params.K, cfg["grid_resolution"])
     out = _out_dir(cfg)
     outputs = []
+    diagnostics = {}
     series = density.transition_density(
         sd, cfg["times"], x, grid, n_max=n_max, m_max=m_max,
-        clip_negative=cfg["clip_negative"])
+        clip_negative=cfg["clip_negative"], diagnostics=diagnostics)
     for t, values in zip(cfg["times"], series):
         path = os.path.join(out, f"density_t{t:g}.csv")
         density.write_density_csv(path, grid, values, sd.params.K)
         outputs.append(path)
         print(f"wrote {path} ({len(grid)} points)")
     _write_json(os.path.join(out, "density_meta.json"), _meta(
-        cfg, **_solve_meta(sd), n_max=n_max, m_max=m_max, outputs=outputs))
+        cfg, **_solve_meta(sd), n_max=n_max, m_max=m_max, **diagnostics,
+        outputs=outputs))
     return 0
 
 

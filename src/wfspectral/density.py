@@ -7,7 +7,15 @@ The density at elapsed time t factors through the eigenbasis:
 
 with B~_n the C-orthonormal polynomial combinations and pi0 the unnormalized
 neutral stationary density. Series cutoffs: n_max eigenpairs, coefficients
-kept through total degree m_max. The stationary density itself is
+kept through total degree m_max (u_m basis members).
+
+The series is summed in basis space. B~_n(y) = sum_m u_{n,m} P_m(y), so the
+eigenpairs and the start points fold into one coefficient row per (time,
+start point), w = (e^{-Lambda t} B~(x)) @ u, which costs 2 T Mx n_max u_m
+flops. The basis then sums w @ P(y) axis by axis from its univariate tables,
+at most about 2 T Mx u_m My flops (far fewer on a lattice, whose points
+share their first cube coordinate), without forming the (u_m, My) basis
+matrix or the (n_max, My) eigenfunction values. The stationary density is
 pi(y) = e^{sbar(y)} pi0(y) / C_stat with C_stat computed from the lead
 eigenvector without any quadrature, at its best-conditioned point.
 """
@@ -65,23 +73,28 @@ def _eigenfunctions_at(sd, x, n_max, u_m):
 
 
 def _series(sd, times, x, y, log_wy, n_max, u_m):
-    """The eigenfunction series at every time, in one contraction.
+    """The eigenfunction series at every time, summed in basis space.
 
     Returns the (T, Mx, My) array
 
         e^{-sbar(x)/2} [sum_n e^{-Lambda_n t} B~_n(x) B~_n(y)] e^{log_wy(y)}
 
     for times (T,), x (Mx, K-1), y (My, K-1) and the y weight log_wy (My,).
-    Time enters only through the decay factors, so the basis is evaluated
-    once per point set and every time comes from one matrix product.
+    The eigenpairs fold into one coefficient row per (time, start point),
+
+        w = (decay * B~(x)) @ coeffs[:n_max, :u_m],   shape (T Mx, u_m),
+
+    at 2 T Mx n_max u_m flops, and the basis sums w @ P(y) axis by axis
+    (MultiJacobiBasis.sum_prefix_cube) at most about 2 T Mx u_m My flops.
+    Neither P(y) nor B~(y) is formed.
     """
     bx = _eigenfunctions_at(sd, x, n_max, u_m)        # (n_max, Mx)
-    phi_y = _phi_at(sd, y, n_max, u_m)                # (n_max, My)
     decay = np.exp(-np.outer(times, sd.eigenvalues[:n_max]))
     left = decay[:, None, :] * bx.T[None, :, :]       # (T, Mx, n_max)
-    kernel = left.reshape(-1, n_max) @ phi_y
+    w = left.reshape(-1, n_max) @ sd.coeffs[:n_max, :u_m]
+    kernel = sd.basis.sum_prefix_cube(w, to_cube(y))
     kernel *= np.exp(log_wy)
-    return kernel.reshape(len(times), bx.shape[1], phi_y.shape[1])
+    return kernel.reshape(len(times), bx.shape[1], len(y))
 
 
 def _check_times(t):
@@ -92,6 +105,15 @@ def _check_times(t):
     if not np.all(times > 0):
         raise ParameterError(f"elapsed time must be > 0, got {t}")
     return np.atleast_1d(times), times.ndim == 0
+
+
+def _points(p, pts):
+    """Points as a float array, checked for K-1 coordinates on the last axis."""
+    pts = np.asarray(pts, dtype=float)
+    if pts.shape[-1:] != (p.K - 1,):
+        raise ParameterError(f"points need {p.K - 1} coordinates on the last "
+                             f"axis, got shape {pts.shape}")
+    return pts
 
 
 def smooth_kernel(sd, t, x, y, n_max=None, m_max=None):
@@ -105,25 +127,32 @@ def smooth_kernel(sd, t, x, y, n_max=None, m_max=None):
     """
     times, scalar = _check_times(t)
     n_max, u_m = _resolve_cutoffs(sd, n_max, m_max)
-    x = np.atleast_2d(np.asarray(x, dtype=float))
-    y = np.atleast_2d(np.asarray(y, dtype=float))
+    x = np.atleast_2d(_points(sd.params, x))
+    y = np.atleast_2d(_points(sd.params, y))
     log_wy = 0.5 * model_mod.mean_fitness(sd.params, y)
     out = _series(sd, times, x, y, log_wy, n_max, u_m)
     return out[0] if scalar else out
 
 
 def transition_density(sd, t, x, y, n_max=None, m_max=None,
-                       clip_negative=False):
+                       clip_negative=False, diagnostics=None):
     """Evaluate the transition density from x after elapsed time t at y.
 
     Args:
         sd: SpectralDecomposition.
         t: elapsed time, > 0, or a 1-D array of such times.
         x: start point, first K-1 coordinates.
-        y: evaluation points, shape (..., K-1).
+        y: evaluation points, shape (..., K-1); the batch may be empty.
         n_max: eigenpairs kept (default min(562, held)).
         m_max: coefficient degree kept (default min(36, truncation)).
         clip_negative: zero out small negative excursions near the boundary.
+        diagnostics: a dict that receives three lists, one entry per
+            time: "tail_weight", the weight e^{-Lambda t} of the first
+            dropped pair (0.0 when none is dropped); "undershoot", the most
+            negative density value (0.0 when there is none); and
+            "max_density", the largest value (at least 0.0). Both extremes
+            are taken before clipping; they are the numbers the warnings
+            print.
 
     Returns the density at y (scalar for a single point and a scalar t). An
     array of times adds a leading time axis; the warnings and the clipping
@@ -133,21 +162,22 @@ def transition_density(sd, t, x, y, n_max=None, m_max=None,
     n_max, u_m = _resolve_cutoffs(sd, n_max, m_max)
     p = sd.params
     labels = np.atleast_1d(t).tolist()
+    tails = np.zeros(len(times))
     if n_max < sd.size:
         # the first dropped pair, or the last held one, whose weight bounds
         # it, when the decomposition stops at n_max
-        dropped = sd.eigenvalues[min(n_max, sd.n_eig - 1)]
-        for label, tail in zip(labels, np.exp(-dropped * times)):
-            if tail > TAIL_WARN_THRESHOLD:
-                warnings.warn(
-                    f"first dropped eigenterm retains weight {tail:.2e} at "
-                    f"t={label}; raise n_max or the truncation level",
-                    stacklevel=2)
+        tails = np.exp(-sd.eigenvalues[min(n_max, sd.n_eig - 1)] * times)
+    for label, tail in zip(labels, tails):
+        if tail > TAIL_WARN_THRESHOLD:
+            warnings.warn(
+                f"first dropped eigenterm retains weight {tail:.2e} at "
+                f"t={label}; raise n_max or the truncation level",
+                stacklevel=2)
     x = np.asarray(x, dtype=float)
     if x.shape != (p.K - 1,):
         raise ParameterError(
             f"start point needs shape ({p.K - 1},), got {x.shape}")
-    y = np.asarray(y, dtype=float)
+    y = _points(p, y)
     batch = y.shape[:-1]
     y = y.reshape(-1, y.shape[-1])
     # log_stationary_unnormalized already carries e^{sbar(y)}, so the
@@ -155,15 +185,19 @@ def transition_density(sd, t, x, y, n_max=None, m_max=None,
     log_wy = (model_mod.log_stationary_unnormalized(p, y)
               - 0.5 * model_mod.mean_fitness(p, y))
     out = _series(sd, times, x[None, :], y, log_wy, n_max, u_m)[:, 0, :]
-    for i in range(len(times)):
-        neg = np.min(out[i]) if out.shape[1] else 0.0
+    lows = np.min(out, axis=1, initial=0.0)
+    highs = np.max(out, axis=1, initial=0.0)
+    for i, (neg, scale) in enumerate(zip(lows, highs)):
         if neg < 0:
-            scale = max(np.max(out[i]), 0.0)
             warnings.warn(
                 f"truncation undershoot: most negative value {neg:.3e} "
                 f"against maximum {scale:.3e}", stacklevel=2)
             if clip_negative:
                 np.maximum(out[i], 0.0, out=out[i])
+    if diagnostics is not None:
+        diagnostics.update(tail_weight=tails.tolist(),
+                           undershoot=lows.tolist(),
+                           max_density=highs.tolist())
     out = out.reshape((len(times),) + batch)
     if not scalar:
         return out

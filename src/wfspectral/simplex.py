@@ -39,12 +39,13 @@ def clamp_simplex(x):
         ParameterError: entries below -1e-12 or total mass above 1 + 1e-12.
     """
     x = np.asarray(x, dtype=float)
-    if x.size == 0:
+    if x.shape[-1:] == (0,):
         raise ParameterError("a simplex point needs at least one coordinate")
-    if np.min(x) < -CLAMP_TOL:
+    # an empty batch passes: its extremes are taken with 0
+    if np.min(x, initial=0.0) < -CLAMP_TOL:
         raise ParameterError(f"negative frequency {np.min(x)} below tolerance")
     total = x.sum(axis=-1)
-    if np.max(total) > 1 + CLAMP_TOL:
+    if np.max(total, initial=0.0) > 1 + CLAMP_TOL:
         raise ParameterError(f"frequencies sum to {np.max(total)}, above 1")
     x = np.clip(x, 0.0, 1.0)
     total = x.sum(axis=-1, keepdims=True)

@@ -13,6 +13,7 @@ import pytest
 import scipy.sparse
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from wfspectral import basis as basis_mod
 from wfspectral import jacobi, simplex
@@ -137,6 +138,57 @@ def test_eval_prefix_matches_members_to_rounding(theta, gather, monkeypatch):
     single = basis.eval_prefix_cube(xi[1, 2])
     assert single.shape == (len(basis.enumeration),)
     assert np.array_equal(single[:count], got[:, 1, 2])
+
+
+@st.composite
+def weights_and_points(draw, K, count):
+    """Weight rows for `count` members and simplex points, drawn whole.
+
+    Points are nonnegative draws normalized to sum 1, so vertices, edges and
+    faces turn up; a batch may be empty.
+    """
+    rows = draw(st.integers(1, 4))
+    npts = draw(st.integers(0, 12))
+    coord = st.floats(0.0, 1.0).filter(lambda v: v == 0.0 or v > 1e-3)
+    raw = draw(hnp.arrays(float, (npts, K), elements=coord))
+    raw[raw.sum(axis=1) == 0.0, 0] = 1.0
+    pts = raw / raw.sum(axis=1, keepdims=True)
+    w = draw(hnp.arrays(float, (rows, count),
+                        elements=st.floats(-1e3, 1e3, width=64)))
+    return w, pts[:, :K - 1]
+
+
+@pytest.mark.parametrize("theta, D, top", [
+    ([0.7, 1.3], 6, 3), ([0.7, 1.3], 6, 6),
+    ([0.01, 0.02, 0.03], 6, 4), ([0.01, 0.02, 0.03], 6, 6),
+    ([0.5, 1.5, 2.0, 1.0], 5, 3), ([0.5, 1.5, 2.0, 1.0], 5, 5),
+    ([0.3, 0.4, 0.3, 0.5, 1.1], 4, 2), ([0.3, 0.4, 0.3, 0.5, 1.1], 4, 4)])
+@settings(max_examples=25, deadline=None)
+@given(data=st.data())
+def test_sum_prefix_matches_weighted_eval_prefix(theta, D, top, data):
+    K = len(theta)
+    basis = make_basis(theta, D)
+    count = total_count(K, top)
+    w, pts = data.draw(weights_and_points(K, count))
+    # repeated points share their first cube coordinate, as a lattice does
+    pts = np.concatenate([pts, pts[:3]])
+    xi = simplex.to_cube(pts)
+    got = basis.sum_prefix_cube(w, xi)
+    P = basis.eval_prefix_cube(xi, count=count)
+    assert got.shape == (len(w), len(pts))
+    scale = np.abs(w) @ np.abs(P)
+    assert np.all(np.abs(got - w @ P) <= 1e-13 * scale)
+    # a batch of points keeps its shape; an empty one gives empty sums
+    assert basis.sum_prefix_cube(w, xi[None]).shape == (len(w), 1, len(pts))
+    assert basis.sum_prefix_cube(w, xi[:0]).shape == (len(w), 0)
+
+
+def test_sum_prefix_needs_whole_degree_blocks():
+    basis = make_basis([0.01, 0.02, 0.03], 6)
+    xi = np.array([[0.3, 0.4]])
+    for count in (0, total_count(3, 2) + 1, total_count(3, 7)):
+        with pytest.raises(ParameterError):
+            basis.sum_prefix_cube(np.ones((1, count)), xi)
 
 
 def test_norm_pins():

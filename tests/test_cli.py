@@ -97,6 +97,29 @@ def test_density_grids(tmp_path):
     meta = json.loads((tmp_path / "density_meta.json").read_text())
     assert meta["config"]["clip_negative"] is True
     assert len(meta["outputs"]) == 2
+    # per-time truncation diagnostics, one entry per time
+    for key in ("tail_weight", "undershoot", "max_density"):
+        assert len(meta[key]) == 2
+    assert all(u <= 0.0 for u in meta["undershoot"])
+    assert all(m > 0.0 for m in meta["max_density"])
+
+
+@pytest.mark.filterwarnings("ignore:truncation undershoot")
+def test_density_reruns_are_byte_identical(tmp_path):
+    a = tmp_path / "a"
+    b = tmp_path / "b"
+    argv = ["density", "--set", "truncation=10", "--set", "grid_resolution=8"]
+    assert cli.main(argv + ["--out", str(a)]) == 0
+    assert cli.main(argv + ["--out", str(b)]) == 0
+    names = sorted(p.name for p in a.glob("density_t*.csv"))
+    assert names
+    for name in names:
+        assert (a / name).read_bytes() == (b / name).read_bytes()
+    metas = [json.loads((d / "density_meta.json").read_text())
+             for d in (a, b)]
+    for meta in metas:
+        del meta["config"], meta["outputs"]
+    assert metas[0] == metas[1]
 
 
 def test_density_csv_line_endings_and_precision(tmp_path):

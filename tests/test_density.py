@@ -15,6 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from wfspectral import density, model, oracles, simplex, spectral
+from wfspectral.basis import MultiJacobiBasis
 from wfspectral.errors import ParameterError
 from wfspectral.model import ModelParams
 from wfspectral.oracles import gauss_jacobi_01
@@ -463,3 +464,112 @@ def test_undershoot_warns_and_clips_per_time(theta_unit):
         assert np.array_equal(clipped[i], np.maximum(raw[i], 0.0))
         scale = np.max(np.abs(singles[i]))
         assert np.max(np.abs(clipped[i] - singles[i])) <= 1e-13 * scale
+
+
+def test_diagnostics_carry_the_warned_numbers(theta_unit):
+    sd = decompose(theta_unit, np.zeros((3, 3)), 8)
+    x = np.array([0.45, 0.45])
+    y = density.make_grid(3, 25)
+    times = [0.01, 5.0, 0.012]
+    full, cut = {}, {}
+    with warnings.catch_warnings(record=True) as notes:
+        warnings.simplefilter("always")
+        clipped = density.transition_density(sd, times, x, y,
+                                             clip_negative=True,
+                                             diagnostics=full)
+        raw = density.transition_density(sd, times, x, y)
+        density.transition_density(sd, times, x, y, n_max=3,
+                                   diagnostics=cut)
+    assert set(full) == {"tail_weight", "undershoot", "max_density"}
+    # the extremes are taken before clipping, each with 0
+    assert full["undershoot"] == np.minimum(raw.min(axis=1), 0.0).tolist()
+    assert [u < 0 for u in full["undershoot"]] == [True, False, True]
+    assert full["max_density"] == raw.max(axis=1).tolist()
+    assert np.all(clipped >= 0.0)
+    under = [str(w.message) for w in notes if "undershoot" in str(w.message)]
+    assert under[:2] == [
+        f"truncation undershoot: most negative value {neg:.3e} against "
+        f"maximum {top:.3e}"
+        for neg, top in zip(full["undershoot"], full["max_density"])
+        if neg < 0]
+    # no dropped pair without a cut; with n_max = 3, e^{-Lambda_3 t}
+    assert full["tail_weight"] == [0.0] * 3
+    assert cut["tail_weight"] == np.exp(-sd.eigenvalues[3]
+                                        * np.array(times)).tolist()
+    tails = [str(w.message) for w in notes if "n_max" in str(w.message)]
+    assert [note.split("weight ")[1].split(" ")[0] for note in tails] == [
+        f"{w:.2e}" for w in cut["tail_weight"]
+        if w > density.TAIL_WARN_THRESHOLD]
+
+
+def test_empty_point_batches(selected_sd):
+    sd = selected_sd
+    K = sd.params.K
+    x = random_points(K, None, 3)
+    empty = np.empty((0, K - 1))
+    times = [0.1, 1.0]
+    diagnostics = {}
+    out = density.transition_density(sd, times, x, empty,
+                                     diagnostics=diagnostics)
+    assert out.shape == (2, 0)
+    assert diagnostics["undershoot"] == diagnostics["max_density"] == [0.0] * 2
+    assert density.transition_density(sd, 0.1, x, empty).shape == (0,)
+    assert density.smooth_kernel(sd, times, x, empty).shape == (2, 1, 0)
+    assert density.smooth_kernel(sd, times, empty, x).shape == (2, 0, 1)
+    assert density.smooth_kernel(sd, 0.1, empty, empty).shape == (0, 0)
+    # a point needs its K-1 coordinates, an empty batch or not
+    for bad in (np.empty((0,)), np.empty((3, 0)), np.empty((0, 0))):
+        with pytest.raises(ParameterError):
+            density.transition_density(sd, 0.1, x, bad)
+        with pytest.raises(ParameterError):
+            density.smooth_kernel(sd, 0.1, x, bad)
+        with pytest.raises(ParameterError):
+            density.smooth_kernel(sd, 0.1, bad, x)
+
+
+def test_series_evaluates_the_basis_at_the_start_point_only(
+        theta_small, sigma_1, monkeypatch):
+    sd = decompose(theta_small, sigma_1, 16)
+    seen = []
+    evaluate = MultiJacobiBasis.eval_prefix_cube
+
+    def spy(self, xi, count=None):
+        seen.append(np.shape(xi))
+        return evaluate(self, xi, count)
+
+    monkeypatch.setattr(MultiJacobiBasis, "eval_prefix_cube", spy)
+    grid = density.make_grid(3, 100)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", UserWarning)
+        out = density.transition_density(sd, [0.1, 1.0],
+                                         np.array([0.3, 0.3]), grid)
+    assert out.shape == (2, len(grid))
+    assert seen == [(1, 2)]
+
+
+def test_neutral_oracle_keeps_its_own_path(theta_unit, monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("the neutral oracle sums its own series")
+
+    monkeypatch.setattr(MultiJacobiBasis, "sum_prefix_cube", refuse)
+    p = ModelParams(theta_unit, np.zeros((3, 3)))
+    y = density.make_grid(3, 6)
+    out = density.neutral_transition_density(p, 0.5, np.array([0.3, 0.3]),
+                                             y, 8)
+    assert out.shape == (len(y),)
+
+
+def test_density_rows_do_not_depend_on_the_batch(selected_sd):
+    # the benchmark checks 16 CSV rows against a recomputation at 1e-9
+    sd = selected_sd
+    K = sd.params.K
+    grid = density.make_grid(K, 100 if K == 3 else 30)
+    rows = np.unique(np.linspace(0, len(grid) - 1, 16).astype(int))
+    times = [0.04, 0.2, 1.0, 2.0]
+    x = random_points(K, None, 7)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", UserWarning)
+        full = density.transition_density(sd, times, x, grid)
+        part = density.transition_density(sd, times, x, grid[rows])
+    scale = np.max(np.abs(full), axis=1, keepdims=True)
+    assert np.all(np.abs(part - full[:, rows]) <= 1e-13 * scale)

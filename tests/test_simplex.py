@@ -131,6 +131,15 @@ def test_clamp_rejects_real_violations():
         simplex.from_cube(np.array([1.2, 0.0]))
 
 
+def test_empty_batch_passes_and_pointless_coordinates_fail():
+    for shape in ((0, 2), (0, 3, 2)):
+        assert simplex.clamp_simplex(np.empty(shape)).shape == shape
+        assert simplex.to_cube(np.empty(shape)).shape == shape
+    for shape in ((0,), (4, 0), (0, 0)):
+        with pytest.raises(ParameterError):
+            simplex.clamp_simplex(np.empty(shape))
+
+
 def test_full_point():
     full = simplex.full_point(np.array([0.2, 0.3]))
     assert full == pytest.approx([0.2, 0.3, 0.5])
