@@ -20,9 +20,16 @@ from .errors import NumericalError, ParameterError
 
 THREAD_ENV_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS",
                    "MKL_NUM_THREADS", "NUMEXPR_NUM_THREADS")
-# both mean double precision; configs written for the former 128-bit path
-# carry the key
-PRECISIONS = ("auto", "double")
+# Retired options: configs written while they existed carry the keys, so the
+# values that mean what the code now always does still run
+RETIRED_KEYS = {
+    "pad": ((4,), "the assembly pads by the degree of the selection "
+                  "polynomial, which keeps the retained block exact"),
+    "precision": (("double", "auto"),
+                  "both mean double. A retired 128-bit path agreed with "
+                  "double to 2.5e-14 of the spectral scale on eigenvalues "
+                  "and 1.6e-11 on coefficients, with sigma entries up to 80"),
+}
 
 DEFAULT_CONFIG = {
     "model": {
@@ -30,10 +37,8 @@ DEFAULT_CONFIG = {
         "sigma": [[0.0, 0.0, 0.0], [0.0, 0.0, 0.0], [0.0, 0.0, 0.0]],
     },
     "truncation": 40,
-    "pad": 4,
     "n_max": 562,
     "m_max": 36,
-    "precision": "auto",
     "grid_resolution": 30,
     "quadrature_resolution": 60,
     "times": [0.04, 0.2, 1.0, 2.0],
@@ -120,8 +125,6 @@ def _validate_config(cfg):
     D = cfg.get("truncation")
     if not isinstance(D, int) or D < 0:
         raise ParameterError(f"truncation must be a non-negative integer, got {D!r}")
-    if not isinstance(cfg.get("pad"), int) or cfg["pad"] < 0:
-        raise ParameterError("pad must be a non-negative integer")
     n_max = cfg.get("n_max")
     if n_max is not None and (not isinstance(n_max, int) or n_max < 1):
         raise ParameterError(f"n_max must be a positive integer, got {n_max!r}")
@@ -135,12 +138,12 @@ def _validate_config(cfg):
     times = cfg.get("times", [])
     if not all(isinstance(t, (int, float)) and t > 0 for t in times):
         raise ParameterError("times must all be positive numbers")
-    if cfg.get("precision") not in PRECISIONS:
-        raise ParameterError(
-            f"precision {cfg.get('precision')!r} is not supported: use "
-            f"\"double\" or \"auto\". A retired 128-bit path agreed with "
-            f"double to 2.5e-14 of the spectral scale on eigenvalues and "
-            f"1.6e-11 on coefficients, with sigma entries up to 80")
+    for key, (accepted, reason) in RETIRED_KEYS.items():
+        if key in cfg and cfg[key] not in accepted:
+            raise ParameterError(
+                f"{key} {cfg[key]!r} is not supported: use "
+                f"{' or '.join(map(json.dumps, accepted))}, or leave the key "
+                f"out; {reason}")
 
 
 def _make_model(cfg):
@@ -149,25 +152,22 @@ def _make_model(cfg):
 
 
 def _cutoffs(cfg):
-    """(U, n_max, n_kept, m_max) from the config, before any solve.
-
-    U is the basis size, n_max the configured cutoff capped at U, and n_kept
-    the number of eigenpairs a series sums (n_max, or its default).
+    """(U, n_max, m_max) from the config, before any solve: the basis size
+    and the cutoffs a series uses, null as its default, capped at U and D.
     """
-    from .density import DEFAULT_N_MAX
+    from .density import DEFAULT_M_MAX, DEFAULT_N_MAX
     from .indexing import total_count
     D = cfg["truncation"]
     U = total_count(_make_model(cfg).K, D)
-    n_max = min(cfg["n_max"], U) if cfg.get("n_max") else None
-    m_max = min(cfg["m_max"], D) if cfg.get("m_max") is not None else None
-    return U, n_max, n_max or min(DEFAULT_N_MAX, U), m_max
+    m_max = cfg.get("m_max")
+    return (U, min(cfg.get("n_max") or DEFAULT_N_MAX, U),
+            min(DEFAULT_M_MAX if m_max is None else m_max, D))
 
 
 def _decompose(cfg, n_eig=None):
     from . import spectral
     p = _make_model(cfg)
-    return spectral.decompose(p, cfg["truncation"], pad=cfg["pad"],
-                              n_eig=n_eig)
+    return spectral.decompose(p, cfg["truncation"], n_eig=n_eig)
 
 
 def _solve_meta(sd):
@@ -213,9 +213,9 @@ def cmd_density(cfg):
     import numpy as np
 
     from . import density
-    U, n_max, n_kept, m_max = _cutoffs(cfg)
+    U, n_max, m_max = _cutoffs(cfg)
     # the tail warning reads the first dropped eigenvalue
-    sd = _decompose(cfg, n_eig=min(n_kept + 1, U))
+    sd = _decompose(cfg, n_eig=min(n_max + 1, U))
     x = np.asarray(cfg["x"], dtype=float)
     grid = density.make_grid(sd.params.K, cfg["grid_resolution"])
     out = _out_dir(cfg)
@@ -256,9 +256,8 @@ def cmd_converge(cfg):
     p = _make_model(cfg)
     conv = cfg["converge"]
     track = [(int(n), tuple(m)) for n, m in conv.get("track", [])]
-    rows = spectral.convergence_table(
-        p, conv["D_list"], conv["n_list"], track=track,
-        pad=cfg["pad"])
+    rows = spectral.convergence_table(p, conv["D_list"], conv["n_list"],
+                                      track=track)
     out = _out_dir(cfg)
     path = os.path.join(out, "converge.csv")
     with open(path, "w", newline="") as fh:
@@ -279,8 +278,8 @@ def cmd_distance(cfg):
     import numpy as np
 
     from . import density
-    _, n_max, n_kept, m_max = _cutoffs(cfg)
-    sd = _decompose(cfg, n_eig=n_kept)
+    _, n_max, m_max = _cutoffs(cfg)
+    sd = _decompose(cfg, n_eig=n_max)
     x = np.asarray(cfg["x"], dtype=float)
     dist_cfg = cfg["distance"]
     if dist_cfg.get("points", 0) < 2:
@@ -383,8 +382,8 @@ def _validate_mc(cfg):
     from .oracles import MCConfig, mc_simulate, simplex_quadrature, \
         write_mc_summary_csv
     p = _make_model(cfg)
-    _, n_max, n_kept, m_max = _cutoffs(cfg)
-    sd = _decompose(cfg, n_eig=n_kept)
+    _, n_max, m_max = _cutoffs(cfg)
+    sd = _decompose(cfg, n_eig=n_max)
     mc_cfg = cfg["mc"]
     config = MCConfig(N=mc_cfg["N"], generations=mc_cfg["generations"],
                       replicates=mc_cfg["replicates"], seed=cfg["seed"],
@@ -418,8 +417,8 @@ def _validate_chapman(cfg):
 
     from . import density
     from .oracles import simplex_quadrature
-    _, n_max, n_kept, m_max = _cutoffs(cfg)
-    sd = _decompose(cfg, n_eig=n_kept)
+    _, n_max, m_max = _cutoffs(cfg)
+    sd = _decompose(cfg, n_eig=n_max)
     p = sd.params
     theta = np.asarray(p.theta, dtype=float)
     s = t = 0.25

@@ -27,9 +27,9 @@ import numpy as np
 from . import model as model_mod
 from .errors import NumericalError, ParameterError
 from .indexing import BasisEnumeration, total_count
-from .simplex import clamp_simplex, to_cube
+from .simplex import to_cube
 
-DEFAULT_N_MAX = 562    # eigenpairs kept; level-36 block size for K=3
+DEFAULT_N_MAX = 562    # eigenpairs kept; a fixed default, for every K
 DEFAULT_M_MAX = 36     # coefficient degree kept
 TAIL_WARN_THRESHOLD = 1e-8
 CSV_BLOCK = 1024       # density rows formatted per write
@@ -58,7 +58,7 @@ def _phi_at(sd, pts, n_max, u_m):
 
     Returns an array of shape (n_max,) + pts.shape[:-1].
     """
-    xi = to_cube(clamp_simplex(pts))
+    xi = to_cube(pts)
     P = sd.basis.eval_prefix_cube(xi, count=u_m)
     return np.tensordot(sd.coeffs[:n_max, :u_m], P, axes=(1, 0))
 
@@ -105,6 +105,18 @@ def _check_times(t):
     if not np.all(times > 0):
         raise ParameterError(f"elapsed time must be > 0, got {t}")
     return np.atleast_1d(times), times.ndim == 0
+
+
+def _check_start(p, t, x):
+    """Times as _check_times gives them, and the start point x as a finite
+    float array of shape (K-1,)."""
+    times, scalar = _check_times(t)
+    x = np.asarray(x, dtype=float)
+    if x.shape != (p.K - 1,) or not np.all(np.isfinite(x)):
+        raise ParameterError(
+            f"start point needs {p.K - 1} finite coordinates, got "
+            f"{np.array2string(x, threshold=10)}")
+    return times, scalar, x
 
 
 def _points(p, pts):
@@ -158,9 +170,9 @@ def transition_density(sd, t, x, y, n_max=None, m_max=None,
     array of times adds a leading time axis; the warnings and the clipping
     apply to each time on its own.
     """
-    times, scalar = _check_times(t)
-    n_max, u_m = _resolve_cutoffs(sd, n_max, m_max)
     p = sd.params
+    times, scalar, x = _check_start(p, t, x)
+    n_max, u_m = _resolve_cutoffs(sd, n_max, m_max)
     labels = np.atleast_1d(t).tolist()
     tails = np.zeros(len(times))
     if n_max < sd.size:
@@ -173,10 +185,6 @@ def transition_density(sd, t, x, y, n_max=None, m_max=None,
                 f"first dropped eigenterm retains weight {tail:.2e} at "
                 f"t={label}; raise n_max or the truncation level",
                 stacklevel=2)
-    x = np.asarray(x, dtype=float)
-    if x.shape != (p.K - 1,):
-        raise ParameterError(
-            f"start point needs shape ({p.K - 1},), got {x.shape}")
     y = _points(p, y)
     batch = y.shape[:-1]
     y = y.reshape(-1, y.shape[-1])
@@ -218,11 +226,8 @@ def neutral_transition_density(p, t, x, y, D):
     enum = BasisEnumeration(p.K, D)
     from .basis import MultiJacobiBasis
     basis = MultiJacobiBasis(p.theta, enum)
-    x = np.asarray(x, dtype=float)
-    xi_x = to_cube(clamp_simplex(x))
-    xi_y = to_cube(clamp_simplex(y))
-    Px = basis.eval_prefix_cube(xi_x)
-    Py = basis.eval_prefix_cube(xi_y)
+    Px = basis.eval_prefix_cube(to_cube(x))
+    Py = basis.eval_prefix_cube(to_cube(y))
     degrees = np.fromiter((sum(n) for n in enum.indices), dtype=float,
                           count=len(enum))
     lam = 0.5 * degrees * (degrees - 1.0 + p.theta_total)
@@ -282,11 +287,9 @@ def distance_to_stationarity(sd, x, times, n_max=None, m_max=None):
     in t with decay rate 2 Lambda_1. Each term carries its realized
     (truncated) squared norm as divisor; with full coefficients that is 1.
     """
+    times, _, x = _check_start(sd.params, times, x)
     n_max, u_m = _resolve_cutoffs(sd, n_max, m_max)
-    times = np.asarray(times, dtype=float)
-    if np.any(times <= 0):
-        raise ParameterError("times must be positive")
-    bx = _eigenfunctions_at(sd, np.asarray(x, dtype=float), n_max, u_m)
+    bx = _eigenfunctions_at(sd, x, n_max, u_m)
     norms = (sd.coeffs[1:n_max, :u_m] ** 2
              * np.exp(sd.log_norms[:u_m])[None, :]).sum(axis=1)
     amp = bx[1:] ** 2 / norms

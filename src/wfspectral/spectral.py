@@ -5,12 +5,12 @@ degree-4 selection polynomial applied through coordinate-recurrence matrices:
 
     M = diag(lambda_|m|) + sum over tuples q(i1..iL) * G_{i1} ... G_{iL}.
 
-Recurrence matrices are built over an enlarged (padded) enumeration so that
-the products are exact on the retained block; the G_i commute, so tuples are
-canonicalized to sorted multisets before multiplying. The double path sums
-the multisets in nested (Horner) form, one sparse product per multiset
-suffix, and forms only the columns of degree <= D + depth that the retained
-block can reach.
+Recurrence matrices are built over an enumeration padded by the degree of
+the selection polynomial, so the products are exact on the retained block;
+the G_i commute, so tuples are canonicalized to sorted multisets before
+multiplying. The multisets are summed in nested (Horner) form, one sparse
+product per multiset suffix, forming only the columns of degree <= D + depth
+that the retained block can reach.
 
 Detailed balance (M_{k,m} C_m = M_{m,k} C_k) makes M similar to a symmetric
 matrix via the diagonal scaling sqrt(C); we solve that symmetric problem and
@@ -42,7 +42,6 @@ from .indexing import BasisEnumeration, total_count
 from .model import ModelParams, q_tables  # noqa: F401
 from .simplex import to_cube
 
-DEFAULT_PAD = 4            # selection polynomial degree; keeps the block exact
 SYMMETRY_DEFECT_TOL = 1e-9
 # The truncated operator is positive semidefinite with a simple lowest
 # eigenvalue, so any negative shift makes S - shift*I positive definite, as
@@ -58,7 +57,6 @@ class OperatorMatrix:
     """Assembled truncated operator with its scaling data."""
     params: ModelParams
     D: int
-    pad: int
     basis: MultiJacobiBasis      # basis at level D
     matrix: scipy.sparse.csr_matrix
     log_norms: np.ndarray        # (U,) log C_m
@@ -106,33 +104,30 @@ def _multiset_products(coeffs):
     return out
 
 
-def assemble_M(p, basis, pad=DEFAULT_PAD):
+def assemble_M(p, basis):
     """Assemble the truncated operator matrix over the basis enumeration.
 
     Args:
         p: ModelParams (theta must match the basis).
         basis: MultiJacobiBasis at the target truncation level.
-        pad: enlargement of the working enumeration; the default covers the
-            degree-4 selection polynomial exactly.
 
     Returns:
         OperatorMatrix whose retained block carries no truncation error
-        relative to the untruncated operator, provided pad >= polynomial degree.
+        relative to the untruncated operator: the recurrence matrices come
+        from a basis padded by the degree of the selection polynomial.
     """
     if not np.allclose(basis.theta, p.theta):
         raise ParameterError("basis and model disagree on mutation rates")
-    if pad < 0:
-        raise ParameterError(f"pad must be >= 0, got {pad}")
     D = basis.D
     K = p.K
-    basis_pad = MultiJacobiBasis(p.theta, BasisEnumeration(K, D + pad))
     multis = {ms: float(v) for ms, v in
               _multiset_products(model_mod.q_coefficients(p)).items()}
     multis = {ms: v for ms, v in multis.items() if v != 0.0}
     live = {ms[k:] for ms in multis for k in range(len(ms) + 1)}
     depth = max(map(len, multis), default=0)
+    basis_pad = MultiJacobiBasis(p.theta, BasisEnumeration(K, D + depth))
     # columns of degree <= D + k are all that depth k of the nesting reaches
-    cols = [total_count(K, D + min(k, pad)) for k in range(depth + 1)]
+    cols = [total_count(K, D + k) for k in range(depth + 1)]
     U = cols[0]
     # G_i maps the cols[k + 1] columns of a depth k + 1 term to the cols[k]
     # of depth k
@@ -147,7 +142,7 @@ def assemble_M(p, basis, pad=DEFAULT_PAD):
     block = _horner((), multis.get((), 0.0) + lam, multis, live, blocks,
                     cols)
     block.sum_duplicates()   # canonical: sorted in place, hashed as it is
-    return OperatorMatrix(params=p, D=D, pad=pad, basis=basis, matrix=block,
+    return OperatorMatrix(params=p, D=D, basis=basis, matrix=block,
                           log_norms=basis.log_norms_all())
 
 
@@ -274,9 +269,9 @@ def _solve(S, n_eig):
 
 def _operator_hash(om):
     """SHA-256 of the assembled operator and what sets its scaling."""
-    # None fills the slot a precision took when there were two paths, so
-    # the hash of a given operator has not changed
-    h = hashlib.sha256(repr((None, om.D, om.pad)).encode())
+    # None and 4 fill the slots of the precision and of the pad every run
+    # used while they were options, so the hash of an operator is unchanged
+    h = hashlib.sha256(repr((None, om.D, 4)).encode())
     h.update(om.log_norms.tobytes())
     M = om.matrix
     if not M.has_canonical_format:
@@ -322,7 +317,7 @@ def eigensolve(om, n_eig=None):
                                  operator_hash=_operator_hash(om))
 
 
-def decompose(p, D, pad=DEFAULT_PAD, n_eig=None):
+def decompose(p, D, n_eig=None):
     """Convenience: build the basis, assemble, and eigensolve at level D.
 
     n_eig: the number of lowest eigenpairs to solve for (None: all).
@@ -330,7 +325,7 @@ def decompose(p, D, pad=DEFAULT_PAD, n_eig=None):
     if D < 0:
         raise ParameterError(f"truncation must be >= 0, got {D}")
     basis = MultiJacobiBasis(p.theta, BasisEnumeration(p.K, D))
-    return eigensolve(assemble_M(p, basis, pad=pad), n_eig=n_eig)
+    return eigensolve(assemble_M(p, basis), n_eig=n_eig)
 
 
 def eval_B(sd, n, x, m_count=None):
@@ -347,7 +342,7 @@ def eval_B(sd, n, x, m_count=None):
     return np.exp(-0.5 * sbar) * np.tensordot(weights, P, axes=(0, 0))
 
 
-def convergence_table(p, D_list, n_list, track=(), pad=DEFAULT_PAD):
+def convergence_table(p, D_list, n_list, track=()):
     """Eigenvalue/coefficient traces across truncation levels.
 
     Args:
@@ -369,7 +364,7 @@ def convergence_table(p, D_list, n_list, track=(), pad=DEFAULT_PAD):
         if n_eig > U:
             raise ParameterError(f"eigenpair {n_eig - 1} not present at "
                                  f"truncation {D} (size {U})")
-        sd = decompose(p, D, pad=pad, n_eig=n_eig)
+        sd = decompose(p, D, n_eig=n_eig)
         lam = {n: float(sd.eigenvalues[n]) for n in n_list}
         uvals = {}
         for n, m in track:
@@ -384,9 +379,9 @@ def convergence_table(p, D_list, n_list, track=(), pad=DEFAULT_PAD):
 def decomposition_hash(sd):
     """Hash of the operator the decomposition solved, for reproducibility.
 
-    It covers the assembled matrix M, the norms log C, the truncation and
-    the pad, not the eigendata, so decompositions of one
-    operator that hold different numbers of pairs share it.
+    It covers the assembled matrix M, the norms log C and the truncation,
+    not the eigendata, so decompositions of one operator that hold
+    different numbers of pairs share it.
     """
     return sd.operator_hash
 

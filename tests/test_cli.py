@@ -17,6 +17,7 @@ import importlib
 import json
 import math
 import os
+import re
 import shutil
 import subprocess
 import sys
@@ -180,9 +181,12 @@ def test_distance_curve(tmp_path, sigma_1):
 
 def test_cutoffs_come_from_the_config_before_solving():
     cfg = dict(cli.DEFAULT_CONFIG, truncation=6, n_max=100)
-    assert cli._cutoffs(cfg) == (28, 28, 28, 6)
+    assert cli._cutoffs(cfg) == (28, 28, 6)
     cfg.update(n_max=None, m_max=3)
-    assert cli._cutoffs(cfg) == (28, None, 28, 3)
+    assert cli._cutoffs(cfg) == (28, 28, 3)
+    # null resolves to the defaults the series would use, capped
+    cfg.update(truncation=40, m_max=None)
+    assert cli._cutoffs(cfg) == (861, 562, 36)
 
 
 @pytest.mark.filterwarnings("ignore:first dropped eigenterm")
@@ -217,8 +221,15 @@ def test_decomposition_hash_follows_the_operator(tmp_path, sigma_1):
     hashes = {json.loads(doc)["decomposition_hash"] for doc in [
         first, normconst("D", "--set", "truncation=7"),
         normconst("sigma", "--set", "model.sigma=[[1,2,3],[2,1,2],[3,2,0]]"),
-        normconst("pad", "--set", "pad=5")]}
+        normconst("theta", "--set", "model.theta=[0.02,0.02,0.03]")]}
     assert len(hashes) == 4
+    # configs written while the pad was an option carry "pad": 4
+    pad4 = json.loads(normconst("pad4", "--set", "pad=4"))
+    assert pad4["decomposition_hash"] == json.loads(first)["decomposition_hash"]
+    assert pad4["config"]["pad"] == 4
+    assert run(tmp_path / "pad5", "normconst", "--set", "truncation=6",
+               "--set", "pad=5") == 2
+    assert not (tmp_path / "pad5" / "normconst.json").exists()
 
 
 def test_auto_and_double_both_mean_double(tmp_path, sigma_1):
@@ -243,6 +254,13 @@ def test_extended_precision_is_refused(tmp_path, capsys):
     assert err["error"] == "parameter"
     assert "double" in err["message"] and "agreed" in err["message"]
     assert not (tmp_path / "normconst.json").exists()
+
+
+def test_readme_config_reference_lists_the_default_keys():
+    readme = (ROOT / "README.md").read_text()
+    block = readme.split("```jsonc\n", 1)[1].split("```", 1)[0]
+    assert re.findall(r'^  "(\w+)":', block, flags=re.M) == list(
+        cli.DEFAULT_CONFIG)
 
 
 def test_config_file_and_override_precedence(tmp_path):
@@ -284,6 +302,16 @@ def test_zero_time_rejected(tmp_path, capsys):
                "--set", "truncation=6")
     assert code == 2
     assert "positive" in json.loads(capsys.readouterr().err)["message"]
+
+
+@pytest.mark.parametrize("sub", ["density", "distance"])
+@pytest.mark.parametrize("x", ["[0.3,0.3,0.1]", "[[0.3,0.3]]", "[NaN,0.3]"])
+def test_bad_start_point_rejected(tmp_path, capsys, sub, x):
+    code = run(tmp_path, sub, "--set", "truncation=6", "--set", f"x={x}")
+    assert code == 2
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "parameter"
+    assert "start point" in err["message"]
 
 
 def test_bad_config_document(tmp_path, capsys):

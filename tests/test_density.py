@@ -314,6 +314,18 @@ def test_cutoff_validation(theta_unit):
         density.transition_density(sd, 0.5, np.array([0.3, 0.3, 0.1]), x)
 
 
+@pytest.mark.parametrize("x, times", [
+    ([0.3, 0.3, 0.1], [0.5, 1.0]), ([[0.3, 0.3]], [0.5, 1.0]),
+    ([np.nan, 0.3], [0.5, 1.0]), ([0.3, 0.3], [0.5, np.nan]),
+    ([0.3, 0.3], [[0.5, 1.0]])])
+def test_distance_checks_its_start_point_and_times(theta_unit, x, times):
+    sd = decompose(theta_unit, np.zeros((3, 3)), 6)
+    with pytest.raises(ParameterError):
+        density.distance_to_stationarity(sd, x, times)
+    with pytest.raises(ParameterError):
+        density.transition_density(sd, times, x, [0.2, 0.2])
+
+
 def test_partial_decomposition_cutoffs(theta_unit, sigma_1):
     full = decompose(theta_unit, sigma_1, 10)
     sd = decompose(theta_unit, sigma_1, 10, n_eig=5)

@@ -33,6 +33,14 @@ SIGMA_K4 = np.array([[12.0, 14.0, 15.0, 10.0],
                      [15.0, 13.0, 0.0, 8.0],
                      [10.0, 9.0, 8.0, 0.0]])
 
+
+def genic(s):
+    """Genic (additive) selection, sigma_ij = s_i + s_j: a degree-2
+    selection polynomial."""
+    s = np.asarray(s, dtype=float)
+    return s[:, None] + s[None, :]
+
+
 EXTENDED_REFERENCE = json.loads(
     (Path(__file__).parent / "extended_reference_d6.json").read_text())
 
@@ -93,7 +101,7 @@ def test_two_allele_matches_dense_reference():
     p = ModelParams([0.01, 0.01], [[3.0, -1.5], [-1.5, 0.0]])
     basis = MultiJacobiBasis(p.theta, BasisEnumeration(2, 12))
     om = spectral.assemble_M(p, basis)
-    ref = dense_two_allele_reference(p, 12, spectral.DEFAULT_PAD)
+    ref = dense_two_allele_reference(p, 12, 4)
     got = om.matrix.toarray()
     scale = np.max(np.abs(ref))
     assert np.max(np.abs(got - ref)) <= 1e-12 * scale
@@ -116,11 +124,13 @@ def test_band_structure(theta_small, sigma_1):
     assert np.max(np.abs(M[far])) == 0.0
 
 
-def test_pad_choice_does_not_change_block(theta_small, sigma_1):
-    _, om4 = assemble(theta_small, sigma_1, 8, pad=4)
-    _, om5 = assemble(theta_small, sigma_1, 8, pad=5)
-    a, b = om4.matrix.toarray(), om5.matrix.toarray()
-    assert np.max(np.abs(a - b)) <= 1e-13 * np.max(np.abs(a))
+def multiset_weights(p):
+    """Selection-polynomial weights summed over sorted multisets, zeros
+    dropped."""
+    weights = defaultdict(float)
+    for tup, c in model.q_coefficients(p).items():
+        weights[tuple(sorted(tup))] += c
+    return {ms: c for ms, c in weights.items() if c != 0.0}
 
 
 def summed_multiset_assembly(p, D, pad):
@@ -135,14 +145,10 @@ def summed_multiset_assembly(p, D, pad):
     degrees = np.array([sum(n) for n in enum_pad.indices], dtype=float)
     acc = scipy.sparse.diags(0.5 * degrees * (degrees - 1.0 + p.theta_total),
                              format="csr")
-    weights = defaultdict(float)
-    for tup, c in model.q_coefficients(p).items():
-        weights[tuple(sorted(tup))] += c
+    weights = multiset_weights(p)
     mats = {i: basis_pad.recurrence_matrix(i) for i in range(1, p.K)}
     products = {(): scipy.sparse.identity(len(enum_pad), format="csr")}
     for ms in sorted(weights):
-        if weights[ms] == 0.0:
-            continue
         for k in range(1, len(ms) + 1):
             if ms[:k] not in products:
                 products[ms[:k]] = products[ms[:k - 1]] @ mats[ms[k - 1]]
@@ -151,16 +157,22 @@ def summed_multiset_assembly(p, D, pad):
     return acc.tocsr()[:U, :U].toarray()
 
 
-@pytest.mark.parametrize("pad", [0, 2, 4])
+@pytest.mark.parametrize("extra", [0, 2, 4])
 @pytest.mark.parametrize("theta,sigma,D", [
     ([0.01, 0.02], [[3.0, -1.5], [-1.5, 0.0]], 30),
     ([0.01, 0.02, 0.03], "sigma_1", 20),
-    ([0.01, 0.02, 0.03, 0.04], SIGMA_K4, 10)])
-def test_assembly_matches_summed_multiset_reference(theta, sigma, D, pad,
+    ([0.01, 0.02, 0.03, 0.04], SIGMA_K4, 10),
+    # neutral (degree 0) and genic (degree 2): the derived pad is below 4
+    ([0.01, 0.02, 0.03], np.zeros((3, 3)), 12),
+    ([0.01, 0.02], genic([1.5, 0.0]), 30),
+    ([0.01, 0.02, 0.03], genic([1.5, -0.7, 0.0]), 12)])
+def test_assembly_matches_summed_multiset_reference(theta, sigma, D, extra,
                                                     sigma_1):
-    p, om = assemble(theta, sigma_1 if isinstance(sigma, str) else sigma, D,
-                     pad=pad)
-    want = summed_multiset_assembly(p, D, pad)
+    # the reference is padded by the polynomial's degree plus extra levels;
+    # the block is exact at the degree, so the extra levels change nothing
+    p, om = assemble(theta, sigma_1 if isinstance(sigma, str) else sigma, D)
+    degree = max(map(len, multiset_weights(p)), default=0)
+    want = summed_multiset_assembly(p, D, degree + extra)
     got = om.matrix.toarray()
     assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
 
@@ -381,7 +393,7 @@ def indefinite_operator():
     p = ModelParams([0.5, 0.5], np.zeros((2, 2)))
     basis = MultiJacobiBasis(p.theta, BasisEnumeration(2, 29))
     return spectral.OperatorMatrix(
-        params=p, D=29, pad=spectral.DEFAULT_PAD, basis=basis,
+        params=p, D=29, basis=basis,
         matrix=scipy.sparse.diags(lam, format="csr"), log_norms=np.zeros(30))
 
 
