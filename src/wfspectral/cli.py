@@ -13,6 +13,7 @@ translated into the BLAS/OpenMP environment variables.
 import argparse
 import copy
 import json
+import math
 import os
 import sys
 
@@ -114,30 +115,55 @@ def resolve_config(args):
         _apply_override(cfg, assignment)
     if args.out:
         cfg["out_dir"] = args.out
-    _validate_config(cfg)
+    _validate_config(cfg, getattr(args, "which", args.command) in READS_X)
     return cfg
 
 
-def _validate_config(cfg):
-    model = cfg.get("model")
-    if not isinstance(model, dict) or "theta" not in model or "sigma" not in model:
-        raise ParameterError("config.model needs theta and sigma")
-    D = cfg.get("truncation")
-    if not isinstance(D, int) or D < 0:
-        raise ParameterError(f"truncation must be a non-negative integer, got {D!r}")
-    n_max = cfg.get("n_max")
-    if n_max is not None and (not isinstance(n_max, int) or n_max < 1):
-        raise ParameterError(f"n_max must be a positive integer, got {n_max!r}")
-    m_max = cfg.get("m_max")
-    if m_max is not None and (not isinstance(m_max, int) or m_max < 0):
-        raise ParameterError(f"m_max must be a non-negative integer, got {m_max!r}")
-    if cfg.get("grid_resolution", 2) < 2:
-        raise ParameterError("grid_resolution must be >= 2")
-    if cfg.get("quadrature_resolution", 2) < 2:
-        raise ParameterError("quadrature_resolution must be >= 2")
-    times = cfg.get("times", [])
-    if not all(isinstance(t, (int, float)) and t > 0 for t in times):
-        raise ParameterError("times must all be positive numbers")
+READS_X = ("density", "distance", "mc")   # the jobs that read x
+
+
+def _is_finite(v):
+    # JSON gives int, float or bool; a bool is no number here
+    return type(v) in (int, float) and math.isfinite(v)
+
+
+def _at_least(low, null=False):
+    return lambda v: v is None and null or type(v) is int and v >= low
+
+
+def _list_of(ok):
+    return lambda v: isinstance(v, list) and all(map(ok, v))
+
+
+# dotted path, test, and what the value must be
+RULES = [
+    ("model.theta", _list_of(_is_finite), "a list of finite numbers"),
+    ("model.sigma", lambda v: v is not None, "given"),
+    ("truncation", _at_least(0), "an integer >= 0"),
+    ("n_max", _at_least(1, null=True), "null or an integer >= 1"),
+    ("m_max", _at_least(0, null=True), "null or an integer >= 0"),
+    ("grid_resolution", _at_least(2), "an integer >= 2"),
+    ("quadrature_resolution", _at_least(2), "an integer >= 2"),
+    ("distance.points", _at_least(2), "an integer >= 2"),
+    ("converge.D_list", _list_of(_at_least(0)), "a list of integers >= 0"),
+    ("converge.n_list", _list_of(_at_least(0)), "a list of integers >= 0"),
+    ("times", _list_of(lambda t: _is_finite(t) and t > 0),
+     "a list of positive finite numbers"),
+]
+
+
+def _validate_config(cfg, reads_x):
+    """Reject a config before any solve; x only if the job reads it."""
+    for path, ok, what in RULES:
+        value = cfg
+        for key in path.split("."):
+            value = value.get(key) if isinstance(value, dict) else None
+        if not ok(value):
+            raise ParameterError(f"{path} must be {what}, got {value!r}")
+    x, K = cfg.get("x"), len(cfg["model"]["theta"])
+    if reads_x and not (_list_of(_is_finite)(x) and len(x) == K - 1):
+        raise ParameterError(
+            f"start point x needs {K - 1} finite numbers, got {x!r}")
     for key, (accepted, reason) in RETIRED_KEYS.items():
         if key in cfg and cfg[key] not in accepted:
             raise ParameterError(
@@ -282,8 +308,6 @@ def cmd_distance(cfg):
     sd = _decompose(cfg, n_eig=n_max)
     x = np.asarray(cfg["x"], dtype=float)
     dist_cfg = cfg["distance"]
-    if dist_cfg.get("points", 0) < 2:
-        raise ParameterError("distance.points must be >= 2")
     times = np.linspace(dist_cfg["t_min"], dist_cfg["t_max"],
                         dist_cfg["points"])
     values = density.distance_to_stationarity(sd, x, times,

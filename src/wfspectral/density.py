@@ -12,10 +12,12 @@ kept through total degree m_max (u_m basis members).
 The series is summed in basis space. B~_n(y) = sum_m u_{n,m} P_m(y), so the
 eigenpairs and the start points fold into one coefficient row per (time,
 start point), w = (e^{-Lambda t} B~(x)) @ u, which costs 2 T Mx n_max u_m
-flops. The basis then sums w @ P(y) axis by axis from its univariate tables,
-at most about 2 T Mx u_m My flops (far fewer on a lattice, whose points
-share their first cube coordinate), without forming the (u_m, My) basis
-matrix or the (n_max, My) eigenfunction values. The stationary density is
+flops. A basis member is a first-axis factor times a member of the
+(K-1)-allele suffix basis at theta[1:], so matrix products sum w @ P(y) over
+the first axis and the suffix basis, evaluated once at y, sums the rest: at
+most about 2 T Mx u_m My flops (far fewer on a lattice, whose points share
+their first cube coordinate), without the (u_m, My) basis matrix or the
+(n_max, My) eigenfunction values. The stationary density is
 pi(y) = e^{sbar(y)} pi0(y) / C_stat with C_stat computed from the lead
 eigenvector without any quadrature, at its best-conditioned point.
 """
@@ -84,9 +86,9 @@ def _series(sd, times, x, y, log_wy, n_max, u_m):
 
         w = (decay * B~(x)) @ coeffs[:n_max, :u_m],   shape (T Mx, u_m),
 
-    at 2 T Mx n_max u_m flops, and the basis sums w @ P(y) axis by axis
-    (MultiJacobiBasis.sum_prefix_cube) at most about 2 T Mx u_m My flops.
-    Neither P(y) nor B~(y) is formed.
+    at 2 T Mx n_max u_m flops, and the basis sums w @ P(y) over its first
+    axis, then over its (K-1)-allele suffix basis evaluated once at y
+    (MultiJacobiBasis.sum_prefix_cube), at most about 2 T Mx u_m My flops.
     """
     bx = _eigenfunctions_at(sd, x, n_max, u_m)        # (n_max, Mx)
     decay = np.exp(-np.outer(times, sd.eigenvalues[:n_max]))

@@ -328,18 +328,16 @@ def decompose(p, D, n_eig=None):
     return eigensolve(assemble_M(p, basis), n_eig=n_eig)
 
 
-def eval_B(sd, n, x, m_count=None):
+def eval_B(sd, n, x):
     """Evaluate eigenfunction n at simplex points x.
 
     B_n(x) = exp(-mean_fitness(x)/2) * sum_m u_{n,m} P_m(x).
     """
     if not 0 <= n < sd.n_eig:
         raise ParameterError(f"eigenpair {n} outside the {sd.n_eig} held")
-    weights = sd.coeffs[n] if m_count is None else sd.coeffs[n, :m_count]
-    xi = to_cube(x)
-    P = sd.basis.eval_prefix_cube(xi, count=len(weights))
+    P = sd.basis.eval_prefix_cube(to_cube(x))
     sbar = model_mod.mean_fitness(sd.params, x)
-    return np.exp(-0.5 * sbar) * np.tensordot(weights, P, axes=(0, 0))
+    return np.exp(-0.5 * sbar) * np.tensordot(sd.coeffs[n], P, axes=(0, 0))
 
 
 def convergence_table(p, D_list, n_list, track=()):
@@ -395,13 +393,12 @@ def write_eigenvalues_csv(sd, path):
             fh.write(f"{n},{sd.eigenvalues[n]:.17g},{norms[n]:.17g}\n")
 
 
-def write_coefficients_csv(sd, path, n_limit=None):
+def write_coefficients_csv(sd, path):
     """Coefficient export: (n, m_tuple, u); tuples render as ;-joined degrees."""
-    limit = sd.n_eig if n_limit is None else min(n_limit, sd.n_eig)
     labels = [";".join(map(str, m)) for m in sd.basis.enumeration.indices]
     with open(path, "w", newline="") as fh:
         fh.write("n,m_tuple,u\n")
-        for n in range(limit):
+        for n in range(sd.n_eig):
             row = sd.coeffs[n]
             nz = np.flatnonzero(row)
             args = [None] * (2 * len(nz))

@@ -27,7 +27,7 @@ import numpy as np
 import pytest
 import scipy.sparse
 
-from wfspectral import cli, model, spectral
+from wfspectral import cli, density, model, spectral
 from wfspectral.model import ModelParams
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -187,6 +187,41 @@ def test_cutoffs_come_from_the_config_before_solving():
     # null resolves to the defaults the series would use, capped
     cfg.update(truncation=40, m_max=None)
     assert cli._cutoffs(cfg) == (861, 562, 36)
+
+
+def test_default_cutoffs_match_the_density_defaults():
+    # the CLI keeps them as literals so that it loads no numpy before
+    # --threads; the series defaults must still be the same numbers
+    assert cli.DEFAULT_CONFIG["n_max"] == density.DEFAULT_N_MAX
+    assert cli.DEFAULT_CONFIG["m_max"] == density.DEFAULT_M_MAX
+
+
+@pytest.mark.parametrize("sub, setting", [
+    ("density", "times=0.5"),
+    ("density", "times=[Infinity]"),
+    ("density", "x=abc"),
+    ("density", "x=[0.3]"),
+    ("distance", "x=[NaN,0.3]"),
+    ("distance", "distance.points=2.5"),
+    ("distance", "distance.points=1"),
+    ("distance", "distance=5"),
+    ("converge", "converge.D_list=5"),
+    ("converge", "converge.n_list=[0,-1]"),
+    ("density", "truncation=true"),
+    ("density", "n_max=true"),
+    ("density", "m_max=1.5"),
+    ("density", "grid_resolution=2.5"),
+    ("normconst", "quadrature_resolution=1"),
+    ("normconst", "model.theta=abc"),
+])
+def test_bad_config_values_rejected_before_solving(tmp_path, capsys,
+                                                   monkeypatch, sub, setting):
+    def refuse(*args, **kwargs):
+        raise AssertionError("a bad config reached the solver")
+
+    monkeypatch.setattr(spectral, "decompose", refuse)
+    assert run(tmp_path, sub, "--set", "truncation=6", "--set", setting) == 2
+    assert json.loads(capsys.readouterr().err)["error"] == "parameter"
 
 
 @pytest.mark.filterwarnings("ignore:first dropped eigenterm")

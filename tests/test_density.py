@@ -17,6 +17,7 @@ from hypothesis import strategies as st
 from wfspectral import density, model, oracles, simplex, spectral
 from wfspectral.basis import MultiJacobiBasis
 from wfspectral.errors import ParameterError
+from wfspectral.indexing import total_count
 from wfspectral.model import ModelParams
 from wfspectral.oracles import gauss_jacobi_01
 
@@ -541,12 +542,14 @@ def test_empty_point_batches(selected_sd):
 
 def test_series_evaluates_the_basis_at_the_start_point_only(
         theta_small, sigma_1, monkeypatch):
+    # the level-D basis is evaluated at x alone; the sum over the y grid
+    # evaluates only the (K-1)-type suffix basis, up to degree m_max
     sd = decompose(theta_small, sigma_1, 16)
     seen = []
     evaluate = MultiJacobiBasis.eval_prefix_cube
 
     def spy(self, xi, count=None):
-        seen.append(np.shape(xi))
+        seen.append((self, np.shape(xi), count))
         return evaluate(self, xi, count)
 
     monkeypatch.setattr(MultiJacobiBasis, "eval_prefix_cube", spy)
@@ -556,7 +559,14 @@ def test_series_evaluates_the_basis_at_the_start_point_only(
         out = density.transition_density(sd, [0.1, 1.0],
                                          np.array([0.3, 0.3]), grid)
     assert out.shape == (2, len(grid))
-    assert seen == [(1, 2)]
+    assert [shape for basis, shape, _ in seen if basis is sd.basis] == [(1, 2)]
+    m_max = min(density.DEFAULT_M_MAX, sd.D)
+    for basis, shape, count in seen:
+        if basis is not sd.basis:
+            assert basis.K == 2
+            assert list(basis.theta) == list(theta_small[1:])
+            assert shape == (len(grid), 1)
+            assert count <= total_count(2, m_max)
 
 
 def test_neutral_oracle_keeps_its_own_path(theta_unit, monkeypatch):

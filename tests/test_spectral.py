@@ -523,14 +523,12 @@ def test_csv_exports_round_trip(tmp_path, theta_small, sigma_1):
         assert float(u) == pytest.approx(sd.coeffs[int(n), pos[m]], rel=1e-15)
 
 
-def reference_write_coefficients_csv(sd, path, n_limit=None):
+def reference_write_coefficients_csv(sd, path):
     """The plain per-entry coefficient writer, kept as the byte reference."""
-    held = len(sd.coeffs)
-    limit = held if n_limit is None else min(n_limit, held)
     indices = sd.basis.enumeration.indices
     with open(path, "w", newline="") as fh:
         fh.write("n,m_tuple,u\n")
-        for n in range(limit):
+        for n in range(len(sd.coeffs)):
             for pos, m in enumerate(indices):
                 v = sd.coeffs[n, pos]
                 if v != 0.0:
@@ -539,15 +537,14 @@ def reference_write_coefficients_csv(sd, path, n_limit=None):
 
 
 @pytest.mark.parametrize("selected", [True, False], ids=["sigma_1", "neutral"])
-@pytest.mark.parametrize("n_limit", [None, 7])
 def test_coefficients_csv_matches_reference_bytes(tmp_path, theta_small,
-                                                  sigma_1, selected, n_limit):
+                                                  sigma_1, selected):
     # the neutral rows are single-entry, so the zero skipping is exercised
     sigma = sigma_1 if selected else np.zeros((3, 3))
     _, sd = make(theta_small, sigma, 10)
     got, want = tmp_path / "got.csv", tmp_path / "want.csv"
-    spectral.write_coefficients_csv(sd, got, n_limit=n_limit)
-    reference_write_coefficients_csv(sd, want, n_limit=n_limit)
+    spectral.write_coefficients_csv(sd, got)
+    reference_write_coefficients_csv(sd, want)
     assert got.read_bytes() == want.read_bytes()
 
 
