@@ -9,6 +9,9 @@ where N_j = n_{j+1} + ... + n_{K-1} and T_j = theta_{j+1} + ... + theta_K are
 suffix sums. The family is orthogonal under the Dirichlet kernel
 prod x_i^(theta_i - 1) with squared norms C_n given by the product of the
 univariate norms at the same shifted parameters.
+The factors past the first form a member of the (K-1)-allele basis at
+theta[1:] (stick-breaking), and the basis is evaluated that way: a table of
+the first factor over (degree, suffix degree) times the suffix basis.
 
 Multiplication by a coordinate x_i maps P_n into a sparse combination of
 neighbors: a G factor at slot i and one H/I/J factor per slot j < i, selected
@@ -89,9 +92,11 @@ class MultiJacobiBasis:
     def eval_prefix_cube(self, xi, count=None):
         """Evaluate the first `count` basis members at cube points.
 
-        Shares the per-axis recurrence tables across indices: one univariate
-        table per (axis, suffix degree) pair, stacked per axis, from which
-        each member's factors are gathered in blocks of rows.
+        Member (n_0, s) is R_{n_0}(xi_0) (1 - xi_0)^|s| P'_s(xi_1, ...), with
+        P' the (K-1)-allele basis at theta[1:] (stick-breaking). The first
+        factor, tabled over (n_0, |s|), and P', from its own
+        eval_prefix_cube, are gathered and multiplied in blocks of members,
+        so the product over the axes runs from the last axis inward.
 
         Returns an array of shape (count,) + xi.shape[:-1].
         """
@@ -102,40 +107,20 @@ class MultiJacobiBasis:
         if count > len(enum):
             raise ParameterError(
                 f"requested {count} basis members, enumeration holds {len(enum)}")
-        naxes = self.K - 1
-        n, tails = index_arrays(enum.indices[:count], naxes)
-        top = int(n.sum(axis=1).max(initial=0))
-        flat_xi = xi.reshape(-1, naxes)
-        # (table, row of each member), in the order of the product over the
-        # axes: R_{n_j} from the rows of suffix degree t_j, times
-        # (1 - xi_j)^t_j, which the first axis folds into its table
-        factors = []
-        for j in range(naxes):
-            lengths = top + 1 - np.arange(tails[:, j].max(initial=0) + 1)
-            start = np.cumsum(lengths) - lengths
-            table = self._axis_table(j, lengths, start, flat_xi[:, j])
-            pows = np.ones((len(lengths), len(flat_xi)))
-            for t in range(1, len(lengths)):
-                pows[t] = pows[t - 1] * (1.0 - flat_xi[:, j])
-                if j == 0:
-                    # every member's product starts with R (1 - xi)^t, so
-                    # forming it here rounds the same way
-                    table[start[t]:start[t] + lengths[t]] *= pows[t]
-            factors.append((table, start[tails[:, j]] + n[:, j]))
-            if j and len(lengths) > 1:
-                factors.append((pows, tails[:, j]))
+        n, tails = index_arrays(enum.indices[:count], self.K - 1)
+        table, pows, spread, suffix, _ = self._split(
+            int(n.sum(axis=1).max(initial=0)), xi)
+        # every member starts with R (1 - xi_0)^t: form it once per (n_0, t)
+        table *= pows
+        second = graded_positions(n[:, 1:]) if self.K > 2 else 0 * n[:, 0]
         out = np.empty((count,) + xi.shape[:-1])
-        flat = out.reshape(count, len(flat_xi))
-        step = max(1, GATHER_BLOCK // max(len(flat_xi), 1))
-        part = np.empty((min(step, count), len(flat_xi)))
+        flat = out.reshape(count, len(spread))
+        step = max(1, GATHER_BLOCK // max(len(spread), 1))
         for lo in range(0, count, step):
-            block = flat[lo:lo + step]
-            for k, (table, pick) in enumerate(factors):
-                # the first factor lands in place; 1 * R is R exactly
-                into = block if k == 0 else part[:len(block)]
-                np.take(table, pick[lo:lo + step], axis=0, out=into)
-                if k:
-                    block *= into
+            block, pick = flat[lo:lo + step], slice(lo, lo + step)
+            np.take(table[n[pick, 0], tails[pick, 0]], spread, axis=1,
+                    out=block)
+            block *= suffix[second[pick]]
         return out
 
     def sum_prefix_cube(self, weights, xi):
@@ -145,29 +130,50 @@ class MultiJacobiBasis:
         for some top <= D: whole degree blocks of members. Returns an array
         of shape (rows,) + xi.shape[:-1].
 
-        Member (n_0, s) is R_{n_0}(xi_0) (1 - xi_0)^|s| P'_s(xi_1, ...), with
-        P' the (K-1)-allele basis at theta[1:] (stick-breaking; cached). For
-        each suffix degree t a matrix product with the axis-0 table rows of
-        degree t sums over n_0, on the distinct xi_0 only (at most about
-        2 rows count points flops, far fewer on a lattice); the sums, one
-        per suffix tuple s, are weighted by P'_s, evaluated once, and added.
+        With the factorization of eval_prefix_cube, for each suffix degree t
+        a matrix product with the axis-0 table rows of degree t sums over
+        n_0, on the distinct xi_0 only (at most about 2 rows count points
+        flops, far fewer on a lattice); the sums, one per suffix tuple s,
+        are weighted by P'_s, evaluated once, and added.
         """
         weights = np.asarray(weights, dtype=float)
         xi = np.asarray(xi, dtype=float)
-        naxes = self.K - 1
         count = weights.shape[-1]
-        n, _ = index_arrays(self.enumeration.indices[:count], naxes)
+        n, _ = index_arrays(self.enumeration.indices[:count], self.K - 1)
         top = int(n.sum(axis=1).max(initial=0))
         if count != total_count(self.K, top):
             raise ParameterError(
                 f"{count} weights do not fill the degree blocks of the basis")
+        table, pows, spread, suffix, bounds = self._split(top, xi)
+        rows, npts = len(weights), len(spread)
+        # member positions indexed [suffix tuple, n_0]
+        pick = np.zeros((bounds[-1], top + 1), dtype=np.int64)
+        group = graded_positions(n[:, 1:]) if self.K > 2 else 0
+        pick[group, n[:, 0]] = np.arange(count)
+        out = np.zeros((rows, npts))
+        for t in range(len(pows)):
+            block, span = slice(bounds[t], bounds[t + 1]), top + 1 - t
+            w = weights[:, pick[block, :span]].reshape(-1, span)
+            part = w @ table[:span, t]
+            part *= pows[t]
+            part = part[:, spread].reshape(rows, block.stop - block.start,
+                                           npts)
+            out += np.einsum("rsp,sp->rp", part, suffix[block])
+        return out.reshape((rows,) + xi.shape[:-1])
+
+    def _split(self, top, xi):
+        """The two factors of the members up to degree top at the points xi.
+
+        Returns R_k^(a, b_t) and (1 - xi_0)^t at the distinct xi_0, indexed
+        [k, t, value] and [t, value] (t = 0 only at K = 2), each point's
+        value position, and the suffix basis P' at the points, its tuples
+        of degree t in rows bounds[t]:bounds[t + 1] (at K = 2 one row of
+        ones, for the empty tuple).
+        """
+        naxes = self.K - 1
         flat_xi = xi.reshape(-1, naxes)
-        rows = len(weights)
-        npts = len(flat_xi)
-        # the suffix tuples of degree t are rows bounds[t]:bounds[t + 1] of
-        # the suffix basis; at K = 2 the one (empty) tuple has P' = 1
         if naxes == 1:
-            bounds, suffix = [0, 1], np.ones((1, npts))
+            bounds, suffix = [0, 1], np.ones((1, len(flat_xi)))
         else:
             bounds = [0] + [total_count(naxes, t) for t in range(top + 1)]
             if self._suffix is None:
@@ -176,55 +182,12 @@ class MultiJacobiBasis:
             suffix = self._suffix.eval_prefix_cube(flat_xi[:, 1:],
                                                    count=bounds[-1])
         # a lattice repeats xi_0 across its rows, so axis 0 runs on the
-        # distinct values and its sums are spread to the points after
+        # distinct values, spread to the points after
         x0, spread = np.unique(flat_xi[:, 0], return_inverse=True)
-        lengths = top + 1 - np.arange(len(bounds) - 1)
-        start = np.cumsum(lengths) - lengths
-        table = self._axis_table(0, lengths, start, x0)
-        pows = np.vander(1.0 - x0, len(lengths), increasing=True).T
-        # member positions indexed [suffix tuple, n_0]
-        pick = np.zeros((bounds[-1], top + 1), dtype=np.int64)
-        group = graded_positions(n[:, 1:]) if naxes > 1 else 0
-        pick[group, n[:, 0]] = np.arange(count)
-        out = np.zeros((rows, npts))
-        for t, span in enumerate(lengths):
-            block = slice(bounds[t], bounds[t + 1])
-            w = weights[:, pick[block, :span]].reshape(-1, span)
-            part = w @ table[start[t]:start[t] + span]
-            part *= pows[t]
-            part = part[:, spread].reshape(rows, block.stop - block.start,
-                                           npts)
-            out += np.einsum("rsp,sp->rp", part, suffix[block])
-        return out.reshape((rows,) + xi.shape[:-1])
-
-    def _axis_table(self, j, lengths, start, x):
-        """R_k at axis j and suffix degree t for every k < lengths[t].
-
-        Row start[t] + k holds R_k^(a, b_t)(x), equal bit for bit to
-        jacobi.eval_R_all(lengths[t] - 1, a, b_t, x)[k]. The lengths fall
-        with t, so degree k is needed for a leading run of suffix degrees:
-        one recurrence step serves them all, with b as an array over them
-        and the coefficients read from the G table.
-        """
-        a, b = self.axis_params(j, np.arange(len(lengths))[:, None])
-        # G_{k,k-1}, G_{k,k}, G_{k,k+1}, indexed [band, k, t, point]
-        g = np.moveaxis(self._band_table(jacobi.coeff_G, -1, j), 2, 0)[..., None]
-        table = np.empty((lengths.sum(), len(x)))
-        top = int(lengths[0]) - 1
-        prev, cur = None, np.ones((len(b), len(x)))
-        for k in range(top):
-            table[start[:len(cur)] + k] = cur
-            # the suffix degrees t < top - k reach degree k + 1
-            live = min(len(b), top - k)
-            if k == 0:
-                nxt = (a + b[:live]) * x - a
-            else:
-                # x R_k = G_{k,k-1} R_{k-1} + G_{k,k} R_k + G_{k,k+1} R_{k+1}
-                sub, diag, sup = g[:, k, :live]
-                nxt = ((x - diag) * cur[:live] - sub * prev[:live]) / sup
-            prev, cur = cur, nxt
-        table[start[:len(cur)] + top] = cur
-        return table
+        a, b = self.axis_params(0, np.arange(len(bounds) - 1))
+        table = jacobi.eval_R_all(top, a, b[:, None], x0)
+        pows = np.vander(1.0 - x0, len(bounds) - 1, increasing=True).T
+        return table, pows, spread, suffix, bounds
 
     # -- norms ---------------------------------------------------------------
 
@@ -351,7 +314,7 @@ class MultiJacobiBasis:
         n_j + t <= D; the weight exponents depend on t as in axis_params.
         The J table starts at t = 1: a lowering step needs a suffix degree
         to lower. One call fills the table. Kept: the matrices of all
-        coordinates above slot j, and eval_prefix_cube, read its tables.
+        coordinates above slot j read its tables.
         """
         key = (table, lo, j)
         if key not in self._band_tables:

@@ -127,6 +127,10 @@ def _is_finite(v):
     return type(v) in (int, float) and math.isfinite(v)
 
 
+def _is_positive(v):
+    return _is_finite(v) and v > 0
+
+
 def _at_least(low, null=False):
     return lambda v: v is None and null or type(v) is int and v >= low
 
@@ -147,8 +151,9 @@ RULES = [
     ("distance.points", _at_least(2), "an integer >= 2"),
     ("converge.D_list", _list_of(_at_least(0)), "a list of integers >= 0"),
     ("converge.n_list", _list_of(_at_least(0)), "a list of integers >= 0"),
-    ("times", _list_of(lambda t: _is_finite(t) and t > 0),
-     "a list of positive finite numbers"),
+    ("times", _list_of(_is_positive), "a list of positive finite numbers"),
+    ("distance.t_min", _is_positive, "a positive finite number"),
+    ("distance.t_max", _is_positive, "a positive finite number"),
 ]
 
 
@@ -161,9 +166,12 @@ def _validate_config(cfg, reads_x):
         if not ok(value):
             raise ParameterError(f"{path} must be {what}, got {value!r}")
     x, K = cfg.get("x"), len(cfg["model"]["theta"])
-    if reads_x and not (_list_of(_is_finite)(x) and len(x) == K - 1):
-        raise ParameterError(
-            f"start point x needs {K - 1} finite numbers, got {x!r}")
+    if reads_x:
+        if not (_list_of(_is_finite)(x) and len(x) == K - 1):
+            raise ParameterError(
+                f"start point x needs {K - 1} finite numbers, got {x!r}")
+        from .simplex import clamp_simplex
+        clamp_simplex(x)   # a point off the simplex raises
     for key, (accepted, reason) in RETIRED_KEYS.items():
         if key in cfg and cfg[key] not in accepted:
             raise ParameterError(

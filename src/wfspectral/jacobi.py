@@ -14,10 +14,10 @@ Four coefficient tables are exposed:
 
 All tables return exact 0.0 outside their declared offset band. The tables
 and log_norm_c broadcast over the degree n, the target degree m and the
-exponent b, so one call fills a whole table. Every expression is evaluated
-for all entries and the band offset and the low-degree cases are selected by
-masks; the selected expression keeps its operation order, so each entry
-equals a call with scalar arguments bit for bit.
+exponent b, so one call fills a whole table; eval_R_all broadcasts b against
+x. Every expression is evaluated for all entries, with the band offset and
+the low-degree cases selected by masks; the selected expression keeps its
+operation order, so each entry equals a scalar call bit for bit.
 """
 
 import math
@@ -81,19 +81,21 @@ def eval_R(n, a, b, x):
 def eval_R_all(nmax, a, b, x):
     """Evaluate R_0 .. R_nmax at x via the upward recurrence.
 
-    Returns an array of shape (nmax+1,) + shape(x). Scalar x gives shape
-    (nmax+1,).
+    b may be an array that broadcasts against x. Returns an array of shape
+    (nmax+1,) + broadcast shape of b and x; scalar b and x give (nmax+1,).
     """
     _degrees(nmax, a, b)
     x = np.asarray(x, dtype=float)
-    out = np.empty((nmax + 1,) + x.shape)
+    b = np.asarray(b, dtype=float)
+    out = np.empty((nmax + 1,) + np.broadcast_shapes(b.shape, x.shape))
     out[0] = 1.0
     if nmax == 0:
         return out
     out[1] = (a + b) * x - a
-    # x*R_k = G_{k,k-1} R_{k-1} + G_{k,k} R_k + G_{k,k+1} R_{k+1}
-    n = np.arange(1, nmax)[:, None]
-    g = coeff_G(n, n + np.arange(-1, 2), a, b)
+    # x*R_k = G_{k,k-1} R_{k-1} + G_{k,k} R_k + G_{k,k+1} R_{k+1}, the band
+    # moved ahead of the axes of b
+    n = np.arange(1, nmax).reshape((-1,) + (1,) * (b.ndim + 1))
+    g = np.moveaxis(coeff_G(n, n + np.arange(-1, 2), a, b[..., None]), -1, 1)
     for k, (sub, diag, sup) in enumerate(g, start=1):
         out[k + 1] = ((x - diag) * out[k] - sub * out[k - 1]) / sup
     return out

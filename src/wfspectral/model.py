@@ -28,8 +28,10 @@ class ModelParams:
     sigma: np.ndarray
 
     def __init__(self, theta, sigma):
-        theta = np.asarray(theta, dtype=float)
-        sigma = np.asarray(sigma, dtype=float)
+        try:
+            theta, sigma = np.asarray(theta, float), np.asarray(sigma, float)
+        except (TypeError, ValueError) as exc:   # ragged or not numbers
+            raise ParameterError(f"theta and sigma must be numeric: {exc}")
         if theta.ndim != 1 or len(theta) < 2:
             raise ParameterError("need at least two mutation rates")
         K = len(theta)

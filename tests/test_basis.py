@@ -104,22 +104,25 @@ def member_loop_eval_prefix(basis, xi, count):
     for pos, n in enumerate(basis.enumeration.indices[:count]):
         tails = tail_sums(n)
         val = np.ones(pts)
-        for j in range(basis.K - 1):
+        # from the last axis inward, as the suffix bases nest
+        for j in reversed(range(basis.K - 1)):
             tab = r_tables[j].get(tails[j])
             if tab is None:
                 a, b = basis.axis_params(j, tails[j])
                 tab = jacobi.eval_R_all(basis.D - tails[j], a, b, xi[..., j])
                 r_tables[j][tails[j]] = tab
-            val = val * tab[n[j]]
+            factor = tab[n[j]]
             if tails[j]:
-                val = val * pow_tables[j][tails[j]]
+                factor = factor * pow_tables[j][tails[j]]
+            val = factor * val
         out[pos] = val
     return out
 
 
 @pytest.mark.parametrize("gather", [basis_mod.GATHER_BLOCK, 40])
 @pytest.mark.parametrize("theta", [[0.7, 1.3], [0.01, 0.02, 0.03],
-                                   [0.5, 1.5, 2.0, 1.0]])
+                                   [0.5, 1.5, 2.0, 1.0],
+                                   [0.3, 0.4, 0.3, 0.5, 1.1]])
 def test_eval_prefix_matches_members_to_rounding(theta, gather, monkeypatch):
     # a small gather block splits the members over many blocks
     monkeypatch.setattr(basis_mod, "GATHER_BLOCK", gather)

@@ -213,6 +213,12 @@ def test_default_cutoffs_match_the_density_defaults():
     ("density", "grid_resolution=2.5"),
     ("normconst", "quadrature_resolution=1"),
     ("normconst", "model.theta=abc"),
+    ("density", "x=[0.6,0.6]"),
+    ("distance", "x=[-0.2,0.3]"),
+    ("distance", "distance.t_min=abc"),
+    ("distance", "distance.t_max=-1"),
+    ("density", "model.sigma=[[1,2],[3]]"),
+    ("density", 'model.sigma=[["a",0,0],[0,0,0],[0,0,0]]'),
 ])
 def test_bad_config_values_rejected_before_solving(tmp_path, capsys,
                                                    monkeypatch, sub, setting):

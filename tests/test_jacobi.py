@@ -296,6 +296,16 @@ def test_array_exponents_equal_scalar_calls():
                     for k, row in zip(n.tolist(), m.tolist())]
             got = table(n[:, None, None], m[:, :, None], a, bs)
             assert np.array_equal(got, want)
+    # eval_R_all: a column of exponents against a row of points; each column
+    # is the scalar call, down to nmax 0 and 1 and an empty set of points
+    bs = np.array([0.3, 1.0, 2.6, 7.5])
+    for nmax in (0, 1, 2, 9):
+        for xs in (np.linspace(0.0, 1.0, 7), np.empty(0)):
+            got = jacobi.eval_R_all(nmax, 0.7, bs[:, None], xs)
+            assert got.shape == (nmax + 1, len(bs), len(xs))
+            for col, v in enumerate(bs.tolist()):
+                assert np.array_equal(got[:, col],
+                                      jacobi.eval_R_all(nmax, 0.7, v, xs))
 
 
 def test_parameter_domain_errors():

@@ -35,6 +35,18 @@ def test_rejects_shape_mismatch():
         ModelParams([0.5, 0.5, 0.5], np.zeros((2, 2)))
 
 
+@pytest.mark.parametrize("theta, sigma", [
+    ([0.5, 0.5], [[1.0, 2.0], [3.0]]),                   # ragged sigma
+    ([0.5, 0.5], [["a", 0.0], [0.0, 0.0]]),              # non-numeric sigma
+    ([0.5, [0.5, 1.0]], np.zeros((2, 2))),               # ragged theta
+    (["a", 0.5], np.zeros((2, 2))),                      # non-numeric theta
+    ([0.5, 0.5], {"a": 1}),                              # not an array
+])
+def test_rejects_non_numeric_input(theta, sigma):
+    with pytest.raises(ParameterError, match="numeric"):
+        ModelParams(theta, sigma)
+
+
 def test_accepts_and_freezes():
     p = ModelParams([0.5, 0.5, 1.0], np.zeros((3, 3)))
     assert p.K == 3
