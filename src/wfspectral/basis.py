@@ -112,7 +112,7 @@ class MultiJacobiBasis:
             int(n.sum(axis=1).max(initial=0)), xi)
         # every member starts with R (1 - xi_0)^t: form it once per (n_0, t)
         table *= pows
-        second = graded_positions(n[:, 1:]) if self.K > 2 else 0 * n[:, 0]
+        second = graded_positions(n[:, 1:])
         out = np.empty((count,) + xi.shape[:-1])
         flat = out.reshape(count, len(spread))
         step = max(1, GATHER_BLOCK // max(len(spread), 1))
@@ -148,7 +148,7 @@ class MultiJacobiBasis:
         rows, npts = len(weights), len(spread)
         # member positions indexed [suffix tuple, n_0]
         pick = np.zeros((bounds[-1], top + 1), dtype=np.int64)
-        group = graded_positions(n[:, 1:]) if self.K > 2 else 0
+        group = graded_positions(n[:, 1:])
         pick[group, n[:, 0]] = np.arange(count)
         out = np.zeros((rows, npts))
         for t in range(len(pows)):

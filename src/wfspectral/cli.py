@@ -21,46 +21,93 @@ from .errors import NumericalError, ParameterError
 
 THREAD_ENV_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS",
                    "MKL_NUM_THREADS", "NUMEXPR_NUM_THREADS")
-# Retired options: configs written while they existed carry the keys, so the
-# values that mean what the code now always does still run
-RETIRED_KEYS = {
-    "pad": ((4,), "the assembly pads by the degree of the selection "
-                  "polynomial, which keeps the retained block exact"),
-    "precision": (("double", "auto"),
-                  "both mean double. A retired 128-bit path agreed with "
-                  "double to 2.5e-14 of the spectral scale on eigenvalues "
-                  "and 1.6e-11 on coefficients, with sigma entries up to 80"),
-}
+READS_X = ("density", "distance", "mc")   # the jobs that read x
+RETIRED = object()   # the default of a retired key: DEFAULT_CONFIG leaves it out
 
-DEFAULT_CONFIG = {
-    "model": {
-        "theta": [0.01, 0.02, 0.03],
-        "sigma": [[0.0, 0.0, 0.0], [0.0, 0.0, 0.0], [0.0, 0.0, 0.0]],
-    },
-    "truncation": 40,
-    "n_max": 562,
-    "m_max": 36,
-    "grid_resolution": 30,
-    "quadrature_resolution": 60,
-    "times": [0.04, 0.2, 1.0, 2.0],
-    "x": [0.02, 0.02],
-    "seed": 20260816,
-    "out_dir": ".",
-    "clip_negative": False,
-    "converge": {
-        "D_list": [8, 12, 16, 20, 24],
-        "n_list": [0, 1],
-        "track": [],
-    },
-    "distance": {"t_min": 0.05, "t_max": 3.0, "points": 20},
-    "mc": {
-        "N": 10000,
-        "generations": 4000,
-        "replicates": 10000,
-        "block_size": 1024,
-        "record_every": None,
-    },
-}
+
+def _is_finite(v):
+    # JSON gives int, float or bool; a bool is no number here
+    return type(v) in (int, float) and math.isfinite(v)
+
+
+def _is_positive(v):
+    return _is_finite(v) and v > 0
+
+
+def _at_least(low, null=False):
+    return lambda v: v is None and null or type(v) is int and v >= low
+
+
+def _list_of(ok):
+    return lambda v: isinstance(v, list) and all(map(ok, v))
+
+
+# Every config key: dotted path, default, test, and what the value must be.
+# Null cutoffs resolve in _cutoffs to density.DEFAULT_N_MAX/DEFAULT_M_MAX.
+# Retired keys: configs written while they existed carry them, so the values
+# that mean what the code now always does still run.
+CONFIG_KEYS = [
+    ("model.theta", [0.01, 0.02, 0.03], _list_of(_is_positive),
+     "a list of positive finite numbers"),
+    ("model.sigma", [[0.0, 0.0, 0.0], [0.0, 0.0, 0.0], [0.0, 0.0, 0.0]],
+     _list_of(_list_of(_is_finite)), "a list of lists of finite numbers"),
+    ("truncation", 40, _at_least(0), "an integer >= 0"),
+    ("n_max", None, _at_least(1, null=True), "null or an integer >= 1"),
+    ("m_max", None, _at_least(0, null=True), "null or an integer >= 0"),
+    ("grid_resolution", 30, _at_least(2), "an integer >= 2"),
+    ("quadrature_resolution", 60, _at_least(2), "an integer >= 2"),
+    ("times", [0.04, 0.2, 1.0, 2.0], _list_of(_is_positive),
+     "a list of positive finite numbers"),
+    ("x", [0.02, 0.02], _list_of(_is_finite),
+     "the start point, a list of finite numbers"),
+    ("seed", 20260816, lambda v: _at_least(0)(v) and v < 2 ** 64,
+     "an integer in [0, 2**64)"),
+    ("out_dir", ".", lambda v: isinstance(v, str) and v != "",
+     "a directory path"),
+    ("clip_negative", False, lambda v: type(v) is bool, "true or false"),
+    ("converge.D_list", [8, 12, 16, 20, 24], _list_of(_at_least(0)),
+     "a list of integers >= 0"),
+    ("converge.n_list", [0, 1], _list_of(_at_least(0)),
+     "a list of integers >= 0"),
+    ("converge.track", [], _list_of(
+        lambda v: isinstance(v, list) and len(v) == 2 and _at_least(0)(v[0])
+        and _list_of(_at_least(0))(v[1])),
+     "a list of [n, [m...]] pairs of integers >= 0"),
+    ("distance.t_min", 0.05, _is_positive, "a positive finite number"),
+    ("distance.t_max", 3.0, _is_positive, "a positive finite number"),
+    ("distance.points", 20, _at_least(2), "an integer >= 2"),
+    ("mc.N", 10000, _at_least(1), "an integer >= 1"),
+    ("mc.generations", 4000, _at_least(1), "an integer >= 1"),
+    ("mc.replicates", 10000, _at_least(1), "an integer >= 1"),
+    ("mc.block_size", 1024, _at_least(1), "an integer >= 1"),
+    ("mc.record_every", None, _at_least(1, null=True),
+     "null or an integer >= 1"),
+    ("pad", RETIRED, lambda v: v == 4, "4, or left out: the assembly pads "
+     "by the degree of the selection polynomial, which keeps the retained "
+     "block exact"),
+    ("precision", RETIRED, lambda v: v in ("double", "auto"),
+     '"double" or "auto", or left out: both mean double. A retired 128-bit '
+     "path agreed with double to 2.5e-14 of the spectral scale on "
+     "eigenvalues and 1.6e-11 on coefficients, with sigma entries up to 80"),
+]
+
+
+def _put(cfg, keys, value):
+    node = cfg
+    for key in keys[:-1]:
+        nxt = node.get(key)
+        if not isinstance(nxt, dict):
+            nxt = {}
+            node[key] = nxt
+        node = nxt
+    node[keys[-1]] = value
+
+
+DEFAULT_CONFIG = {}
+for _path, _default, *_ in CONFIG_KEYS:
+    if _default is not RETIRED:
+        _put(DEFAULT_CONFIG, _path.split("."), _default)
+ROWS = {row[0] for row in CONFIG_KEYS}
 
 
 def _deep_update(base, extra):
@@ -84,14 +131,7 @@ def _apply_override(cfg, assignment):
         value = json.loads(raw)
     except json.JSONDecodeError:
         value = raw  # bare strings pass through unquoted
-    node = cfg
-    for key in keys[:-1]:
-        nxt = node.get(key)
-        if not isinstance(nxt, dict):
-            nxt = {}
-            node[key] = nxt
-        node = nxt
-    node[keys[-1]] = value
+    _put(cfg, keys, value)
 
 
 def load_config(path):
@@ -119,65 +159,36 @@ def resolve_config(args):
     return cfg
 
 
-READS_X = ("density", "distance", "mc")   # the jobs that read x
-
-
-def _is_finite(v):
-    # JSON gives int, float or bool; a bool is no number here
-    return type(v) in (int, float) and math.isfinite(v)
-
-
-def _is_positive(v):
-    return _is_finite(v) and v > 0
-
-
-def _at_least(low, null=False):
-    return lambda v: v is None and null or type(v) is int and v >= low
-
-
-def _list_of(ok):
-    return lambda v: isinstance(v, list) and all(map(ok, v))
-
-
-# dotted path, test, and what the value must be
-RULES = [
-    ("model.theta", _list_of(_is_finite), "a list of finite numbers"),
-    ("model.sigma", lambda v: v is not None, "given"),
-    ("truncation", _at_least(0), "an integer >= 0"),
-    ("n_max", _at_least(1, null=True), "null or an integer >= 1"),
-    ("m_max", _at_least(0, null=True), "null or an integer >= 0"),
-    ("grid_resolution", _at_least(2), "an integer >= 2"),
-    ("quadrature_resolution", _at_least(2), "an integer >= 2"),
-    ("distance.points", _at_least(2), "an integer >= 2"),
-    ("converge.D_list", _list_of(_at_least(0)), "a list of integers >= 0"),
-    ("converge.n_list", _list_of(_at_least(0)), "a list of integers >= 0"),
-    ("times", _list_of(_is_positive), "a list of positive finite numbers"),
-    ("distance.t_min", _is_positive, "a positive finite number"),
-    ("distance.t_max", _is_positive, "a positive finite number"),
-]
+def _leaves(node, prefix=""):
+    """(dotted path, value) of every entry below the config's tables."""
+    for key, value in node.items():
+        path = prefix + key
+        if isinstance(value, dict) and path not in ROWS:
+            yield from _leaves(value, path + ".")
+        else:
+            yield path, value
 
 
 def _validate_config(cfg, reads_x):
-    """Reject a config before any solve; x only if the job reads it."""
-    for path, ok, what in RULES:
-        value = cfg
-        for key in path.split("."):
-            value = value.get(key) if isinstance(value, dict) else None
-        if not ok(value):
+    """Reject a config before any solve, and any key CONFIG_KEYS does not
+    list; x against K only if the job reads it."""
+    given = dict(_leaves(cfg))
+    for path, default, ok, what in CONFIG_KEYS:
+        if path not in given:
+            if default is RETIRED:
+                continue
+            raise ParameterError(f"{path} must be {what}; it is missing")
+        if not ok(value := given.pop(path)):
             raise ParameterError(f"{path} must be {what}, got {value!r}")
-    x, K = cfg.get("x"), len(cfg["model"]["theta"])
+    if given:
+        raise ParameterError(f"unknown config key {min(given)}: see the "
+                             "config reference for the keys")
+    x, K = cfg["x"], len(cfg["model"]["theta"])
     if reads_x:
-        if not (_list_of(_is_finite)(x) and len(x) == K - 1):
-            raise ParameterError(
-                f"start point x needs {K - 1} finite numbers, got {x!r}")
+        if len(x) != K - 1:
+            raise ParameterError(f"start point needs {K - 1} numbers, got {x!r}")
         from .simplex import clamp_simplex
         clamp_simplex(x)   # a point off the simplex raises
-    for key, (accepted, reason) in RETIRED_KEYS.items():
-        if key in cfg and cfg[key] not in accepted:
-            raise ParameterError(
-                f"{key} {cfg[key]!r} is not supported: use "
-                f"{' or '.join(map(json.dumps, accepted))}, or leave the key "
-                f"out; {reason}")
 
 
 def _make_model(cfg):
@@ -193,8 +204,8 @@ def _cutoffs(cfg):
     from .indexing import total_count
     D = cfg["truncation"]
     U = total_count(_make_model(cfg).K, D)
-    m_max = cfg.get("m_max")
-    return (U, min(cfg.get("n_max") or DEFAULT_N_MAX, U),
+    m_max = cfg["m_max"]
+    return (U, min(cfg["n_max"] or DEFAULT_N_MAX, U),
             min(DEFAULT_M_MAX if m_max is None else m_max, D))
 
 
@@ -212,7 +223,7 @@ def _solve_meta(sd):
 
 
 def _out_dir(cfg):
-    path = cfg.get("out_dir") or "."
+    path = cfg["out_dir"]
     os.makedirs(path, exist_ok=True)
     return path
 
@@ -224,9 +235,7 @@ def _write_json(path, doc):
 
 
 def _meta(cfg, **extra):
-    doc = {"config": cfg}
-    doc.update(extra)
-    return doc
+    return {"config": cfg, **extra}
 
 
 def cmd_spectrum(cfg):
@@ -289,7 +298,7 @@ def cmd_converge(cfg):
     from . import spectral
     p = _make_model(cfg)
     conv = cfg["converge"]
-    track = [(int(n), tuple(m)) for n, m in conv.get("track", [])]
+    track = [(int(n), tuple(m)) for n, m in conv["track"]]
     rows = spectral.convergence_table(p, conv["D_list"], conv["n_list"],
                                       track=track)
     out = _out_dir(cfg)
@@ -419,8 +428,8 @@ def _validate_mc(cfg):
     mc_cfg = cfg["mc"]
     config = MCConfig(N=mc_cfg["N"], generations=mc_cfg["generations"],
                       replicates=mc_cfg["replicates"], seed=cfg["seed"],
-                      record_every=mc_cfg.get("record_every"),
-                      block_size=mc_cfg.get("block_size", 1024))
+                      record_every=mc_cfg["record_every"],
+                      block_size=mc_cfg["block_size"])
     x0 = np.asarray(cfg["x"], dtype=float)
     result = mc_simulate(p, config, x0)
     out = _out_dir(cfg)
@@ -536,17 +545,13 @@ COMMANDS = {
 
 
 def main(argv=None):
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    if args.threads is not None:
-        if args.threads < 1:
-            print(json.dumps({"error": "parameter",
-                              "message": "--threads must be >= 1"}),
-                  file=sys.stderr)
-            return 2
-        for var in THREAD_ENV_VARS:
-            os.environ[var] = str(args.threads)
+    args = build_parser().parse_args(argv)
     try:
+        if args.threads is not None:
+            if args.threads < 1:
+                raise ParameterError("--threads must be >= 1")
+            for var in THREAD_ENV_VARS:
+                os.environ[var] = str(args.threads)
         cfg = resolve_config(args)
         if args.command == "validate":
             return cmd_validate(cfg, args.which)

@@ -78,6 +78,8 @@ def graded_positions(m):
     """
     m = np.asarray(m, dtype=np.int64)
     parts = m.shape[1]
+    if parts == 0:   # the empty tuple is the only one: position 0
+        return np.zeros(len(m), dtype=np.int64)
     deg = m.sum(axis=1)
     top = int(deg.max(initial=0)) + parts
     binom = np.array([[comb(x, k) for k in range(parts + 1)]

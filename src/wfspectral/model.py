@@ -23,7 +23,7 @@ SYMMETRY_TOL = 1e-12
 
 @dataclass(frozen=True)
 class ModelParams:
-    """Validated parameter bundle. Construct via __init__ or from_dict."""
+    """Validated parameter bundle."""
     theta: np.ndarray
     sigma: np.ndarray
 
@@ -64,23 +64,6 @@ class ModelParams:
     @property
     def is_neutral(self):
         return not np.any(self.sigma)
-
-    def to_dict(self):
-        return {"K": self.K,
-                "theta": [float(t) for t in self.theta],
-                "sigma": [[float(v) for v in row] for row in self.sigma]}
-
-    @classmethod
-    def from_dict(cls, d):
-        try:
-            K = d["K"]
-            theta = d["theta"]
-            sigma = d["sigma"]
-        except (KeyError, TypeError) as exc:
-            raise ParameterError(f"model document needs K, theta, sigma: {exc}")
-        if len(theta) != K:
-            raise ParameterError(f"theta has {len(theta)} entries, K={K}")
-        return cls(theta, sigma)
 
 
 @dataclass(frozen=True)

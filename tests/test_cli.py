@@ -190,10 +190,30 @@ def test_cutoffs_come_from_the_config_before_solving():
 
 
 def test_default_cutoffs_match_the_density_defaults():
-    # the CLI keeps them as literals so that it loads no numpy before
-    # --threads; the series defaults must still be the same numbers
-    assert cli.DEFAULT_CONFIG["n_max"] == density.DEFAULT_N_MAX
-    assert cli.DEFAULT_CONFIG["m_max"] == density.DEFAULT_M_MAX
+    # the CLI defaults are null, so the numbers live in density alone
+    assert cli.DEFAULT_CONFIG["n_max"] is cli.DEFAULT_CONFIG["m_max"] is None
+    assert cli._cutoffs(cli.DEFAULT_CONFIG)[1:] == (density.DEFAULT_N_MAX,
+                                                    density.DEFAULT_M_MAX)
+
+
+def test_every_default_key_has_a_row():
+    def leaves(node, prefix=""):
+        for key, value in node.items():
+            if isinstance(value, dict):
+                yield from leaves(value, prefix + key + ".")
+            else:
+                yield prefix + key, value
+
+    rows = {path: (default, ok)
+            for path, default, ok, _ in cli.CONFIG_KEYS}
+    defaults = dict(leaves(cli.DEFAULT_CONFIG))
+    assert sorted(defaults) == sorted(
+        path for path, (default, _) in rows.items()
+        if default is not cli.RETIRED)
+    for path, value in defaults.items():
+        assert rows[path][1](value), path
+    # the retired keys are rows, left out of the defaults
+    assert {"pad", "precision"} <= set(rows) - set(defaults)
 
 
 @pytest.mark.parametrize("sub, setting", [
@@ -219,6 +239,15 @@ def test_default_cutoffs_match_the_density_defaults():
     ("distance", "distance.t_max=-1"),
     ("density", "model.sigma=[[1,2],[3]]"),
     ("density", 'model.sigma=[["a",0,0],[0,0,0],[0,0,0]]'),
+    ("converge", "converge.track=[[5]]"),
+    ("converge", "converge.track=5"),
+    ("validate mc", "mc.N=abc"),
+    ("validate q", "seed=abc"),
+    ("density", "clip_negative=yes"),
+    ("validate mc", "mc.record_every=0"),
+    ("validate mc", 'mc={"N":500}'),     # the other mc keys go missing
+    ("normconst", "trunaction=6"),
+    ("normconst", "model.K=3"),
 ])
 def test_bad_config_values_rejected_before_solving(tmp_path, capsys,
                                                    monkeypatch, sub, setting):
@@ -226,7 +255,8 @@ def test_bad_config_values_rejected_before_solving(tmp_path, capsys,
         raise AssertionError("a bad config reached the solver")
 
     monkeypatch.setattr(spectral, "decompose", refuse)
-    assert run(tmp_path, sub, "--set", "truncation=6", "--set", setting) == 2
+    assert run(tmp_path, *sub.split(), "--set", "truncation=6",
+               "--set", setting) == 2
     assert json.loads(capsys.readouterr().err)["error"] == "parameter"
 
 
@@ -298,8 +328,16 @@ def test_extended_precision_is_refused(tmp_path, capsys):
 
 
 def test_readme_config_reference_lists_the_default_keys():
+    def names(node):
+        for key, value in node.items():
+            yield key
+            if isinstance(value, dict):
+                yield from names(value)
+
     readme = (ROOT / "README.md").read_text()
     block = readme.split("```jsonc\n", 1)[1].split("```", 1)[0]
+    block = re.sub(r"//.*", "", block)
+    assert re.findall(r'"(\w+)":', block) == list(names(cli.DEFAULT_CONFIG))
     assert re.findall(r'^  "(\w+)":', block, flags=re.M) == list(
         cli.DEFAULT_CONFIG)
 
@@ -420,6 +458,23 @@ def test_validate_orthogonality(tmp_path):
     assert code == 0
     doc = json.loads((tmp_path / "validate_orthogonality.json").read_text())
     assert doc["report"]["passed"] is True
+
+
+@pytest.mark.parametrize("which", ["mc", "chapman"])
+def test_validate_against_the_simulator_and_composition(tmp_path, which):
+    code = run(tmp_path, "validate", which, "--set", "truncation=8",
+               "--set", "quadrature_resolution=20", "--set", "mc.N=500",
+               "--set", "mc.generations=200", "--set", "mc.replicates=400",
+               "--set", "x=[0.3,0.3]",
+               "--set", "model.sigma=[[1,2,3],[2,1,2],[3,2,0]]")
+    assert code == 0
+    doc = json.loads((tmp_path / f"validate_{which}.json").read_text())
+    assert doc["suite"] == which
+    assert doc["report"]["passed"] is True
+    if which == "mc":
+        header, rows = read_csv(tmp_path / "mc_summary.csv")
+        assert header[:2] == ["generation", "t"]
+        assert int(rows[-1][0]) == 200
 
 
 def test_installed_entry_point(tmp_path):

@@ -84,6 +84,11 @@ def test_graded_positions_match_the_enumeration():
         # a position depends on its own row only
         order = np.random.default_rng(K).permutation(len(enum))
         assert np.array_equal(graded_positions(tuples[order]), order)
+    # tuples with no slots: the empty tuple alone, at position 0
+    assert np.array_equal(graded_positions(np.zeros((3, 0), dtype=int)),
+                          np.zeros(3, dtype=int))
+    for parts in (0, 2):
+        assert graded_positions(np.zeros((0, parts), dtype=int)).shape == (0,)
 
 
 def test_known_position_of_8_2():

@@ -1,6 +1,5 @@
 """Model parameters, fitness functions, generator coefficients, q tables."""
 
-import json
 import math
 
 import numpy as np
@@ -56,40 +55,11 @@ def test_accepts_and_freezes():
         p.theta[0] = 9.0
 
 
-def model_from_json(text):
-    """ModelParams from a JSON model document."""
-    try:
-        return ModelParams.from_dict(json.loads(text))
-    except json.JSONDecodeError as exc:
-        raise ParameterError(f"invalid model JSON: {exc}")
-
-
 def marginal_fitness(p, i, x):
     """sum_j sigma_ij x_j for allele i (1-based in 1..K)."""
     if not 1 <= i <= p.K:
         raise ParameterError(f"allele label must be in 1..{p.K}, got {i}")
     return simplex.full_point(x) @ p.sigma[i - 1]
-
-
-def test_dict_round_trip(sigma_1):
-    p = ModelParams([0.01, 0.02, 0.03], sigma_1)
-    d = p.to_dict()
-    assert set(d) == {"K", "theta", "sigma"}
-    q = ModelParams.from_dict(d)
-    assert np.array_equal(q.theta, p.theta)
-    assert np.array_equal(q.sigma, p.sigma)
-    r = model_from_json(json.dumps(d))
-    assert np.array_equal(r.sigma, p.sigma)
-
-
-def test_from_json_rejects_garbage():
-    with pytest.raises(ParameterError):
-        model_from_json("{not json")
-    with pytest.raises(ParameterError):
-        model_from_json('{"K": 3, "theta": [1, 1, 1]}')
-    with pytest.raises(ParameterError):
-        model_from_json(
-            '{"K": 2, "theta": [1, 1, 1], "sigma": [[0,0],[0,0]]}')
 
 
 def test_mean_fitness_neutral_and_vertex(sigma_1):
