@@ -1,39 +1,8 @@
 """Spectral solver for multi-allelic diffusion transition densities.
 
-Submodules are imported lazily so that the command-line front-end can pin
+The package imports nothing, so that the command-line front-end can pin
 thread-count environment variables before any numerical library loads.
+Modules are imported by name: `from wfspectral import spectral`.
 """
 
 __version__ = "0.1.0"
-
-_SUBMODULES = ("indexing", "jacobi", "simplex", "basis", "model",
-               "spectral", "density", "oracles", "cli", "errors")
-
-_TOPLEVEL = {
-    "ParameterError": ("errors", "ParameterError"),
-    "NumericalError": ("errors", "NumericalError"),
-    "BasisEnumeration": ("indexing", "BasisEnumeration"),
-    "MultiJacobiBasis": ("basis", "MultiJacobiBasis"),
-    "ModelParams": ("model", "ModelParams"),
-    "decompose": ("spectral", "decompose"),
-    "SpectralDecomposition": ("spectral", "SpectralDecomposition"),
-    "transition_density": ("density", "transition_density"),
-    "normalizing_constant": ("density", "normalizing_constant"),
-    "distance_to_stationarity": ("density", "distance_to_stationarity"),
-}
-
-__all__ = ["__version__", *_SUBMODULES, *_TOPLEVEL]
-
-
-def __getattr__(name):
-    import importlib
-    if name in _SUBMODULES:
-        return importlib.import_module(f".{name}", __name__)
-    if name in _TOPLEVEL:
-        mod, attr = _TOPLEVEL[name]
-        return getattr(importlib.import_module(f".{mod}", __name__), attr)
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-
-
-def __dir__():
-    return sorted(__all__)

@@ -423,15 +423,15 @@ def _validate_mc(cfg):
     from .oracles import MCConfig, mc_simulate, simplex_quadrature, \
         write_mc_summary_csv
     p = _make_model(cfg)
-    _, n_max, m_max = _cutoffs(cfg)
-    sd = _decompose(cfg, n_eig=n_max)
     mc_cfg = cfg["mc"]
     config = MCConfig(N=mc_cfg["N"], generations=mc_cfg["generations"],
                       replicates=mc_cfg["replicates"], seed=cfg["seed"],
                       record_every=mc_cfg["record_every"],
                       block_size=mc_cfg["block_size"])
     x0 = np.asarray(cfg["x"], dtype=float)
-    result = mc_simulate(p, config, x0)
+    result = mc_simulate(p, config, x0)   # refuses a model before the solve
+    _, n_max, m_max = _cutoffs(cfg)
+    sd = _decompose(cfg, n_eig=n_max)
     out = _out_dir(cfg)
     write_mc_summary_csv(result, os.path.join(out, "mc_summary.csv"))
     t = result.times[-1]

@@ -354,22 +354,28 @@ def convergence_table(p, D_list, n_list, track=()):
 
     Returns:
         List of row dicts {"D", "Lambda": {n: value}, "u": {(n, m): value}}.
+
+    Every index is checked against the smallest level before any solve; a
+    tuple keeps its graded position at every larger level.
     """
+    if not D_list:
+        return []
+    smallest = BasisEnumeration(p.K, min(D_list))
     n_eig = max([*n_list, *(n for n, _ in track)], default=0) + 1
+    if n_eig > len(smallest):
+        raise ParameterError(f"eigenpair {n_eig - 1} not present at "
+                             f"truncation {smallest.D} (size {len(smallest)})")
+    track = [(n, tuple(m)) for n, m in track]
+    for _, m in track:
+        if m not in smallest.position:
+            raise ParameterError(f"index {m} not in the level-{smallest.D} "
+                                 "basis")
     rows = []
     for D in D_list:
-        U = total_count(p.K, D)
-        if n_eig > U:
-            raise ParameterError(f"eigenpair {n_eig - 1} not present at "
-                                 f"truncation {D} (size {U})")
         sd = decompose(p, D, n_eig=n_eig)
         lam = {n: float(sd.eigenvalues[n]) for n in n_list}
-        uvals = {}
-        for n, m in track:
-            pos = sd.basis.enumeration.position.get(tuple(m))
-            if pos is None:
-                raise ParameterError(f"index {m} not in the level-{D} basis")
-            uvals[(n, tuple(m))] = float(sd.coeffs[n, pos])
+        uvals = {(n, m): float(sd.coeffs[n, smallest.position[m]])
+                 for n, m in track}
         rows.append({"D": D, "Lambda": lam, "u": uvals})
     return rows
 

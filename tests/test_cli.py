@@ -248,6 +248,12 @@ def test_every_default_key_has_a_row():
     ("validate mc", 'mc={"N":500}'),     # the other mc keys go missing
     ("normconst", "trunaction=6"),
     ("normconst", "model.K=3"),
+    # a track tuple of the wrong length, with the smallest level listed first
+    ("converge", "converge.D_list=[2,4] converge.track=[[0,[0,0,0]]]"),
+    # pair 7 is missing at D=2 (U=6) although D=4, listed first, has it
+    ("converge", "converge.D_list=[4,2] converge.n_list=[0,7]"),
+    # max|sigma| = 15 is too strong for the simulator at N=5
+    ("validate mc", "model.sigma=[[12,14,15],[14,11,13],[15,13,0]] mc.N=5"),
 ])
 def test_bad_config_values_rejected_before_solving(tmp_path, capsys,
                                                    monkeypatch, sub, setting):
@@ -255,8 +261,9 @@ def test_bad_config_values_rejected_before_solving(tmp_path, capsys,
         raise AssertionError("a bad config reached the solver")
 
     monkeypatch.setattr(spectral, "decompose", refuse)
-    assert run(tmp_path, *sub.split(), "--set", "truncation=6",
-               "--set", setting) == 2
+    # one --set per space-separated assignment
+    sets = [arg for s in setting.split() for arg in ("--set", s)]
+    assert run(tmp_path, *sub.split(), "--set", "truncation=6", *sets) == 2
     assert json.loads(capsys.readouterr().err)["error"] == "parameter"
 
 
@@ -568,6 +575,21 @@ print("mpmath" in sys.modules)
                           env=dict(os.environ, PYTHONPATH=str(SRC)))
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.splitlines()[-1] == "False"
+
+
+def test_package_and_cli_import_no_numerical_library():
+    # --threads sets the BLAS thread variables in main(), which works only
+    # if nothing before it has loaded numpy or scipy
+    code = """
+import sys
+import wfspectral, wfspectral.cli, wfspectral.__main__
+print(sorted(m for m in sys.modules if m.split(".")[0] in ("numpy", "scipy")))
+"""
+    proc = subprocess.run([sys.executable, "-c", code],
+                          capture_output=True, text=True, timeout=120,
+                          env=dict(os.environ, PYTHONPATH=str(SRC)))
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "[]"
 
 
 def test_strong_selection_normconst_finishes(tmp_path, sigma_1):
