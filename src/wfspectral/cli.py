@@ -256,6 +256,14 @@ def cmd_density(cfg):
     import numpy as np
 
     from . import density
+    # bench/checks.py reads the tables back by these names
+    names = [f"density_t{t:g}.csv" for t in cfg["times"]]
+    for name in names:
+        same = [t for t, other in zip(cfg["times"], names) if other == name]
+        if len(same) > 1:
+            raise ParameterError(
+                f"times {same} would all write {name}; give times that "
+                "differ in their first 6 significant digits")
     U, n_max, m_max = _cutoffs(cfg)
     # the tail warning reads the first dropped eigenvalue
     sd = _decompose(cfg, n_eig=min(n_max + 1, U))
@@ -267,8 +275,8 @@ def cmd_density(cfg):
     series = density.transition_density(
         sd, cfg["times"], x, grid, n_max=n_max, m_max=m_max,
         clip_negative=cfg["clip_negative"], diagnostics=diagnostics)
-    for t, values in zip(cfg["times"], series):
-        path = os.path.join(out, f"density_t{t:g}.csv")
+    for name, values in zip(names, series):
+        path = os.path.join(out, name)
         density.write_density_csv(path, grid, values, sd.params.K)
         outputs.append(path)
         print(f"wrote {path} ({len(grid)} points)")
@@ -295,22 +303,23 @@ def cmd_normconst(cfg):
 
 
 def cmd_converge(cfg):
-    from . import spectral
+    from . import csvout, spectral
     p = _make_model(cfg)
     conv = cfg["converge"]
     track = [(int(n), tuple(m)) for n, m in conv["track"]]
     rows = spectral.convergence_table(p, conv["D_list"], conv["n_list"],
                                       track=track)
+    lines = []
+    for row in rows:
+        lines += [(row["D"], "Lambda", n, "", v)
+                  for n, v in sorted(row["Lambda"].items())]
+        lines += [(row["D"], "u", n, ";".join(str(d) for d in m), v)
+                  for (n, m), v in sorted(row["u"].items())]
     out = _out_dir(cfg)
     path = os.path.join(out, "converge.csv")
-    with open(path, "w", newline="") as fh:
-        fh.write("D,kind,n,m_tuple,value\n")
-        for row in rows:
-            for n, v in sorted(row["Lambda"].items()):
-                fh.write(f"{row['D']},Lambda,{n},,{v:.17g}\n")
-            for (n, m), v in sorted(row["u"].items()):
-                mt = ";".join(str(d) for d in m)
-                fh.write(f"{row['D']},u,{n},{mt},{v:.17g}\n")
+    # one block of five columns, empty when D_list is
+    csvout.write_csv(path, ["D", "kind", "n", "m_tuple", "value"],
+                     [list(zip(*lines)) or [()] * 5])
     _write_json(os.path.join(out, "converge_meta.json"),
                 _meta(cfg, outputs=[path]))
     print(f"wrote {path}")
@@ -321,7 +330,11 @@ def cmd_distance(cfg):
     import numpy as np
 
     from . import density
-    _, n_max, m_max = _cutoffs(cfg)
+    U, n_max, m_max = _cutoffs(cfg)
+    if n_max < 2:
+        # d^2 sums over the pairs n >= 1; with one pair it is 0 at every t
+        raise ParameterError(
+            f"distance needs n_max >= 2, got n_max={n_max} (U={U})")
     sd = _decompose(cfg, n_eig=n_max)
     x = np.asarray(cfg["x"], dtype=float)
     dist_cfg = cfg["distance"]

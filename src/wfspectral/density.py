@@ -26,6 +26,7 @@ import warnings
 
 import numpy as np
 
+from . import csvout
 from . import model as model_mod
 from .errors import NumericalError, ParameterError
 from .indexing import BasisEnumeration, total_count
@@ -34,7 +35,6 @@ from .simplex import to_cube
 DEFAULT_N_MAX = 562    # eigenpairs kept; a fixed default, for every K
 DEFAULT_M_MAX = 36     # coefficient degree kept
 TAIL_WARN_THRESHOLD = 1e-8
-CSV_BLOCK = 1024       # density rows formatted per write
 NORMCONST_GRID = 10    # grid resolution of the stationary-ratio candidates
 
 
@@ -315,23 +315,13 @@ def make_grid(K, resolution):
 
 
 def write_density_csv(path, points, values, K):
-    """Density table export: one row per point, columns y_1..y_{K-1},p.
-
-    Rows go out in blocks of CSV_BLOCK, each formatted by one %-template.
-    """
-    header = ",".join(f"y_{i + 1}" for i in range(K - 1)) + ",p"
-    table = np.column_stack([points, values])
-    line = ",".join(["%.17g"] * K) + "\n"
-    with open(path, "w", newline="") as fh:
-        fh.write(header + "\n")
-        for lo in range(0, len(table), CSV_BLOCK):
-            block = table[lo:lo + CSV_BLOCK]
-            fh.write((line * len(block)) % tuple(block.ravel().tolist()))
+    """Density table export: one row per point, columns y_1..y_{K-1},p."""
+    header = [f"y_{i + 1}" for i in range(K - 1)] + ["p"]
+    csvout.write_csv(path, header, [(*np.asarray(points).T, values)])
 
 
 def write_distance_csv(path, times, distances):
     """Distance-curve export: (t, d2) rows."""
-    with open(path, "w", newline="") as fh:
-        fh.write("t,d2\n")
-        for t, d in zip(times, distances):
-            fh.write(f"{t:.17g},{d:.17g}\n")
+    csvout.write_csv(path, ["t", "d2"],
+                     [(np.asarray(times, dtype=float),
+                       np.asarray(distances, dtype=float))])

@@ -17,6 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.special
 
+from . import csvout
 from . import model as model_mod
 from .errors import NumericalError, ParameterError
 from .simplex import from_cube
@@ -257,16 +258,13 @@ def write_mc_summary_csv(result, path):
     """Summary CSV: generation, t, means, variances, covariances (first K-1)."""
     K = result.means.shape[1]
     d = K - 1
+    pairs = [(i, j) for i in range(d) for j in range(i + 1, d)]
     cols = (["generation", "t"]
             + [f"mean_{i+1}" for i in range(d)]
             + [f"var_{i+1}" for i in range(d)]
-            + [f"cov_{i+1}{j+1}" for i in range(d) for j in range(i + 1, d)])
-    with open(path, "w", newline="") as fh:
-        fh.write(",".join(cols) + "\n")
-        for k, g in enumerate(result.generations):
-            row = [str(int(g)), format(result.times[k], ".17g")]
-            row += [format(result.means[k, i], ".17g") for i in range(d)]
-            row += [format(result.covs[k, i, i], ".17g") for i in range(d)]
-            row += [format(result.covs[k, i, j], ".17g")
-                    for i in range(d) for j in range(i + 1, d)]
-            fh.write(",".join(row) + "\n")
+            + [f"cov_{i+1}{j+1}" for i, j in pairs])
+    columns = ([result.generations.astype(np.int64), result.times]
+               + [result.means[:, i] for i in range(d)]
+               + [result.covs[:, i, i] for i in range(d)]
+               + [result.covs[:, i, j] for i, j in pairs])
+    csvout.write_csv(path, cols, [columns])

@@ -34,6 +34,7 @@ import numpy as np
 import scipy.linalg
 import scipy.sparse
 
+from . import csvout
 from . import model as model_mod
 from .basis import MultiJacobiBasis
 from .errors import NumericalError, ParameterError
@@ -393,21 +394,25 @@ def decomposition_hash(sd):
 def write_eigenvalues_csv(sd, path):
     """Eigenvalue export: (n, Lambda, norm) with the realized C-weighted norm."""
     norms = (sd.coeffs ** 2 * np.exp(sd.log_norms)[None, :]).sum(axis=1)
-    with open(path, "w", newline="") as fh:
-        fh.write("n,Lambda,norm\n")
-        for n in range(sd.n_eig):
-            fh.write(f"{n},{sd.eigenvalues[n]:.17g},{norms[n]:.17g}\n")
+    csvout.write_csv(path, ["n", "Lambda", "norm"],
+                     [(np.arange(sd.n_eig), sd.eigenvalues, norms)])
 
 
 def write_coefficients_csv(sd, path):
-    """Coefficient export: (n, m_tuple, u); tuples render as ;-joined degrees."""
-    labels = [";".join(map(str, m)) for m in sd.basis.enumeration.indices]
-    with open(path, "w", newline="") as fh:
-        fh.write("n,m_tuple,u\n")
-        for n in range(sd.n_eig):
-            row = sd.coeffs[n]
-            nz = np.flatnonzero(row)
-            args = [None] * (2 * len(nz))
-            args[0::2] = [labels[pos] for pos in nz.tolist()]
-            args[1::2] = row[nz].tolist()
-            fh.write((f"{n},%s,%.17g\n" * len(nz)) % tuple(args))
+    """Coefficient export: (n, m_tuple, u); tuples render as ;-joined degrees.
+
+    Zero coefficients are left out. Rows go out in blocks of about
+    csvout.CHUNK coefficients.
+    """
+    labels = np.array([";".join(map(str, m))
+                       for m in sd.basis.enumeration.indices], dtype="S")
+    names = np.arange(sd.n_eig).astype("S")
+    step = max(1, csvout.CHUNK // sd.size)
+
+    def blocks():
+        for lo in range(0, sd.n_eig, step):
+            block = sd.coeffs[lo:lo + step]
+            n, pos = np.nonzero(block)
+            yield names[lo + n], labels[pos], block[n, pos]
+
+    csvout.write_csv(path, ["n", "m_tuple", "u"], blocks())

@@ -164,6 +164,37 @@ def test_converge_table(tmp_path):
     assert all(math.isfinite(float(r[4])) for r in u_rows)
 
 
+def test_density_times_sharing_a_file_name_are_named(tmp_path, capsys):
+    code = run(tmp_path, "density", "--set", "truncation=4",
+               "--set", "times=[0.5,0.1234561,1.0,0.1234562,1.0]")
+    assert code == 2
+    message = json.loads(capsys.readouterr().err)["message"]
+    assert "[0.1234561, 0.1234562]" in message
+    assert "density_t0.123456.csv" in message
+    assert not list(tmp_path.glob("density_t*.csv"))
+
+
+def test_converge_csv_matches_rowwise_bytes(tmp_path, sigma_1):
+    sets = {"truncation": 6, "converge.D_list": [3, 5, 4],
+            "converge.n_list": [0, 2, 1],
+            "converge.track": [[1, [0, 1]], [0, [2, 0]], [2, [1, 1]]],
+            "model.sigma": sigma_1.tolist()}
+    args = [arg for key, value in sets.items()
+            for arg in ("--set", f"{key}={json.dumps(value)}")]
+    assert run(tmp_path, "converge", *args) == 0
+    rows = spectral.convergence_table(
+        ModelParams([0.01, 0.02, 0.03], sigma_1), [3, 5, 4], [0, 2, 1],
+        track=[(1, (0, 1)), (0, (2, 0)), (2, (1, 1))])
+    lines = ["D,kind,n,m_tuple,value\n"]
+    for row in rows:
+        for n, v in sorted(row["Lambda"].items()):
+            lines.append(f"{row['D']},Lambda,{n},,{v:.17g}\n")
+        for (n, m), v in sorted(row["u"].items()):
+            mt = ";".join(str(d) for d in m)
+            lines.append(f"{row['D']},u,{n},{mt},{v:.17g}\n")
+    assert (tmp_path / "converge.csv").read_bytes() == "".join(lines).encode()
+
+
 def test_distance_curve(tmp_path, sigma_1):
     code = run(tmp_path, "distance",
                "--set", "truncation=12",
@@ -254,6 +285,12 @@ def test_every_default_key_has_a_row():
     ("converge", "converge.D_list=[4,2] converge.n_list=[0,7]"),
     # max|sigma| = 15 is too strong for the simulator at N=5
     ("validate mc", "model.sigma=[[12,14,15],[14,11,13],[15,13,0]] mc.N=5"),
+    # d^2 sums over n >= 1, so one pair would give 0 at every time
+    ("distance", "n_max=1"),
+    ("distance", "truncation=0"),
+    # two times whose density_t{t:g}.csv names are the same
+    ("density", "times=[0.1234561,0.1234562,1.0,1.0]"),
+    ("density", "times=[1,1.0]"),
 ])
 def test_bad_config_values_rejected_before_solving(tmp_path, capsys,
                                                    monkeypatch, sub, setting):

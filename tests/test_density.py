@@ -381,10 +381,30 @@ def test_density_csv_matches_rowwise_bytes(tmp_path, K, rows):
     rng = np.random.default_rng(rows)
     pts = rng.dirichlet(np.ones(K), size=rows)[:, :K - 1]
     vals = rng.standard_normal(rows) * 10.0 ** rng.integers(-300, 300, rows)
-    vals[:3] = [0.0, -0.0, np.inf][:rows]
+    vals[:5] = [0.0, -0.0, np.inf, np.nan, -np.inf][:rows]
     got, want = tmp_path / "got.csv", tmp_path / "want.csv"
     density.write_density_csv(got, pts, vals, K)
     rowwise_write_density_csv(want, pts, vals, K)
+    assert got.read_bytes() == want.read_bytes()
+
+
+def rowwise_write_distance_csv(path, times, distances):
+    """write_distance_csv one f-string row at a time, for reference."""
+    with open(path, "w", newline="") as fh:
+        fh.write("t,d2\n")
+        for t, d in zip(times, distances):
+            fh.write(f"{t:.17g},{d:.17g}\n")
+
+
+def test_distance_csv_matches_rowwise_bytes(tmp_path, theta_unit, sigma_1):
+    sd = decompose(theta_unit, sigma_1, 8)
+    times = np.linspace(0.05, 3.0, 20)
+    d2 = density.distance_to_stationarity(sd, [0.2, 0.3], times)
+    times = np.append(times, [1e-300, 1e300, 7.0, 0.1])
+    d2 = np.append(d2, [np.inf, 0.0, -0.0, np.nan])
+    got, want = tmp_path / "got.csv", tmp_path / "want.csv"
+    density.write_distance_csv(got, times, d2)
+    rowwise_write_distance_csv(want, times, d2)
     assert got.read_bytes() == want.read_bytes()
 
 

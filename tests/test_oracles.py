@@ -221,6 +221,41 @@ def test_mc_summary_csv(tmp_path, theta_small):
     assert float(first[2]) == pytest.approx(0.3)
 
 
+def rowwise_write_mc_summary_csv(result, path):
+    """write_mc_summary_csv one row at a time with format(), for reference."""
+    K = result.means.shape[1]
+    d = K - 1
+    cols = (["generation", "t"]
+            + [f"mean_{i+1}" for i in range(d)]
+            + [f"var_{i+1}" for i in range(d)]
+            + [f"cov_{i+1}{j+1}" for i in range(d) for j in range(i + 1, d)])
+    with open(path, "w", newline="") as fh:
+        fh.write(",".join(cols) + "\n")
+        for k, g in enumerate(result.generations):
+            row = [str(int(g)), format(result.times[k], ".17g")]
+            row += [format(result.means[k, i], ".17g") for i in range(d)]
+            row += [format(result.covs[k, i, i], ".17g") for i in range(d)]
+            row += [format(result.covs[k, i, j], ".17g")
+                    for i in range(d) for j in range(i + 1, d)]
+            fh.write(",".join(row) + "\n")
+
+
+@pytest.mark.parametrize("K", [3, 4])
+def test_mc_summary_csv_matches_rowwise_bytes(tmp_path, K):
+    p = ModelParams(np.linspace(0.2, 0.5, K), np.zeros((K, K)))
+    cfg = MCConfig(N=30, generations=12, replicates=15, seed=K,
+                   record_every=3)
+    res = oracles.mc_simulate(p, cfg, np.full(K - 1, 0.2))
+    # a constant start gives exact zeros; put special values in as well
+    res.covs[0, 0, 0] = -0.0
+    res.means[-1, 0] = np.nan
+    res.covs[-1, 0, 1] = -np.inf
+    got, want = tmp_path / "got.csv", tmp_path / "want.csv"
+    oracles.write_mc_summary_csv(res, got)
+    rowwise_write_mc_summary_csv(res, want)
+    assert got.read_bytes() == want.read_bytes()
+
+
 def write_histogram_csv(samples, edges, path):
     """Binned counts of scalar samples; the bin edges ride in the header."""
     samples = np.asarray(samples, dtype=float)

@@ -548,6 +548,26 @@ def test_coefficients_csv_matches_reference_bytes(tmp_path, theta_small,
     assert got.read_bytes() == want.read_bytes()
 
 
+def rowwise_write_eigenvalues_csv(sd, path):
+    """write_eigenvalues_csv one f-string row at a time, for reference."""
+    norms = (sd.coeffs ** 2 * np.exp(sd.log_norms)[None, :]).sum(axis=1)
+    with open(path, "w", newline="") as fh:
+        fh.write("n,Lambda,norm\n")
+        for n in range(sd.n_eig):
+            fh.write(f"{n},{sd.eigenvalues[n]:.17g},{norms[n]:.17g}\n")
+
+
+@pytest.mark.parametrize("n_eig", [None, 7])
+def test_eigenvalues_csv_matches_rowwise_bytes(tmp_path, theta_small,
+                                               sigma_1, n_eig):
+    sd = spectral.decompose(ModelParams(theta_small, sigma_1), 10,
+                            n_eig=n_eig)
+    got, want = tmp_path / "got.csv", tmp_path / "want.csv"
+    spectral.write_eigenvalues_csv(sd, got)
+    rowwise_write_eigenvalues_csv(sd, want)
+    assert got.read_bytes() == want.read_bytes()
+
+
 def test_decompose_leaves_no_reference_cycles(theta_small, sigma_1):
     # everything assembly builds must be freed by reference counting alone,
     # without waiting for the cyclic collector
