@@ -22,8 +22,6 @@ gathering the factors from per-slot arrays of the same tables, each filled
 by one broadcast call over (degree, suffix degree).
 """
 
-import math
-
 import numpy as np
 import scipy.sparse
 
@@ -199,9 +197,6 @@ class MultiJacobiBasis:
             a, b = self.axis_params(j, tails[j])
             total = total + jacobi.log_norm_c(n[j], a, b)
         return total
-
-    def norm_C(self, n):
-        return math.exp(self.log_norm_C(n))
 
     def log_norms_all(self):
         """Vector of log C_n over the whole enumeration (cached).

@@ -6,17 +6,17 @@ The density at elapsed time t factors through the eigenbasis:
                  e^{+sbar(y)/2} pi0(y),
 
 with B~_n the C-orthonormal polynomial combinations and pi0 the unnormalized
-neutral stationary density. Series cutoffs: n_max eigenpairs, coefficients
-kept through total degree m_max (u_m basis members).
+neutral stationary density. The series keeps n_max eigenpairs, each with
+all U coefficients of the level-D basis.
 
 The series is summed in basis space. B~_n(y) = sum_m u_{n,m} P_m(y), so the
 eigenpairs and the start points fold into one coefficient row per (time,
-start point), w = (e^{-Lambda t} B~(x)) @ u, which costs 2 T Mx n_max u_m
+start point), w = (e^{-Lambda t} B~(x)) @ u, which costs 2 T Mx n_max U
 flops. A basis member is a first-axis factor times a member of the
 (K-1)-allele suffix basis at theta[1:], so matrix products sum w @ P(y) over
 the first axis and the suffix basis, evaluated once at y, sums the rest: at
-most about 2 T Mx u_m My flops (far fewer on a lattice, whose points share
-their first cube coordinate), without the (u_m, My) basis matrix or the
+most about 2 T Mx U My flops (far fewer on a lattice, whose points share
+their first cube coordinate), without the (U, My) basis matrix or the
 (n_max, My) eigenfunction values. The stationary density is
 pi(y) = e^{sbar(y)} pi0(y) / C_stat with C_stat computed from the lead
 eigenvector without any quadrature, at its best-conditioned point.
@@ -29,52 +29,62 @@ import numpy as np
 from . import csvout
 from . import model as model_mod
 from .errors import NumericalError, ParameterError
-from .indexing import BasisEnumeration, total_count
+from .indexing import BasisEnumeration
 from .simplex import to_cube
 
 DEFAULT_N_MAX = 562    # eigenpairs kept; a fixed default, for every K
-DEFAULT_M_MAX = 36     # coefficient degree kept
 TAIL_WARN_THRESHOLD = 1e-8
 NORMCONST_GRID = 10    # grid resolution of the stationary-ratio candidates
 
 
-def _resolve_cutoffs(sd, n_max, m_max):
-    if n_max is None:
-        n_max = min(DEFAULT_N_MAX, sd.n_eig)
-    if not 1 <= n_max <= sd.size:
-        raise ParameterError(f"n_max must be in 1..{sd.size}, got {n_max}")
-    if n_max > sd.n_eig:
+def n_max_or_default(n_max, held):
+    """The eigenpairs a series sums: n_max, or DEFAULT_N_MAX when it is None,
+    capped at the pairs held (U before the solve, sd.n_eig after it)."""
+    return min(DEFAULT_N_MAX if n_max is None else n_max, held)
+
+
+def _resolve_cutoffs(sd, n_max, m_max=None):
+    """n_max checked against the decomposition, or its default.
+
+    m_max is None or D: every series keeps all degrees up to D. It stays a
+    keyword only because bench/checks.py passes the m_max that
+    density_meta.json records.
+    """
+    if n_max is not None:
+        if not 1 <= n_max <= sd.size:
+            raise ParameterError(f"n_max must be in 1..{sd.size}, got {n_max}")
+        if n_max > sd.n_eig:
+            raise ParameterError(
+                f"n_max={n_max} needs more eigenpairs than the {sd.n_eig} "
+                f"this decomposition holds; decompose with n_eig >= {n_max}")
+    if m_max not in (None, sd.D):
         raise ParameterError(
-            f"n_max={n_max} needs more eigenpairs than the {sd.n_eig} this "
-            f"decomposition holds; decompose with n_eig >= {n_max}")
-    if m_max is None:
-        m_max = min(DEFAULT_M_MAX, sd.D)
-    if not 0 <= m_max <= sd.D:
-        raise ParameterError(f"m_max must be in 0..{sd.D}, got {m_max}")
-    u_m = total_count(sd.params.K, m_max)
-    return n_max, u_m
+            f"m_max must be None or D={sd.D}, got {m_max}: every series "
+            "keeps all degrees up to D")
+    return n_max_or_default(n_max, sd.n_eig)
 
 
 def _phi_at(sd, pts, n_max, u_m):
     """Evaluate the first n_max orthonormal combinations at simplex points.
 
-    Returns an array of shape (n_max,) + pts.shape[:-1].
+    Returns an array of shape (n_max,) + pts.shape[:-1]. u_m is always
+    sd.size; bench/spans.py unpacks the four arguments to count flops.
     """
     xi = to_cube(pts)
     P = sd.basis.eval_prefix_cube(xi, count=u_m)
     return np.tensordot(sd.coeffs[:n_max, :u_m], P, axes=(1, 0))
 
 
-def _eigenfunctions_at(sd, x, n_max, u_m):
+def _eigenfunctions_at(sd, x, n_max):
     """e^{-sbar(x)/2} B~_n(x) for the first n_max terms at simplex points.
 
     Returns an array of shape (n_max,) + x.shape[:-1].
     """
-    phi = _phi_at(sd, x, n_max, u_m)
+    phi = _phi_at(sd, x, n_max, sd.size)
     return phi * np.exp(-0.5 * model_mod.mean_fitness(sd.params, x))
 
 
-def _series(sd, times, x, y, log_wy, n_max, u_m):
+def _series(sd, times, x, y, log_wy, n_max):
     """The eigenfunction series at every time, summed in basis space.
 
     Returns the (T, Mx, My) array
@@ -84,16 +94,16 @@ def _series(sd, times, x, y, log_wy, n_max, u_m):
     for times (T,), x (Mx, K-1), y (My, K-1) and the y weight log_wy (My,).
     The eigenpairs fold into one coefficient row per (time, start point),
 
-        w = (decay * B~(x)) @ coeffs[:n_max, :u_m],   shape (T Mx, u_m),
+        w = (decay * B~(x)) @ coeffs[:n_max],   shape (T Mx, U),
 
-    at 2 T Mx n_max u_m flops, and the basis sums w @ P(y) over its first
+    at 2 T Mx n_max U flops, and the basis sums w @ P(y) over its first
     axis, then over its (K-1)-allele suffix basis evaluated once at y
-    (MultiJacobiBasis.sum_prefix_cube), at most about 2 T Mx u_m My flops.
+    (MultiJacobiBasis.sum_prefix_cube), at most about 2 T Mx U My flops.
     """
-    bx = _eigenfunctions_at(sd, x, n_max, u_m)        # (n_max, Mx)
+    bx = _eigenfunctions_at(sd, x, n_max)             # (n_max, Mx)
     decay = np.exp(-np.outer(times, sd.eigenvalues[:n_max]))
     left = decay[:, None, :] * bx.T[None, :, :]       # (T, Mx, n_max)
-    w = left.reshape(-1, n_max) @ sd.coeffs[:n_max, :u_m]
+    w = left.reshape(-1, n_max) @ sd.coeffs[:n_max]
     kernel = sd.basis.sum_prefix_cube(w, to_cube(y))
     kernel *= np.exp(log_wy)
     return kernel.reshape(len(times), bx.shape[1], len(y))
@@ -137,14 +147,15 @@ def smooth_kernel(sd, t, x, y, n_max=None, m_max=None):
     e^{+sbar(y)/2} as an (Mx, My) array over two point batches; the full
     density is this times pi0(y). Bounded up to the boundary, which makes it
     the right integrand for kernel-weighted quadrature. A 1-D array of times
-    adds a leading time axis: (T, Mx, My).
+    adds a leading time axis: (T, Mx, My). m_max is as in
+    transition_density.
     """
     times, scalar = _check_times(t)
-    n_max, u_m = _resolve_cutoffs(sd, n_max, m_max)
+    n_max = _resolve_cutoffs(sd, n_max, m_max)
     x = np.atleast_2d(_points(sd.params, x))
     y = np.atleast_2d(_points(sd.params, y))
     log_wy = 0.5 * model_mod.mean_fitness(sd.params, y)
-    out = _series(sd, times, x, y, log_wy, n_max, u_m)
+    out = _series(sd, times, x, y, log_wy, n_max)
     return out[0] if scalar else out
 
 
@@ -158,7 +169,9 @@ def transition_density(sd, t, x, y, n_max=None, m_max=None,
         x: start point, first K-1 coordinates.
         y: evaluation points, shape (..., K-1); the batch may be empty.
         n_max: eigenpairs kept (default min(562, held)).
-        m_max: coefficient degree kept (default min(36, truncation)).
+        m_max: None or the truncation D, which mean the same: every
+            degree up to D is kept. Kept for bench/checks.py, which passes
+            the m_max that density_meta.json records.
         clip_negative: zero out small negative excursions near the boundary.
         diagnostics: a dict that receives three lists, one entry per
             time: "tail_weight", the weight e^{-Lambda t} of the first
@@ -174,7 +187,7 @@ def transition_density(sd, t, x, y, n_max=None, m_max=None,
     """
     p = sd.params
     times, scalar, x = _check_start(p, t, x)
-    n_max, u_m = _resolve_cutoffs(sd, n_max, m_max)
+    n_max = _resolve_cutoffs(sd, n_max, m_max)
     labels = np.atleast_1d(t).tolist()
     tails = np.zeros(len(times))
     if n_max < sd.size:
@@ -194,7 +207,7 @@ def transition_density(sd, t, x, y, n_max=None, m_max=None,
     # intended net prefactor e^{+sbar(y)/2} * dirichlet(y) needs -1/2 here
     log_wy = (model_mod.log_stationary_unnormalized(p, y)
               - 0.5 * model_mod.mean_fitness(p, y))
-    out = _series(sd, times, x[None, :], y, log_wy, n_max, u_m)[:, 0, :]
+    out = _series(sd, times, x[None, :], y, log_wy, n_max)[:, 0, :]
     lows = np.min(out, axis=1, initial=0.0)
     highs = np.max(out, axis=1, initial=0.0)
     for i, (neg, scale) in enumerate(zip(lows, highs)):
@@ -239,7 +252,7 @@ def neutral_transition_density(p, t, x, y, D):
     return out if np.ndim(out) else float(out)
 
 
-def normalizing_constant(sd, m_max=None, diagnostics=None):
+def normalizing_constant(sd, diagnostics=None):
     """Stationary normalizer from the lead eigenvector alone; no quadrature.
 
     f(y) = sum_m u_{0,m} P_m(y) is proportional to e^{sbar(y)/2}, so
@@ -255,12 +268,11 @@ def normalizing_constant(sd, m_max=None, diagnostics=None):
     A dict passed as diagnostics receives "C_stat_kappa", kappa at the
     chosen point, and "C_stat_point", the point itself.
     """
-    _, u_m = _resolve_cutoffs(sd, 1, m_max)
-    u0 = sd.coeffs[0, :u_m]
-    num = float(np.sum(u0 ** 2 * np.exp(sd.log_norms[:u_m])))
+    u0 = sd.coeffs[0]
+    num = float(np.sum(u0 ** 2 * np.exp(sd.log_norms)))
     K = sd.params.K
     pts = np.concatenate([make_grid(K, NORMCONST_GRID), np.eye(K)[:, :K - 1]])
-    terms = u0[:, None] * sd.basis.eval_prefix_cube(to_cube(pts), count=u_m)
+    terms = u0[:, None] * sd.basis.eval_prefix_cube(to_cube(pts))
     f = terms.sum(axis=0)
     with np.errstate(divide="ignore", invalid="ignore"):
         kappa = np.abs(terms).sum(axis=0) / np.abs(f)
@@ -275,26 +287,23 @@ def normalizing_constant(sd, m_max=None, diagnostics=None):
                  / f[best] ** 2)
 
 
-def stationary_density(sd, y, m_max=None):
+def stationary_density(sd, y):
     """Normalized stationary density e^{sbar(y)} pi0(y) / C_stat."""
-    c = normalizing_constant(sd, m_max=m_max)
+    c = normalizing_constant(sd)
     p = sd.params
     return np.exp(model_mod.log_stationary_unnormalized(p, y)) / c
 
 
-def distance_to_stationarity(sd, x, times, n_max=None, m_max=None):
+def distance_to_stationarity(sd, x, times, n_max=None):
     """Chi-square divergence of p(t, x, .) from the stationary law.
 
     d(t)^2 = sum_{n >= 1} e^{-2 Lambda_n t} e^{-sbar(x)} B~_n(x)^2; decreasing
-    in t with decay rate 2 Lambda_1. Each term carries its realized
-    (truncated) squared norm as divisor; with full coefficients that is 1.
+    in t with decay rate 2 Lambda_1. Each B~_n keeps every coefficient, so
+    it has unit C-norm and no term needs a divisor.
     """
     times, _, x = _check_start(sd.params, times, x)
-    n_max, u_m = _resolve_cutoffs(sd, n_max, m_max)
-    bx = _eigenfunctions_at(sd, x, n_max, u_m)
-    norms = (sd.coeffs[1:n_max, :u_m] ** 2
-             * np.exp(sd.log_norms[:u_m])[None, :]).sum(axis=1)
-    amp = bx[1:] ** 2 / norms
+    n_max = _resolve_cutoffs(sd, n_max)
+    amp = _eigenfunctions_at(sd, x, n_max)[1:] ** 2
     return np.exp(-2.0 * np.outer(times, sd.eigenvalues[1:n_max])) @ amp
 
 

@@ -102,7 +102,9 @@ def eval_R_all(nmax, a, b, x):
 
 
 def log_norm_c(n, a, b):
-    """Log of the squared norm c_n = <R_n, R_n> under the (a,b) weight.
+    """Log of the squared norm c_n = <R_n, R_n> under the (a,b) weight,
+
+        c_n = Gamma(n+a) Gamma(n+b) / ((2n+a+b-1) Gamma(n+a+b-1) n!).
 
     Evaluated via Gamma(n+a+b) rather than (2n+a+b-1)Gamma(n+a+b-1), which
     is a 0 * inf product when n = 0 and a + b = 1.
@@ -116,11 +118,6 @@ def log_norm_c(n, a, b):
     return np.where(first, base,
                     base + _log(np.where(first, 1.0, n + a + b - 1))
                     - _log(np.where(first, 1.0, 2 * n + a + b - 1)))[()]
-
-
-def norm_c(n, a, b):
-    """Squared norm c_n^(a,b) = Gamma(n+a)Gamma(n+b) / ((2n+a+b-1)Gamma(n+a+b-1)n!)."""
-    return math.exp(log_norm_c(n, a, b))
 
 
 def coeff_G(n, m, a, b):

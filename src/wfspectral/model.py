@@ -123,10 +123,6 @@ def log_stationary_unnormalized(p, x):
     return mean_fitness(p, x) + terms.sum(axis=-1)
 
 
-def stationary_unnormalized(p, x):
-    return np.exp(log_stationary_unnormalized(p, x))
-
-
 def q_direct(p, x):
     """Degree-4 selection polynomial evaluated from fitness functions.
 

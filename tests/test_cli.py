@@ -212,19 +212,27 @@ def test_distance_curve(tmp_path, sigma_1):
 
 def test_cutoffs_come_from_the_config_before_solving():
     cfg = dict(cli.DEFAULT_CONFIG, truncation=6, n_max=100)
-    assert cli._cutoffs(cfg) == (28, 28, 6)
-    cfg.update(n_max=None, m_max=3)
-    assert cli._cutoffs(cfg) == (28, 28, 3)
-    # null resolves to the defaults the series would use, capped
-    cfg.update(truncation=40, m_max=None)
-    assert cli._cutoffs(cfg) == (861, 562, 36)
+    assert cli._cutoffs(cfg) == (28, 28)
+    cfg.update(n_max=5)
+    assert cli._cutoffs(cfg) == (28, 5)
+    # null resolves to the default the series would use, capped at U
+    cfg.update(n_max=None)
+    assert cli._cutoffs(cfg) == (28, 28)
+    cfg.update(truncation=40)
+    assert cli._cutoffs(cfg) == (861, 562)
 
 
-def test_default_cutoffs_match_the_density_defaults():
-    # the CLI defaults are null, so the numbers live in density alone
-    assert cli.DEFAULT_CONFIG["n_max"] is cli.DEFAULT_CONFIG["m_max"] is None
-    assert cli._cutoffs(cli.DEFAULT_CONFIG)[1:] == (density.DEFAULT_N_MAX,
-                                                    density.DEFAULT_M_MAX)
+def test_default_cutoffs_match_the_density_defaults(sigma_1):
+    # the CLI default is null, so the number lives in density alone
+    assert cli.DEFAULT_CONFIG["n_max"] is None
+    assert "m_max" not in cli.DEFAULT_CONFIG
+    assert cli._cutoffs(cli.DEFAULT_CONFIG)[1] == density.DEFAULT_N_MAX
+    # before the solve and after it, one rule picks the default
+    cfg = dict(cli.DEFAULT_CONFIG, truncation=6,
+               model={"theta": [0.01, 0.02, 0.03], "sigma": sigma_1.tolist()})
+    U, n_max = cli._cutoffs(cfg)
+    sd = cli._decompose(cfg, n_eig=n_max)
+    assert density._resolve_cutoffs(sd, None) == n_max == U
 
 
 def test_every_default_key_has_a_row():
@@ -244,7 +252,7 @@ def test_every_default_key_has_a_row():
     for path, value in defaults.items():
         assert rows[path][1](value), path
     # the retired keys are rows, left out of the defaults
-    assert {"pad", "precision"} <= set(rows) - set(defaults)
+    assert {"pad", "precision", "m_max"} <= set(rows) - set(defaults)
 
 
 @pytest.mark.parametrize("sub, setting", [
@@ -261,6 +269,9 @@ def test_every_default_key_has_a_row():
     ("density", "truncation=true"),
     ("density", "n_max=true"),
     ("density", "m_max=1.5"),
+    # m_max is retired: every series keeps all degrees up to D
+    ("density", "m_max=36"),
+    ("normconst", "m_max=6"),
     ("density", "grid_resolution=2.5"),
     ("normconst", "quadrature_resolution=1"),
     ("normconst", "model.theta=abc"),
@@ -345,6 +356,20 @@ def test_decomposition_hash_follows_the_operator(tmp_path, sigma_1):
     assert run(tmp_path / "pad5", "normconst", "--set", "truncation=6",
                "--set", "pad=5") == 2
     assert not (tmp_path / "pad5" / "normconst.json").exists()
+
+
+@pytest.mark.filterwarnings("ignore:truncation undershoot")
+def test_retired_m_max_accepts_only_null(tmp_path, capsys):
+    # configs written while m_max was an option carry "m_max": null
+    assert run(tmp_path / "null", "density", "--set", "truncation=6",
+               "--set", "grid_resolution=4", "--set", "m_max=null") == 0
+    meta = json.loads((tmp_path / "null" / "density_meta.json").read_text())
+    assert meta["config"]["m_max"] is None
+    assert meta["m_max"] == 6      # the sidecar records the degrees kept
+    capsys.readouterr()
+    assert run(tmp_path / "36", "density", "--set", "m_max=36") == 2
+    assert "keeps all degrees" in json.loads(
+        capsys.readouterr().err)["message"]
 
 
 def test_auto_and_double_both_mean_double(tmp_path, sigma_1):

@@ -11,7 +11,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from wfspectral import density, model, oracles, simplex, spectral
@@ -76,18 +76,17 @@ def test_normalizer_with_selection_matches_quadrature(theta_unit, sigma_1):
     assert density.normalizing_constant(sd) == pytest.approx(want, rel=1e-6)
 
 
-def candidate_loop_normalizing_constant(sd, m_max=None):
+def candidate_loop_normalizing_constant(sd):
     """normalizing_constant with f(y) = sum_m u_{0,m} P_m(y) and its
     condition number summed member by member, each P_m from eval_P, at the
     simplex corners and a resolution-10 interior grid."""
-    _, u_m = density._resolve_cutoffs(sd, 1, m_max)
-    u0 = sd.coeffs[0, :u_m]
-    num = float(np.sum(u0 ** 2 * np.exp(sd.log_norms[:u_m])))
+    u0 = sd.coeffs[0]
+    num = float(np.sum(u0 ** 2 * np.exp(sd.log_norms)))
     K = sd.params.K
     pts = np.concatenate([density.make_grid(K, 10), np.eye(K)[:, :K - 1]])
     f = np.zeros(len(pts))
     size = np.zeros(len(pts))
-    for pos, m in enumerate(sd.basis.enumeration.indices[:u_m]):
+    for pos, m in enumerate(sd.basis.enumeration.indices):
         term = u0[pos] * sd.basis.eval_P(m, pts)
         f += term
         size += np.abs(term)
@@ -96,17 +95,17 @@ def candidate_loop_normalizing_constant(sd, m_max=None):
             / f[best] ** 2)
 
 
-@pytest.mark.parametrize("theta,sigma,D,m_max", [
-    ([0.01, 0.02], [[3.0, -1.5], [-1.5, 0.0]], 30, None),
-    ([0.01, 0.02, 0.03], "sigma_1", 24, None),
-    ([0.01, 0.02, 0.03], "sigma_1", 24, 17),
-    ([0.01, 0.02, 0.03, 0.04], SIGMA_K4, 10, None)])
-def test_normalizer_matches_corner_loop(theta, sigma, D, m_max, sigma_1):
+@pytest.mark.parametrize("theta,sigma,D", [
+    ([0.01, 0.02], [[3.0, -1.5], [-1.5, 0.0]], 30),
+    ([0.01, 0.02, 0.03], "sigma_1", 24),
+    ([0.01, 0.02, 0.03], "sigma_1", 17),
+    ([0.01, 0.02, 0.03, 0.04], SIGMA_K4, 10)])
+def test_normalizer_matches_corner_loop(theta, sigma, D, sigma_1):
     # the loop takes the ratio at the corners and the grid alike
     sd = decompose(theta, sigma_1 if isinstance(sigma, str) else sigma, D,
                    n_eig=1)
-    got = density.normalizing_constant(sd, m_max=m_max)
-    assert got == pytest.approx(candidate_loop_normalizing_constant(sd, m_max),
+    got = density.normalizing_constant(sd)
+    assert got == pytest.approx(candidate_loop_normalizing_constant(sd),
                                 rel=1e-13)
 
 
@@ -158,9 +157,9 @@ def test_neutral_reversibility(theta_unit):
     x = np.array([0.3, 0.3])
     y = np.array([0.15, 0.5])
     t = 0.6
-    lhs = (model.stationary_unnormalized(p, x)
+    lhs = (np.exp(model.log_stationary_unnormalized(p, x))
            * density.transition_density(sd, t, x, y))
-    rhs = (model.stationary_unnormalized(p, y)
+    rhs = (np.exp(model.log_stationary_unnormalized(p, y))
            * density.transition_density(sd, t, y, x))
     assert lhs == pytest.approx(rhs, rel=1e-8)
 
@@ -172,9 +171,9 @@ def test_selected_detailed_balance(theta_unit, sigma_1):
     x = np.array([0.3, 0.3])
     y = np.array([0.15, 0.5])
     t = 0.4
-    lhs = (model.stationary_unnormalized(p, x)
+    lhs = (np.exp(model.log_stationary_unnormalized(p, x))
            * density.transition_density(sd, t, x, y))
-    rhs = (model.stationary_unnormalized(p, y)
+    rhs = (np.exp(model.log_stationary_unnormalized(p, y))
            * density.transition_density(sd, t, y, x))
     assert lhs == pytest.approx(rhs, rel=1e-6)
 
@@ -281,6 +280,21 @@ def test_distance_curve_decay_rate(theta_unit, sigma_1):
     assert slope[-1] == pytest.approx(-2.0 * sd.eigenvalues[1], rel=1e-4)
 
 
+def test_distance_terms_have_unit_norm(theta_small, sigma_1):
+    # every B~_n keeps all its coefficients, so it has unit C-norm and the
+    # distance terms need no divisor
+    sd = decompose(theta_small, 5 * sigma_1, 20)
+    norms = (sd.coeffs ** 2 * np.exp(sd.log_norms)).sum(axis=1)
+    assert np.max(np.abs(norms - 1.0)) <= 1e-13
+    x = np.array([0.2, 0.25])
+    times = [0.05, 0.5, 2.0]
+    bx = density._eigenfunctions_at(sd, x[None, :], sd.n_eig)[:, 0]
+    divided = (np.exp(-2.0 * np.outer(times, sd.eigenvalues[1:]))
+               @ (bx[1:] ** 2 / norms[1:]))
+    got = density.distance_to_stationarity(sd, x, times, n_max=sd.n_eig)
+    assert np.allclose(got, divided, rtol=1e-13, atol=0)
+
+
 def test_distance_scalar_time(theta_unit, sigma_1):
     sd = decompose(theta_unit, sigma_1, 10)
     x = np.array([0.3, 0.3])
@@ -307,10 +321,14 @@ def test_cutoff_validation(theta_unit):
         density.transition_density(sd, 0.5, x, x, n_max=0)
     with pytest.raises(ParameterError):
         density.transition_density(sd, 0.5, x, x, n_max=9999)
-    with pytest.raises(ParameterError):
-        density.transition_density(sd, 0.5, x, x, m_max=-1)
-    with pytest.raises(ParameterError):
-        density.transition_density(sd, 0.5, x, x, m_max=99)
+    # m_max is retired: None and D keep every degree, nothing else runs
+    for m_max in (-1, 5, 99):
+        with pytest.raises(ParameterError, match="all degrees"):
+            density.transition_density(sd, 0.5, x, x, m_max=m_max)
+        with pytest.raises(ParameterError, match="all degrees"):
+            density.smooth_kernel(sd, 0.5, x, x, m_max=m_max)
+    assert (density.transition_density(sd, 0.5, x, x, m_max=6)
+            == density.transition_density(sd, 0.5, x, x))
     with pytest.raises(ParameterError):
         density.transition_density(sd, 0.5, np.array([0.3, 0.3, 0.1]), x)
 
@@ -421,24 +439,48 @@ def random_points(K, size, seed):
     return np.random.default_rng(seed).dirichlet(np.ones(K), size)[..., :K - 1]
 
 
+def series_scale(sd, t, x, y, log_wy):
+    """max over x and y of sum_n e^{-Lambda_n t} |B~_n(x) B~_n(y)|, with the
+    weights e^{-sbar(x)/2} and e^{log_wy(y)} the series carries: the size of
+    its terms, which scales its rounding error."""
+    n_max = density._resolve_cutoffs(sd, None)
+    bx = density._eigenfunctions_at(sd, np.atleast_2d(x), n_max)
+    by = density._eigenfunctions_at(sd, y, n_max) * np.exp(
+        0.5 * model.mean_fitness(sd.params, y) + log_wy)
+    decay = np.exp(-t * sd.eigenvalues[:n_max])
+    return np.max((decay[:, None] * np.abs(bx)).T @ np.abs(by))
+
+
 @settings(max_examples=20, deadline=None)
 @given(times=st.lists(st.floats(0.005, 4.0), min_size=1, max_size=6),
        seed=st.integers(0, 2 ** 16))
+# at t = 0.0625 the terms reach 209 times max |p|, and the two calls differ
+# by 1.7e-13 of max |p|
+@example(times=[1.0, 0.0625], seed=5698)
 def test_batched_times_match_scalar_calls(selected_sd, times, seed):
+    # the batched and the scalar calls sum in different orders, so they
+    # agree to a few ulps of the size of the terms the series sums; over 600
+    # draws the gap was at most 7 ulps of it
     sd = selected_sd
     K = sd.params.K
     x = random_points(K, None, seed)
     xs = random_points(K, 3, seed + 1)
     y = random_points(K, 40, seed + 2)
+    sbar = model.mean_fitness(sd.params, y)
+    log_wy = {"density": model.log_stationary_unnormalized(sd.params, y)
+              - 0.5 * sbar, "kernel": 0.5 * sbar}
+    ulps = 32 * np.finfo(float).eps
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", UserWarning)
         dens = density.transition_density(sd, np.array(times), x, y)
         kern = density.smooth_kernel(sd, np.array(times), xs, y)
         for i, t in enumerate(times):
             one = density.transition_density(sd, t, x, y)
-            assert np.max(np.abs(dens[i] - one)) <= 1e-13 * np.max(np.abs(one))
+            assert np.max(np.abs(dens[i] - one)) <= ulps * series_scale(
+                sd, t, x, y, log_wy["density"])
             one = density.smooth_kernel(sd, t, xs, y)
-            assert np.max(np.abs(kern[i] - one)) <= 1e-13 * np.max(np.abs(one))
+            assert np.max(np.abs(kern[i] - one)) <= ulps * series_scale(
+                sd, t, xs, y, log_wy["kernel"])
 
 
 def test_scalar_and_batched_return_shapes(theta_unit, sigma_1):
@@ -563,8 +605,8 @@ def test_empty_point_batches(selected_sd):
 def test_series_evaluates_the_basis_at_the_start_point_only(
         theta_small, sigma_1, monkeypatch):
     # the level-D basis is evaluated at x alone; the sum over the y grid
-    # evaluates only the (K-1)-type suffix basis, up to degree m_max, which
-    # the level-D evaluation at x also goes through
+    # evaluates only the (K-1)-type suffix basis, up to degree D, which the
+    # level-D evaluation at x also goes through
     sd = decompose(theta_small, sigma_1, 16)
     seen = []
     evaluate = MultiJacobiBasis.eval_prefix_cube
@@ -581,13 +623,12 @@ def test_series_evaluates_the_basis_at_the_start_point_only(
                                          np.array([0.3, 0.3]), grid)
     assert out.shape == (2, len(grid))
     assert [shape for basis, shape, _ in seen if basis is sd.basis] == [(1, 2)]
-    m_max = min(density.DEFAULT_M_MAX, sd.D)
     shapes = []
     for basis, shape, count in seen:
         if basis is not sd.basis:
             assert basis.K == 2
             assert list(basis.theta) == list(theta_small[1:])
-            assert count <= total_count(2, m_max)
+            assert count <= total_count(2, sd.D)
             shapes.append(shape)
     assert sorted(set(shapes)) == [(1, 1), (len(grid), 1)]
 

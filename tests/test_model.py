@@ -147,7 +147,8 @@ def test_neutral_eigenvalue_pins():
 
 def test_stationary_uniform_case():
     p = ModelParams([1.0, 1.0, 1.0], np.zeros((3, 3)))
-    assert model.stationary_unnormalized(p, np.array([0.3, 0.5])) == 1.0
+    x = np.array([0.3, 0.5])
+    assert np.exp(model.log_stationary_unnormalized(p, x)) == 1.0
 
 
 def test_stationary_boundary_rules():
@@ -158,7 +159,8 @@ def test_stationary_boundary_rules():
     v = model.log_stationary_unnormalized(p, np.array([0.5, 0.5]))
     assert math.isfinite(v)
     p2 = ModelParams([2.0, 1.0, 1.0], np.zeros((3, 3)))
-    assert model.stationary_unnormalized(p2, np.array([0.0, 0.5])) == 0.0
+    x = np.array([0.0, 0.5])
+    assert np.exp(model.log_stationary_unnormalized(p2, x)) == 0.0
 
 
 def test_stationary_composition(sigma_1):
@@ -169,8 +171,8 @@ def test_stationary_composition(sigma_1):
         xf = np.append(x, 1 - x.sum())
         want = (math.exp(model.mean_fitness(p, x))
                 * np.prod(xf ** (p.theta - 1)))
-        assert model.stationary_unnormalized(p, x) == pytest.approx(
-            want, rel=1e-12)
+        got = np.exp(model.log_stationary_unnormalized(p, x))
+        assert got == pytest.approx(want, rel=1e-12)
 
 
 def test_q_constant_term_pin(sigma_1):
