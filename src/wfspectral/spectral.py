@@ -23,7 +23,15 @@ Callers ask for the n_eig lowest eigenpairs they read. A single pair comes
 from ARPACK in shift-invert mode on the sparse symmetric matrix, with the
 inverse from a banded Cholesky factorization (the graded order keeps S
 within a band); a small share of the spectrum from a LAPACK subset solve;
-anything else from the full dense solve, sliced.
+anything else from the full dense solve, sliced. The full solve is LAPACK's
+divide-and-conquer driver (Gu & Eisenstat 1995): it writes the eigenvectors
+over the dense matrix and needs about 2U^2 doubles of workspace besides, so
+its peak is about 3U^2 doubles (485 MB at U = 4495). The eigenvectors are
+scaled to coefficients in that same array.
+
+In the graded order the level-D operator is the leading U(D) x U(D) block of
+the operator at any higher level, so a table over several levels assembles
+once, at the highest.
 """
 
 import functools
@@ -264,8 +272,23 @@ def _solve(S, n_eig):
         w, V = scipy.linalg.eigh(S.toarray(order="F"), overwrite_a=True,
                                  subset_by_index=[0, n_eig - 1])
         return w, V, "eigh_subset"
-    w, V = scipy.linalg.eigh(S.toarray(order="F"), overwrite_a=True)
+    # divide and conquer returns the eigenvectors in the dense copy itself
+    w, V = scipy.linalg.eigh(S.toarray(order="F"), overwrite_a=True,
+                             driver="evd")
     return w[:n_eig], V[:, :n_eig], "eigh"
+
+
+def _signs(coeffs):
+    """+1 or -1 per row, so that each row's largest-magnitude coefficient
+    (the first of equal ones) becomes positive.
+
+    Read from the row maxima and minima, without an |coeffs| array.
+    """
+    rows = np.arange(len(coeffs))
+    hi, lo = np.argmax(coeffs, axis=1), np.argmin(coeffs, axis=1)
+    top, bottom = coeffs[rows, hi], -coeffs[rows, lo]
+    flip = (bottom > top) | ((bottom == top) & (lo < hi))
+    return np.where(flip, -1.0, 1.0)
 
 
 def _operator_hash(om):
@@ -305,11 +328,10 @@ def eigensolve(om, n_eig=None):
         # subclasses
         raise NumericalError(
             f"eigensolver failed at truncation {om.D}: {exc}")
-    coeffs = (V * np.exp(-0.5 * om.log_norms)[:, None]).T
-    # deterministic sign: largest-magnitude coefficient positive
-    lead = np.argmax(np.abs(coeffs), axis=1)
-    flip = coeffs[np.arange(len(lead)), lead] < 0
-    coeffs[flip] *= -1.0
+    # scaled in LAPACK's array: no second U x n_eig array is made
+    V *= np.exp(-0.5 * om.log_norms)[:, None]
+    coeffs = V.T
+    coeffs *= _signs(coeffs)[:, None]
     if not np.all(np.isfinite(coeffs)) or not np.all(np.isfinite(w)):
         raise NumericalError(f"non-finite eigendata at truncation {om.D}")
     return SpectralDecomposition(params=om.params, D=om.D, basis=om.basis,
@@ -318,13 +340,21 @@ def eigensolve(om, n_eig=None):
                                  operator_hash=_operator_hash(om))
 
 
-def decompose(p, D, n_eig=None):
+def decompose(p, D, n_eig=None, within=None):
     """Convenience: build the basis, assemble, and eigensolve at level D.
 
     n_eig: the number of lowest eigenpairs to solve for (None: all).
+    within: an OperatorMatrix of p at a level >= D. The level-D operator is
+        then its leading block (see leading_block), and nothing is assembled.
     """
     if D < 0:
         raise ParameterError(f"truncation must be >= 0, got {D}")
+    if within is not None:
+        if not (np.array_equal(within.params.theta, p.theta)
+                and np.array_equal(within.params.sigma, p.sigma)):
+            raise ParameterError("the operator was assembled for another "
+                                 "model")
+        return eigensolve(leading_block(within, D), n_eig=n_eig)
     basis = MultiJacobiBasis(p.theta, BasisEnumeration(p.K, D))
     return eigensolve(assemble_M(p, basis), n_eig=n_eig)
 
@@ -346,7 +376,8 @@ def convergence_table(p, D_list, n_list, track=()):
 
     Args:
         p: model parameters.
-        D_list: truncation levels, each solved independently.
+        D_list: truncation levels. The operator is assembled once, at the
+            highest; each level solves its leading block.
         n_list: eigen-positions to report (matched across levels by sorted
             position; degenerate neutral clusters make positions within a
             cluster interchangeable, so neutral assertions belong on the
@@ -371,14 +402,33 @@ def convergence_table(p, D_list, n_list, track=()):
         if m not in smallest.position:
             raise ParameterError(f"index {m} not in the level-{smallest.D} "
                                  "basis")
+    top = assemble_M(p, MultiJacobiBasis(
+        p.theta, BasisEnumeration(p.K, max(D_list))))
     rows = []
     for D in D_list:
-        sd = decompose(p, D, n_eig=n_eig)
+        sd = decompose(p, D, n_eig=n_eig, within=top)
         lam = {n: float(sd.eigenvalues[n]) for n in n_list}
         uvals = {(n, m): float(sd.coeffs[n, smallest.position[m]])
                  for n, m in track}
         rows.append({"D": D, "Lambda": lam, "u": uvals})
     return rows
+
+
+def leading_block(om, D):
+    """The level-D operator, read as the leading block of a higher level's.
+
+    The graded order lists every index of degree <= D first, and the
+    level-D assembly is, bit for bit, the leading U(D) x U(D) block of M and
+    of log C at any level above D.
+    """
+    if D == om.D:
+        return om
+    if not 0 <= D < om.D:
+        raise ParameterError(f"level {D} is not below level {om.D}")
+    basis = MultiJacobiBasis(om.params.theta, BasisEnumeration(om.params.K, D))
+    U = len(basis.enumeration)
+    return OperatorMatrix(params=om.params, D=D, basis=basis,
+                          matrix=om.matrix[:U, :U], log_norms=om.log_norms[:U])
 
 
 def decomposition_hash(sd):

@@ -7,17 +7,22 @@ and against its own defining left-eigenpair residual. The detailed-balance symme
 the solver relies on is asserted entrywise, symmetrize is compared with a
 five-pass sparse reference, and the guard that detects a broken balance is
 exercised with doctored matrices. Strong-selection eigensystems are compared
-with 128-bit references frozen from a multiprecision solve.
+with 128-bit references frozen from a multiprecision solve. The level-D
+operator is checked to be, bit for bit, the leading block of a higher
+level's, and the full solve to be C-orthonormal to rounding and scaled in
+LAPACK's own array.
 """
 
 import dataclasses
 import gc
 import json
+import tracemalloc
 from collections import defaultdict
 from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy.linalg
 import scipy.sparse
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -368,6 +373,124 @@ def test_convergence_table_validation(theta_unit):
         spectral.convergence_table(p, [2], [99])
     with pytest.raises(ParameterError):
         spectral.convergence_table(p, [2], [0], track=[(0, (9, 9))])
+
+
+# K, the selective sigma, and levels D < D' small enough to solve fully
+NESTING_CASES = [(2, [[3.0, -1.5], [-1.5, 0.0]], 12, 16),
+                 (3, "sigma_1", 8, 12),
+                 (4, SIGMA_K4, 5, 8)]
+
+
+def nesting_models(K, sigma, sigma_1):
+    theta = (0.01, 0.02, 0.03, 0.04)[:K]
+    selective = sigma_1 if isinstance(sigma, str) else np.asarray(sigma)
+    return [ModelParams(theta, np.zeros((K, K))),
+            ModelParams(theta, selective)]
+
+
+@pytest.mark.parametrize("K, sigma, D, D_top", NESTING_CASES)
+def test_leading_block_is_the_lower_level_assembly(K, sigma, D, D_top,
+                                                   sigma_1):
+    for p in nesting_models(K, sigma, sigma_1):
+        top = spectral.assemble_M(
+            p, MultiJacobiBasis(p.theta, BasisEnumeration(K, D_top)))
+        for level in range(D + 1):
+            want = spectral.assemble_M(
+                p, MultiJacobiBasis(p.theta, BasisEnumeration(K, level)))
+            got = spectral.leading_block(top, level)
+            assert got.D == level and got.size == want.size
+            for part in ("data", "indices", "indptr"):
+                assert np.array_equal(getattr(got.matrix, part),
+                                      getattr(want.matrix, part))
+            assert np.array_equal(got.log_norms, want.log_norms)
+            assert (spectral._operator_hash(got)
+                    == spectral._operator_hash(want))
+
+
+@pytest.mark.parametrize("K, sigma, D, D_top", NESTING_CASES)
+def test_convergence_table_equals_per_level_solves(K, sigma, D, D_top,
+                                                   sigma_1):
+    D_list = [D_top, D - 2, D]
+    n_list = [0, 1, 3]
+    track = [(0, (0,) * (K - 1)), (1, (1,) + (0,) * (K - 2)),
+             (3, (0,) * (K - 2) + (2,))]
+    smallest = BasisEnumeration(K, min(D_list))
+    for p in nesting_models(K, sigma, sigma_1):
+        rows = spectral.convergence_table(p, D_list, n_list, track=track)
+        for row, level in zip(rows, D_list, strict=True):
+            sd = spectral.decompose(p, level, n_eig=4)
+            assert row == {
+                "D": level,
+                "Lambda": {n: float(sd.eigenvalues[n]) for n in n_list},
+                "u": {(n, m): float(sd.coeffs[n, smallest.position[m]])
+                      for n, m in track}}
+
+
+def test_leading_block_refuses_other_levels_and_models(theta_small, sigma_1):
+    _, om = assemble(theta_small, sigma_1, 4)
+    assert spectral.leading_block(om, 4) is om
+    for bad in (-1, 5):
+        with pytest.raises(ParameterError, match="not below"):
+            spectral.leading_block(om, bad)
+    with pytest.raises(ParameterError, match=">= 0"):
+        spectral.convergence_table(om.params, [4, -1], [0])
+    with pytest.raises(ParameterError, match="another model"):
+        spectral.decompose(ModelParams(theta_small, np.zeros((3, 3))), 2,
+                           within=om)
+
+
+@pytest.fixture(scope="module")
+def operator_d40():
+    """K=3, D=40 (U=861) at SIGMA_1: the CLI default size."""
+    p = ModelParams((0.01, 0.02, 0.03), np.array([[12.0, 14.0, 15.0],
+                                                  [14.0, 11.0, 13.0],
+                                                  [15.0, 13.0, 0.0]]))
+    return spectral.assemble_M(
+        p, MultiJacobiBasis(p.theta, BasisEnumeration(3, 40)))
+
+
+def test_full_solve_is_C_orthonormal_to_rounding(operator_d40):
+    # divide and conquer measured 2.9e-15 here, the default MRRR 5.0e-13
+    sd = spectral.eigensolve(operator_d40)
+    assert sd.eigensolver == "eigh"
+    C = np.exp(sd.log_norms)
+    gram = (sd.coeffs * C[None, :]) @ sd.coeffs.T
+    assert np.max(np.abs(gram - np.eye(sd.size))) <= 1e-13
+
+
+@pytest.mark.parametrize("n_eig, solver", [(None, "eigh"), (563, "eigh"),
+                                           (100, "eigh_subset")])
+def test_coefficients_are_lapacks_array_scaled_in_place(
+        operator_d40, monkeypatch, n_eig, solver):
+    # the wrapper restarts the peak when LAPACK returns, so the second peak
+    # is what eigensolve allocates after the solve; a scaled copy of the
+    # eigenvectors would add U * n_eig doubles to it
+    lapack = scipy.linalg.eigh
+    seen = {}
+
+    def eigh(*args, **kwargs):
+        w, V = lapack(*args, **kwargs)
+        seen["V"] = V
+        seen["solve_peak"] = tracemalloc.get_traced_memory()[1]
+        seen["returned"] = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        return w, V
+
+    monkeypatch.setattr(scipy.linalg, "eigh", eigh)
+    U = operator_d40.size
+    tracemalloc.start()
+    try:
+        sd = spectral.eigensolve(operator_d40, n_eig)
+        after_peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert sd.eigensolver == solver
+    assert np.shares_memory(sd.coeffs, seen["V"])
+    if solver == "eigh":
+        # the dense matrix and 2U^2 doubles of workspace: measured 3.09U^2
+        assert seen["solve_peak"] <= 3.25 * U * U * 8
+        # measured 0.16 (all pairs) and 0.24 (563) of U * n_eig doubles
+        assert after_peak - seen["returned"] <= 0.5 * U * sd.n_eig * 8
 
 
 def test_decomposition_hash_reproducible(theta_small, sigma_1):
