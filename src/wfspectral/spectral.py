@@ -22,12 +22,14 @@ path agreed with it to 2.5e-14 of the spectral scale on eigenvalues.
 Callers ask for the n_eig lowest eigenpairs they read. A single pair comes
 from ARPACK in shift-invert mode on the sparse symmetric matrix, with the
 inverse from a banded Cholesky factorization (the graded order keeps S
-within a band); a small share of the spectrum from a LAPACK subset solve;
-anything else from the full dense solve, sliced. The full solve is LAPACK's
-divide-and-conquer driver (Gu & Eisenstat 1995): it writes the eigenvectors
-over the dense matrix and needs about 2U^2 doubles of workspace besides, so
-its peak is about 3U^2 doubles (485 MB at U = 4495). The eigenvectors are
-scaled to coefficients in that same array.
+within a band). The shift sits just below Lambda_0 ~ 0, at
+-max(|theta|/256, 1e-8 max|S_ij|), so a Lanczos basis of ncv = 6 vectors
+converges in a few solves. A small share of the spectrum comes from a
+LAPACK subset solve; anything else from the full dense solve, sliced. The
+full solve is LAPACK's divide-and-conquer driver (Gu & Eisenstat 1995): it
+writes the eigenvectors over the dense matrix and needs about 2U^2 doubles
+of workspace besides, so its peak is about 3U^2 doubles (485 MB at
+U = 4495). The eigenvectors are scaled to coefficients in that same array.
 
 In the graded order the level-D operator is the leading U(D) x U(D) block of
 the operator at any higher level, so a table over several levels assembles
@@ -53,11 +55,19 @@ from .simplex import to_cube
 
 SYMMETRY_DEFECT_TOL = 1e-9
 # The truncated operator is positive semidefinite with a simple lowest
-# eigenvalue, so any negative shift makes S - shift*I positive definite, as
-# its Cholesky factorization needs, and Lambda_0 the dominant eigenvalue of
-# the inverse.
-ARPACK_SHIFT = -0.1
-ARPACK_MIN_SIZE = 21       # below this the Lanczos basis spans the space
+# eigenvalue Lambda_0 ~ 0, so a negative shift makes S - shift*I positive
+# definite, as its Cholesky factorization needs, and Lambda_0 the dominant
+# eigenvalue of the inverse. Shift-invert Lanczos contracts by about
+# (Lambda_0 - shift) / (Lambda_1 - shift) per step, so the shift sits at
+# 1/128 of the neutral gap Lambda_1 = |theta|/2 below 0. The floor, relative
+# to max|S_ij|, keeps it clear of Lambda_0's rounding: at theta_i = 1e-8
+# with the benchmark sigma, Lambda_0 is -7.1e-8, and without the floor the
+# factorization fails.
+SHIFT_GAP_SHARE = 1 / 128
+SHIFT_FLOOR = 1e-8
+ARPACK_NCV = 6             # Lanczos basis size; scipy's default is 20
+# below this the dense solve is cheap; ARPACK itself needs U > ARPACK_NCV
+ARPACK_MIN_SIZE = 21
 SUBSET_FRACTION = 1 / 3    # LAPACK subset solve only up to this share of U
 
 
@@ -228,35 +238,45 @@ def symmetrize(om):
     return S
 
 
-def _lowest_pair(S):
+def _arpack_shift(S, theta_total):
+    """The shift of the one-pair solve: -max(|theta|/256, 1e-8 max|S_ij|)."""
+    return -max(SHIFT_GAP_SHARE * 0.5 * theta_total,
+                SHIFT_FLOOR * np.abs(S.data).max(initial=0.0))
+
+
+def _lowest_pair(S, theta_total):
     """Lowest eigenpair of sparse symmetric S by ARPACK in shift-invert mode.
 
-    The inverse of S - ARPACK_SHIFT*I comes from one banded Cholesky
-    factorization, with the bandwidth read from the nonzeros of S: the
-    graded order keeps every coupling within four degrees. The shifted
-    matrix must be positive definite; when it is not, the factorization
-    raises LinAlgError instead of letting ARPACK return the eigenvalue
-    nearest the shift. The start vector is fixed so that reruns give the
-    same bits.
+    The shift is _arpack_shift(S, theta_total), and the Lanczos basis holds
+    ARPACK_NCV vectors. The inverse of S - shift*I comes from one banded
+    Cholesky factorization, with the bandwidth read from the nonzeros of S:
+    the graded order keeps every coupling within four degrees. The band is
+    laid out in LAPACK's column order, so it is factored in place without a
+    copy. The shifted matrix must be positive definite; when it is not, the
+    factorization raises LinAlgError instead of letting ARPACK return the
+    eigenvalue nearest the shift. The start vector is fixed so that reruns
+    give the same bits.
     """
     # imported here: only this path needs it, and it adds about 20 ms to
     # the start-up of every command
     import scipy.sparse.linalg
     U = S.shape[0]
+    shift = _arpack_shift(S, theta_total)
     lower = scipy.sparse.tril(S, format="coo")
-    band = np.zeros((int((lower.row - lower.col).max(initial=0)) + 1, U))
+    band = np.zeros((U, int((lower.row - lower.col).max(initial=0)) + 1)).T
     band[lower.row - lower.col, lower.col] = lower.data
-    band[0] -= ARPACK_SHIFT
+    band[0] -= shift
     factor = scipy.linalg.cholesky_banded(band, overwrite_ab=True, lower=True)
     inverse = scipy.sparse.linalg.LinearOperator(
         (U, U), dtype=float,
         matvec=functools.partial(scipy.linalg.cho_solve_banded, (factor, True),
                                  check_finite=False))
-    return scipy.sparse.linalg.eigsh(S, k=1, sigma=ARPACK_SHIFT, which="LM",
-                                     OPinv=inverse, v0=np.ones(U))
+    return scipy.sparse.linalg.eigsh(S, k=1, sigma=shift, which="LM",
+                                     OPinv=inverse, v0=np.ones(U),
+                                     ncv=ARPACK_NCV)
 
 
-def _solve(S, n_eig):
+def _solve(S, n_eig, theta_total):
     """The n_eig lowest eigenpairs of sparse symmetric S, ascending.
 
     Returns (eigenvalues, eigenvectors as columns, solver name). S is made
@@ -264,8 +284,12 @@ def _solve(S, n_eig):
     the banded Cholesky, or with an ARPACK RuntimeError.
     """
     U = S.shape[0]
+    # ARPACK serves one pair only: single-vector Lanczos cannot resolve the
+    # multiplicities of neutral clusters. Asked for the four lowest pairs of
+    # a neutral K=3 model, it returned Lambda = 2.0 in place of the second
+    # member of the degree-1 cluster at 0.5.
     if n_eig == 1 and U >= ARPACK_MIN_SIZE:
-        w, V = _lowest_pair(S)
+        w, V = _lowest_pair(S, theta_total)
         return w, V, "arpack_shift_invert"
     # Fortran order lets LAPACK work in this one dense copy
     if n_eig <= SUBSET_FRACTION * U:
@@ -321,7 +345,7 @@ def eigensolve(om, n_eig=None):
         raise ParameterError(f"n_eig must be in 1..{U}, got {n_eig}")
     S = symmetrize(om)
     try:
-        w, V, solver = _solve(S, n_eig)
+        w, V, solver = _solve(S, n_eig, om.params.theta_total)
     except (scipy.linalg.LinAlgError, RuntimeError) as exc:
         # LAPACK failures, the banded Cholesky of an indefinite shifted
         # operator among them, raise LinAlgError; ARPACK's are RuntimeError

@@ -10,7 +10,8 @@ exercised with doctored matrices. Strong-selection eigensystems are compared
 with 128-bit references frozen from a multiprecision solve. The level-D
 operator is checked to be, bit for bit, the leading block of a higher
 level's, and the full solve to be C-orthonormal to rounding and scaled in
-LAPACK's own array.
+LAPACK's own array. The one-pair solve is held to a few banded solves, one
+band factored in place, and a residual at rounding.
 """
 
 import dataclasses
@@ -591,6 +592,97 @@ def test_arpack_normalizing_constant_matches_full_solve(K, D, sigma_1):
     full = spectral.decompose(p, D)
     want = density.normalizing_constant(full)
     assert density.normalizing_constant(one) == pytest.approx(want, rel=1e-9)
+
+
+# (theta, selection, D): the selection is a multiple of SIGMA_1 or a matrix
+ONE_PAIR_CASES = {
+    "K2_D60": ((0.01, 0.02), [[3.0, -1.5], [-1.5, 0.0]], 60),
+    "K3_D40_sigma_1": ((0.01, 0.02, 0.03), 1.0, 40),
+    "K3_D40_5sigma_1": ((0.01, 0.02, 0.03), 5.0, 40),
+    "K3_D40_theta_1": ((1.0, 1.0, 1.0), 1.0, 40),
+    "K3_D20_neutral": ((0.3, 0.4, 0.3), 0.0, 20),
+    "K5_D12": ((0.01, 0.02, 0.03, 0.04, 0.05),
+               [[8.0, 9.0, 10.0, 11.0, 12.0], [9.0, 6.0, 7.0, 8.0, 9.0],
+                [10.0, 7.0, 4.0, 5.0, 6.0], [11.0, 8.0, 5.0, 2.0, 3.0],
+                [12.0, 9.0, 6.0, 3.0, 0.0]], 12),
+}
+
+
+def one_pair_model(case, sigma_1):
+    theta, selection, D = ONE_PAIR_CASES[case]
+    if np.isscalar(selection):
+        return assemble(theta, selection * sigma_1, D)
+    return assemble(theta, selection, D)
+
+
+def watch_banded_calls(monkeypatch):
+    """Record each banded solve, and each band factored: whether it is in
+    LAPACK's column layout and whether the factor overwrote it."""
+    solves, bands = [], []
+    cho_solve, cholesky = (scipy.linalg.cho_solve_banded,
+                           scipy.linalg.cholesky_banded)
+
+    def counted_solve(*args, **kwargs):
+        solves.append(1)
+        return cho_solve(*args, **kwargs)
+
+    def watched_factor(ab, **kwargs):
+        factor = cholesky(ab, **kwargs)
+        bands.append((ab.flags.f_contiguous, np.shares_memory(factor, ab)))
+        return factor
+
+    monkeypatch.setattr(scipy.linalg, "cho_solve_banded", counted_solve)
+    monkeypatch.setattr(scipy.linalg, "cholesky_banded", watched_factor)
+    return solves, bands
+
+
+@pytest.mark.parametrize("case", sorted(ONE_PAIR_CASES))
+def test_one_pair_solve_work_and_accuracy(case, sigma_1, monkeypatch):
+    # the shift just below Lambda_0 and a 6-vector Lanczos basis: 7 banded
+    # solves where the former shift of -0.1 with 20 vectors took 21
+    p, om = one_pair_model(case, sigma_1)
+    solves, bands = watch_banded_calls(monkeypatch)
+    one = spectral.eigensolve(om, 1)
+    monkeypatch.undo()
+    assert one.eigensolver == "arpack_shift_invert"
+    assert len(solves) <= 10
+    # one band, factored in place
+    assert bands == [(True, True)]
+    # v = u sqrt(C) is S's unit eigenvector
+    S = spectral.symmetrize(om)
+    v = one.coeffs[0] * np.exp(0.5 * one.log_norms)
+    scale = np.abs(S.data).max()
+    assert np.linalg.norm(S @ v - one.eigenvalues[0] * v) <= 1e-12 * scale
+    ref = spectral.eigensolve(om, 2)
+    assert ref.eigensolver == "eigh_subset"
+    assert abs(one.eigenvalues[0] - ref.eigenvalues[0]) <= 1e-12 * scale
+    want = density.normalizing_constant(ref)
+    assert density.normalizing_constant(one) == pytest.approx(want, rel=1e-9)
+
+
+def test_one_pair_shift_rule(theta_unit, sigma_1, monkeypatch):
+    # |theta| = 1: the shift is 1/128 of the neutral gap lambda_1 = 1/2
+    p, om = assemble(theta_unit, np.zeros((3, 3)), 10)
+    assert spectral._arpack_shift(spectral.symmetrize(om),
+                                  p.theta_total) == -1 / 256
+    # at theta_i = 1e-8, rounding puts Lambda_0 at -7.1e-8, not 0; the
+    # shift -|theta|/256 = -1.2e-10 would lie above it, and the Cholesky
+    # factorization of S - shift I would fail. The floor lies below it.
+    p, om = assemble((1e-8, 1e-8, 1e-8), sigma_1, 20)
+    S = spectral.symmetrize(om)
+    shift = spectral._arpack_shift(S, p.theta_total)
+    scale = np.abs(S.data).max()
+    assert shift == -1e-8 * scale
+    solves, _ = watch_banded_calls(monkeypatch)
+    lam0 = spectral.eigensolve(om, 1).eigenvalues[0]
+    monkeypatch.undo()
+    assert len(solves) <= 10
+    assert lam0 == pytest.approx(-7.1e-8, rel=1e-2)
+    assert shift < lam0
+    # Lambda_1 is 8.5e-8, so C_stat is ill-conditioned here; the eigenvalue
+    # still agrees with the dense solve
+    assert abs(lam0 - spectral.eigensolve(om, 2).eigenvalues[0]) \
+        <= 1e-12 * scale
 
 
 @pytest.mark.parametrize("D, U", [(0, 1), (1, 3)])
