@@ -15,11 +15,10 @@ the first factor over (degree, suffix degree) times the suffix basis.
 
 Multiplication by a coordinate x_i maps P_n into a sparse combination of
 neighbors: a G factor at slot i and one H/I/J factor per slot j < i, selected
-by how the suffix degree changes (down/unchanged/up). row_entries walks one
-row, taking each band it visits from one table call, and recurrence_matrix
+by how the suffix degree changes (down/unchanged/up). recurrence_matrix
 builds the sparse matrix over a graded enumeration for all rows at once,
-gathering the factors from per-slot arrays of the same tables, each filled
-by one broadcast call over (degree, suffix degree).
+gathering the factors from per-slot arrays of the tables, each filled by one
+broadcast call over (degree, suffix degree).
 """
 
 import numpy as np
@@ -29,7 +28,6 @@ from . import jacobi
 from .errors import ParameterError
 from .indexing import (BasisEnumeration, graded_positions, index_arrays,
                        tail_sums, total_count)
-from .simplex import to_cube
 
 # Entries smaller than this are dropped from sparse storage (exact zeros).
 ENTRY_FLOOR = 1e-300
@@ -70,22 +68,6 @@ class MultiJacobiBasis:
         return self.theta[j], self.theta_tail[j] + 2 * tail_degree
 
     # -- evaluation ---------------------------------------------------------
-
-    def eval_P_cube(self, n, xi):
-        """Evaluate P_n at cube coordinates xi (last axis has K-1 slots)."""
-        xi = np.asarray(xi, dtype=float)
-        tails = tail_sums(n)
-        val = np.ones(xi.shape[:-1])
-        for j in range(self.K - 1):
-            a, b = self.axis_params(j, tails[j])
-            val = val * jacobi.eval_R(n[j], a, b, xi[..., j])
-            if tails[j]:
-                val = val * (1.0 - xi[..., j]) ** tails[j]
-        return val
-
-    def eval_P(self, n, x):
-        """Evaluate P_n at simplex points x."""
-        return self.eval_P_cube(n, to_cube(x))
 
     def eval_prefix_cube(self, xi, count=None):
         """Evaluate the first `count` basis members at cube points.
@@ -190,7 +172,11 @@ class MultiJacobiBasis:
     # -- norms ---------------------------------------------------------------
 
     def log_norm_C(self, n):
-        """Log of the squared norm C_n under the Dirichlet kernel."""
+        """Log of the squared norm C_n under the Dirichlet kernel.
+
+        Unused by the program (log_norms_all fills every member at once);
+        kept because bench/spans.py wraps it by name.
+        """
         tails = tail_sums(n)
         total = 0.0
         for j in range(self.K - 1):
@@ -226,6 +212,9 @@ class MultiJacobiBasis:
         three-point G band; each slot below takes the H/I/J band selected by
         the accumulated suffix-degree change d, which the bands keep in
         {-1, 0, +1} automatically.
+
+        Unused by the program (recurrence_matrix builds every row at once);
+        kept because bench/spans.py wraps it by name.
         """
         piv = self._check_coord(i)
         tails = tail_sums(n)
@@ -329,7 +318,10 @@ class MultiJacobiBasis:
 
 
 def _band_entries(table, n, lo, a, b):
-    """(m, table(n, m, a, b)) for m in n + lo .. n + lo + 2, zeros dropped."""
+    """(m, table(n, m, a, b)) for m in n + lo .. n + lo + 2, zeros dropped.
+
+    Only row_entries calls it; kept with it for bench/spans.py.
+    """
     m = n + lo + np.arange(3)
     return [(mj, f) for mj, f in zip(m.tolist(), table(n, m, a, b).tolist())
             if f != 0.0]

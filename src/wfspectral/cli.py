@@ -377,24 +377,22 @@ def _validate_orthogonality(cfg):
 
     from .basis import MultiJacobiBasis
     from .indexing import BasisEnumeration
-    from .oracles import simplex_quadrature
+    from .oracles import simplex_quadrature_nodes
+    from .simplex import to_cube
     theta = np.asarray(cfg["model"]["theta"], dtype=float)
     K = len(theta)
-    enum = BasisEnumeration(K, 4)
-    basis = MultiJacobiBasis(theta, enum)
-    res = cfg["quadrature_resolution"]
-    U = len(enum)
-    worst = 0.0
+    basis = MultiJacobiBasis(theta, BasisEnumeration(K, 4))
+    points, w = simplex_quadrature_nodes(K, cfg["quadrature_resolution"],
+                                         theta=theta)
+    # the Gram matrix of the evaluator the density and normconst run
+    P = basis.eval_prefix_cube(to_cube(points))
+    gram = (P * w) @ P.T
+    if not np.all(np.isfinite(gram)):
+        raise NumericalError("integrand produced non-finite samples")
     norms = np.exp(basis.log_norms_all())
-    for i, n in enumerate(enum.indices):
-        for j in range(i, U):
-            m = enum.indices[j]
-            val = simplex_quadrature(
-                lambda y: basis.eval_P(n, y) * basis.eval_P(m, y),
-                K, res, theta=theta)
-            ref = norms[i] if i == j else 0.0
-            rel = abs(val - ref) / norms[i]
-            worst = max(worst, float(rel))
+    # upper triangle, each row scaled by its member's norm
+    defect = np.triu(np.abs(gram - np.diag(norms))) / norms[:, None]
+    worst = float(defect.max())
     return {"max_rel_defect": worst, "tolerance": 1e-6,
             "passed": bool(worst <= 1e-6)}
 

@@ -114,8 +114,8 @@ def _check_times(t):
     times = np.asarray(t, dtype=float)
     if times.ndim > 1:
         raise ParameterError(f"times must be a scalar or 1-D, got {times.shape}")
-    if not np.all(times > 0):
-        raise ParameterError(f"elapsed time must be > 0, got {t}")
+    if not np.all((times > 0) & np.isfinite(times)):
+        raise ParameterError(f"elapsed time must be finite and > 0, got {t}")
     return np.atleast_1d(times), times.ndim == 0
 
 
@@ -236,8 +236,8 @@ def neutral_transition_density(p, t, x, y, D):
     """
     if not p.is_neutral:
         raise ParameterError("this path requires a selection-free model")
-    if not t > 0:
-        raise ParameterError(f"elapsed time must be > 0, got {t}")
+    if not 0 < t < np.inf:
+        raise ParameterError(f"elapsed time must be finite and > 0, got {t}")
     enum = BasisEnumeration(p.K, D)
     from .basis import MultiJacobiBasis
     basis = MultiJacobiBasis(p.theta, enum)

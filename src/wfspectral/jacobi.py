@@ -64,20 +64,6 @@ def _band(n, m, lo, entries):
     return np.choose(k, entries + (0.0,))[()]
 
 
-def eval_R(n, a, b, x):
-    """Evaluate R_n^(a,b) at x.
-
-    Args:
-        n: degree, >= 0.
-        a, b: weight exponents, > 0.
-        x: scalar or ndarray of evaluation points in [0, 1].
-
-    Returns:
-        Value(s) with the same shape as x (python float for scalar input).
-    """
-    return eval_R_all(n, a, b, x)[n]
-
-
 def eval_R_all(nmax, a, b, x):
     """Evaluate R_0 .. R_nmax at x via the upward recurrence.
 

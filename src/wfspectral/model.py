@@ -189,7 +189,7 @@ def q_tables(theta, sigma):
 
 
 def q_polynomial_eval(coeffs, x):
-    """Evaluate a tuple-keyed polynomial at simplex points (test helper)."""
+    """Evaluate a tuple-keyed polynomial at simplex points (validate q)."""
     x = np.asarray(x, dtype=float)
     total = np.zeros(x.shape[:-1])
     for tup, c in coeffs.items():

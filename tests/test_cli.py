@@ -27,6 +27,7 @@ import numpy as np
 import pytest
 import scipy.sparse
 
+from wfspectral import basis as basis_mod
 from wfspectral import cli, density, model, spectral
 from wfspectral.model import ModelParams
 
@@ -527,6 +528,35 @@ def test_validate_orthogonality(tmp_path):
     assert code == 0
     doc = json.loads((tmp_path / "validate_orthogonality.json").read_text())
     assert doc["report"]["passed"] is True
+    # the default theta (0.01, 0.02, 0.03) and resolution 60
+    assert run(tmp_path, "validate", "orthogonality") == 0
+    doc = json.loads((tmp_path / "validate_orthogonality.json").read_text())
+    assert doc["report"]["passed"] is True
+    assert doc["config"]["quadrature_resolution"] == 60
+
+
+@pytest.mark.parametrize("scale", [1 + 1e-4, np.nan])
+def test_validate_orthogonality_checks_the_solver_evaluator(
+        tmp_path, capsys, monkeypatch, scale):
+    # one member off by 1e-4 in the evaluator the density runs must fail,
+    # and a non-finite value is refused
+    evaluate = basis_mod.MultiJacobiBasis.eval_prefix_cube
+
+    def skewed(self, xi, count=None):
+        out = evaluate(self, xi, count)
+        out[3] *= scale
+        return out
+
+    monkeypatch.setattr(basis_mod.MultiJacobiBasis, "eval_prefix_cube", skewed)
+    assert run(tmp_path, "validate", "orthogonality") == 3
+    report = tmp_path / "validate_orthogonality.json"
+    if np.isnan(scale):
+        assert json.loads(capsys.readouterr().err)["error"] == "numerical"
+        assert not report.exists()
+    else:
+        doc = json.loads(report.read_text())
+        assert doc["report"]["passed"] is False
+        assert doc["report"]["max_rel_defect"] > 1e-4
 
 
 @pytest.mark.parametrize("which", ["mc", "chapman"])

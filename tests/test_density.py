@@ -21,6 +21,8 @@ from wfspectral.indexing import total_count
 from wfspectral.model import ModelParams
 from wfspectral.oracles import gauss_jacobi_01
 
+import reference
+
 SIGMA_K4 = np.array([[12.0, 14.0, 15.0, 10.0],
                      [14.0, 11.0, 13.0, 9.0],
                      [15.0, 13.0, 0.0, 8.0],
@@ -78,8 +80,8 @@ def test_normalizer_with_selection_matches_quadrature(theta_unit, sigma_1):
 
 def candidate_loop_normalizing_constant(sd):
     """normalizing_constant with f(y) = sum_m u_{0,m} P_m(y) and its
-    condition number summed member by member, each P_m from eval_P, at the
-    simplex corners and a resolution-10 interior grid."""
+    condition number summed member by member, each P_m from the reference
+    evaluator, at the simplex corners and a resolution-10 interior grid."""
     u0 = sd.coeffs[0]
     num = float(np.sum(u0 ** 2 * np.exp(sd.log_norms)))
     K = sd.params.K
@@ -87,7 +89,7 @@ def candidate_loop_normalizing_constant(sd):
     f = np.zeros(len(pts))
     size = np.zeros(len(pts))
     for pos, m in enumerate(sd.basis.enumeration.indices):
-        term = u0[pos] * sd.basis.eval_P(m, pts)
+        term = u0[pos] * reference.eval_P(sd.params.theta, m, pts)
         f += term
         size += np.abs(term)
     best = np.argmin(size / np.abs(f))
@@ -221,6 +223,24 @@ def test_positive_time_required(theta_unit):
         density.neutral_transition_density(sd.params, -1.0, x, x, 6)
     with pytest.raises(ParameterError):
         density.distance_to_stationarity(sd, x, [0.5, 0.0])
+
+
+def test_infinite_time_refused(theta_unit, sigma_1):
+    # Lambda_0 is 7.4e-10 here, so e^{-Lambda t} at t = inf would give 0
+    # everywhere where the limit is the stationary density
+    sd = decompose(theta_unit, sigma_1, 12)
+    x = np.array([0.3, 0.3])
+    grid = density.make_grid(3, 10)
+    for t in (np.inf, [0.5, np.inf]):
+        with pytest.raises(ParameterError, match="finite"):
+            density.transition_density(sd, t, x, grid)
+        with pytest.raises(ParameterError, match="finite"):
+            density.smooth_kernel(sd, t, x, grid)
+        with pytest.raises(ParameterError, match="finite"):
+            density.distance_to_stationarity(sd, x, np.atleast_1d(t))
+    with pytest.raises(ParameterError, match="finite"):
+        density.neutral_transition_density(
+            ModelParams(theta_unit, np.zeros((3, 3))), np.inf, x, grid, 6)
 
 
 def test_neutral_path_requires_neutral_model(theta_unit, sigma_1):

@@ -15,6 +15,8 @@ from wfspectral import jacobi
 from wfspectral.errors import ParameterError
 from wfspectral.oracles import gauss_jacobi_01
 
+import reference
+
 PARAM_GRID = [(0.01, 0.05), (0.5, 1.5), (1.0, 1.0), (2.5, 0.7), (0.3, 0.7)]
 
 
@@ -23,28 +25,31 @@ def quad_inner(f, g, a, b, nodes=60):
     return float(np.sum(w * f(x) * g(x)))
 
 
+def eval_R(n, a, b, x):
+    """R_n^(a,b) at x from the program's table of all degrees up to n."""
+    return jacobi.eval_R_all(n, a, b, x)[n]
+
+
 def test_r0_is_one_everywhere():
     for a, b in PARAM_GRID:
-        assert jacobi.eval_R(0, a, b, 0.37) == 1.0
+        assert eval_R(0, a, b, 0.37) == 1.0
 
 
 def test_r1_closed_form():
     # R_1 = (a+b) x - a
-    assert jacobi.eval_R(1, 1.0, 1.0, 0.5) == pytest.approx(0.0, abs=1e-15)
+    assert eval_R(1, 1.0, 1.0, 0.5) == pytest.approx(0.0, abs=1e-15)
     for a, b in PARAM_GRID:
         x = 0.3
-        assert jacobi.eval_R(1, a, b, x) == pytest.approx((a + b) * x - a,
-                                                          rel=1e-14)
+        assert eval_R(1, a, b, x) == pytest.approx((a + b) * x - a, rel=1e-14)
 
 
 def test_value_at_zero_closed_form():
-    assert jacobi.eval_R(2, 0.5, 1.0, 0.0) == pytest.approx(0.375, rel=1e-13)
+    assert eval_R(2, 0.5, 1.0, 0.0) == pytest.approx(0.375, rel=1e-13)
     for a, b in PARAM_GRID:
         for n in range(8):
             expect = ((-1) ** n * math.gamma(n + a)
                       / (math.gamma(n + 1) * math.gamma(a)))
-            assert jacobi.eval_R(n, a, b, 0.0) == pytest.approx(expect,
-                                                                rel=1e-11)
+            assert eval_R(n, a, b, 0.0) == pytest.approx(expect, rel=1e-11)
 
 
 def log_R_at_zero(n, a):
@@ -64,16 +69,16 @@ def test_log_value_at_zero_matches_direct():
         # the recurrence keeps the closed form to high degree
         for n in range(10, 41):
             want = (-1) ** n * math.exp(log_R_at_zero(n, a))
-            assert jacobi.eval_R(n, a, b, 0.0) == pytest.approx(want, rel=1e-9)
+            assert eval_R(n, a, b, 0.0) == pytest.approx(want, rel=1e-9)
 
 
 def test_eval_R_all_prefix_consistency():
+    # every row of the table is the reference recurrence, bit for bit
     xs = np.linspace(0.05, 0.95, 7)
     for a, b in PARAM_GRID:
         table = jacobi.eval_R_all(6, a, b, xs)
         for n in range(7):
-            assert np.allclose(table[n], [jacobi.eval_R(n, a, b, x)
-                                          for x in xs], rtol=1e-13)
+            assert np.array_equal(table[n], reference.eval_R(n, a, b, xs))
 
 
 def test_norm_pins():
@@ -268,21 +273,28 @@ def test_raise_b_reconstructs_pointwise():
             assert np.max(np.abs(lhs - rhs)) <= 1e-12 * scale
 
 
+TABLES = ((jacobi.coeff_G, reference.coeff_G),
+          (jacobi.coeff_H, reference.coeff_H),
+          (jacobi.coeff_I, reference.coeff_I),
+          (jacobi.coeff_J, reference.coeff_J))
+
+
 @pytest.mark.filterwarnings("error")
 def test_array_exponents_equal_scalar_calls():
-    # an array argument stands for one scalar call per entry, bit for bit;
-    # the masked-out branches raise no warning
+    # an array argument gives the per-entry reference, bit for bit; the
+    # masked-out branches raise no warning
     b = np.random.default_rng(11).uniform(2.0, 6.0, 400)
-    tables = (jacobi.coeff_G, jacobi.coeff_H, jacobi.coeff_I, jacobi.coeff_J)
     for n in (0, 1, 2, 7):
         for a in (0.01, 0.7, 3.0):
-            want = [jacobi.log_norm_c(n, a, v) for v in b.tolist()]
+            want = [reference.log_norm_c(n, a, v) for v in b.tolist()]
             assert np.array_equal(jacobi.log_norm_c(n, a, b), want)
-            for table in tables:
+            for table, ref in TABLES:
                 for m in range(n - 2, n + 3):
-                    want = [table(n, m, a, v) for v in b.tolist()]
+                    want = [ref(n, m, a, v) for v in b.tolist()]
                     got = np.broadcast_to(table(n, m, a, b), b.shape)
                     assert np.array_equal(got, want)
+                    # a scalar call is the same entry
+                    assert table(n, m, a, b[0]) == want[0]
     # array degrees: every offset m - n in -4..4, so outside each band and
     # m < 0 too, against a column of exponents; a + b = 1 and a + b = 2 are
     # the 0/0 cases of the printed forms at n = 0, and a + b < 1 makes the
@@ -291,16 +303,17 @@ def test_array_exponents_equal_scalar_calls():
     m = n[:, None] + np.arange(-4, 5)
     for a, b in [(0.25, 0.75), (0.5, 1.5), (1.0, 1.0), (0.25, 0.5),
                  (0.7, 2.6), (0.01, 3.0)]:
-        want = [jacobi.log_norm_c(k, a, b) for k in n.tolist()]
+        want = [reference.log_norm_c(k, a, b) for k in n.tolist()]
         assert np.array_equal(jacobi.log_norm_c(n, a, b), want)
-        for table in tables:
+        for table, ref in TABLES:
             bs = np.array([b, b + 0.5]) + (2.0 if table is jacobi.coeff_J else 0.0)
-            want = [[[table(k, mk, a, v) for v in bs.tolist()] for mk in row]
+            want = [[[ref(k, mk, a, v) for v in bs.tolist()] for mk in row]
                     for k, row in zip(n.tolist(), m.tolist())]
             got = table(n[:, None, None], m[:, :, None], a, bs)
             assert np.array_equal(got, want)
     # eval_R_all: a column of exponents against a row of points; each column
-    # is the scalar call, down to nmax 0 and 1 and an empty set of points
+    # is the scalar call and the reference, down to nmax 0 and 1 and an empty
+    # set of points
     bs = np.array([0.3, 1.0, 2.6, 7.5])
     for nmax in (0, 1, 2, 9):
         for xs in (np.linspace(0.0, 1.0, 7), np.empty(0)):
@@ -309,15 +322,18 @@ def test_array_exponents_equal_scalar_calls():
             for col, v in enumerate(bs.tolist()):
                 assert np.array_equal(got[:, col],
                                       jacobi.eval_R_all(nmax, 0.7, v, xs))
+                for k in range(nmax + 1):
+                    assert np.array_equal(got[k, col],
+                                          reference.eval_R(k, 0.7, v, xs))
 
 
 def test_parameter_domain_errors():
     with pytest.raises(ParameterError):
-        jacobi.eval_R(2, 0.0, 1.0, 0.5)
+        jacobi.eval_R_all(2, 0.0, 1.0, 0.5)
     with pytest.raises(ParameterError):
-        jacobi.eval_R(2, 1.0, -0.2, 0.5)
+        jacobi.eval_R_all(2, 1.0, -0.2, 0.5)
     with pytest.raises(ParameterError):
-        jacobi.eval_R(-1, 1.0, 1.0, 0.5)
+        jacobi.eval_R_all(-1, 1.0, 1.0, 0.5)
     with pytest.raises(ParameterError):
         jacobi.log_norm_c(-2, 1.0, 1.0)
     with pytest.raises(ParameterError):

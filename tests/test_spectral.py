@@ -34,6 +34,8 @@ from wfspectral.errors import NumericalError, ParameterError
 from wfspectral.indexing import BasisEnumeration, count_at_degree, total_count
 from wfspectral.model import ModelParams
 
+import reference
+
 SIGMA_K4 = np.array([[12.0, 14.0, 15.0, 10.0],
                      [14.0, 11.0, 13.0, 9.0],
                      [15.0, 13.0, 0.0, 8.0],
@@ -311,7 +313,7 @@ def test_eval_B_neutral_is_normalized_P(theta_unit):
     for n in (0, 1, 4, 9):
         pos = int(np.argmax(np.abs(sd.coeffs[n])))
         m = basis.enumeration.indices[pos]
-        want = sd.coeffs[n, pos] * basis.eval_P(m, x)
+        want = sd.coeffs[n, pos] * reference.eval_P(theta_unit, m, x)
         got = spectral.eval_B(sd, n, x)
         assert np.allclose(got, want, rtol=1e-10, atol=1e-12)
 
