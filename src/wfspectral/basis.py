@@ -26,8 +26,8 @@ import scipy.sparse
 
 from . import jacobi
 from .errors import ParameterError
-from .indexing import (BasisEnumeration, graded_positions, index_arrays,
-                       tail_sums, total_count)
+from .indexing import (BasisEnumeration, graded_positions, tail_sums,
+                       total_count)
 
 # Entries smaller than this are dropped from sparse storage (exact zeros).
 ENTRY_FLOOR = 1e-300
@@ -87,9 +87,9 @@ class MultiJacobiBasis:
         if count > len(enum):
             raise ParameterError(
                 f"requested {count} basis members, enumeration holds {len(enum)}")
-        n, tails = index_arrays(enum.indices[:count], self.K - 1)
+        n, tails = enum.indices[:count], enum.tails[:count]
         table, pows, spread, suffix, _ = self._split(
-            int(n.sum(axis=1).max(initial=0)), xi)
+            int(enum.degrees[:count].max(initial=0)), xi)
         # every member starts with R (1 - xi_0)^t: form it once per (n_0, t)
         table *= pows
         second = graded_positions(n[:, 1:])
@@ -119,8 +119,8 @@ class MultiJacobiBasis:
         weights = np.asarray(weights, dtype=float)
         xi = np.asarray(xi, dtype=float)
         count = weights.shape[-1]
-        n, _ = index_arrays(self.enumeration.indices[:count], self.K - 1)
-        top = int(n.sum(axis=1).max(initial=0))
+        n = self.enumeration.indices[:count]
+        top = int(self.enumeration.degrees[:count].max(initial=0))
         if count != total_count(self.K, top):
             raise ParameterError(
                 f"{count} weights do not fill the degree blocks of the basis")
@@ -192,7 +192,7 @@ class MultiJacobiBasis:
         by one call, and are summed over the axes in the same order.
         """
         if self._log_norms is None:
-            n, tails = index_arrays(self.enumeration.indices, self.K - 1)
+            n, tails = self.enumeration.indices, self.enumeration.tails
             total = np.zeros(len(n))
             for j in range(self.K - 1):
                 # the last axis has no suffix
@@ -259,7 +259,7 @@ class MultiJacobiBasis:
         """
         piv = self._check_coord(i)
         U = len(self.enumeration)
-        n, tails = index_arrays(self.enumeration.indices, self.K - 1)
+        n, tails = self.enumeration.indices, self.enumeration.tails
         rows = np.arange(U)
         m = n
         d = np.zeros(U, dtype=np.int64)

@@ -243,9 +243,7 @@ def neutral_transition_density(p, t, x, y, D):
     basis = MultiJacobiBasis(p.theta, enum)
     Px = basis.eval_prefix_cube(to_cube(x))
     Py = basis.eval_prefix_cube(to_cube(y))
-    degrees = np.fromiter((sum(n) for n in enum.indices), dtype=float,
-                          count=len(enum))
-    lam = 0.5 * degrees * (degrees - 1.0 + p.theta_total)
+    lam = model_mod.neutral_eigenvalue(enum.degrees, p)
     weights = np.exp(-lam * t - basis.log_norms_all())
     kernel = np.tensordot(weights * Px, Py, axes=(0, 0))
     out = kernel * np.exp(model_mod.log_stationary_unnormalized(p, y))

@@ -3,8 +3,9 @@
 Indices are (K-1)-tuples of nonnegative integers with total degree at most D,
 ordered graded lexicographically: lower total degree first, ties broken by
 plain left-to-right lexicographic comparison. Positions are 0-based. The
-ordering is total and deterministic, so a position in the flat list and the
-tuple itself are interchangeable keys.
+ordering is total and deterministic, so a row of the index array and the
+tuple itself are interchangeable keys (graded_positions maps one to the
+other).
 """
 
 from math import comb
@@ -30,24 +31,13 @@ def count_at_degree(K, l):
     return comb(l + K - 2, K - 2)
 
 
-def _compositions(l, parts):
-    # all weak compositions of l into `parts` parts, lexicographically
-    if parts == 1:
-        yield (l,)
-        return
-    for first in range(l + 1):
-        for rest in _compositions(l - first, parts - 1):
-            yield (first,) + rest
-
-
 class BasisEnumeration:
-    """Graded-lex list of index tuples up to degree D, with a reverse map.
+    """Graded-lex array of the index tuples up to degree D.
 
-    Attributes:
-        K: number of types; tuples have K-1 entries.
-        D: truncation degree (inclusive).
-        indices: list of tuples in graded-lex order.
-        position: dict mapping tuple -> 0-based position.
+    Attributes, each a read-only int64 array:
+        indices: (U, K-1) tuples, one per row, in graded-lex order.
+        degrees: (U,) total degree of each row.
+        tails: (U, K-1) suffix sums of each row, as tail_sums gives them.
     """
 
     def __init__(self, K, D):
@@ -56,16 +46,25 @@ class BasisEnumeration:
             raise ParameterError(f"truncation degree must be >= 0, got {D}")
         self.K = K
         self.D = D
-        self.indices = []
-        for l in range(D + 1):
-            self.indices.extend(_compositions(l, K - 1))
-        self.position = {n: p for p, n in enumerate(self.indices)}
+        # every tuple of degree <= D, each extended in turn by every last
+        # entry its degree leaves room for, then put at its graded position
+        n = np.zeros((1, 0), dtype=np.int64)
+        for _ in range(K - 1):
+            room = D + 1 - n.sum(axis=1)
+            rows = np.repeat(np.arange(len(n)), room)
+            last = np.arange(len(rows)) - np.repeat(np.cumsum(room) - room,
+                                                    room)
+            n = np.column_stack([n[rows], last])
+        self.indices = np.empty_like(n)
+        self.indices[graded_positions(n)] = n
+        self.degrees = self.indices.sum(axis=1)
+        self.tails = (np.cumsum(self.indices[:, ::-1], axis=1)[:, ::-1]
+                      - self.indices)
+        for a in (self.indices, self.degrees, self.tails):
+            a.flags.writeable = False
 
     def __len__(self):
         return len(self.indices)
-
-    def __iter__(self):
-        return iter(self.indices)
 
 
 def graded_positions(m):
@@ -91,14 +90,6 @@ def graded_positions(m):
         pos += binom[rest + q - 1, q - 1] - binom[rest - m[:, s] + q - 1, q - 1]
         rest -= m[:, s]
     return pos
-
-
-def index_arrays(indices, parts):
-    """Index tuples as an int64 array of shape (len(indices), parts), and
-    the suffix sums tail_sums gives for each row, as an array of that shape.
-    """
-    n = np.array(indices, dtype=np.int64).reshape(len(indices), parts)
-    return n, np.cumsum(n[:, ::-1], axis=1)[:, ::-1] - n
 
 
 def tail_sums(n):

@@ -96,11 +96,13 @@ def drift_diffusion(p, x):
     return LocalGeneratorCoefficients(a=a, b=b)
 
 
-def neutral_eigenvalue(total_degree, p):
-    """Eigenvalue of the neutral generator at total degree l: l(l-1+|theta|)/2."""
-    if total_degree < 0:
-        raise ParameterError(f"degree must be >= 0, got {total_degree}")
-    l = total_degree
+def neutral_eigenvalue(l, p):
+    """Eigenvalue of the neutral generator at total degree l: l(l-1+|theta|)/2.
+
+    An integer array of degrees gives the scalar calls' values, bit for bit.
+    """
+    if np.min(l, initial=0) < 0:
+        raise ParameterError(f"degree must be >= 0, got {np.min(l)}")
     return 0.5 * l * (l - 1 + p.theta_total)
 
 

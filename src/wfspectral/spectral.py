@@ -48,7 +48,7 @@ from . import csvout
 from . import model as model_mod
 from .basis import MultiJacobiBasis
 from .errors import NumericalError, ParameterError
-from .indexing import BasisEnumeration, total_count
+from .indexing import BasisEnumeration, graded_positions, total_count
 # q_tables is unused here, but bench/spans.py wraps spectral.q_tables by name
 from .model import ModelParams, q_tables  # noqa: F401
 from .simplex import to_cube
@@ -147,7 +147,6 @@ def assemble_M(p, basis):
     basis_pad = MultiJacobiBasis(p.theta, BasisEnumeration(K, D + depth))
     # columns of degree <= D + k are all that depth k of the nesting reaches
     cols = [total_count(K, D + k) for k in range(depth + 1)]
-    U = cols[0]
     # G_i maps the cols[k + 1] columns of a depth k + 1 term to the cols[k]
     # of depth k
     blocks = {}
@@ -155,9 +154,7 @@ def assemble_M(p, basis):
         G = basis_pad.recurrence_matrix(i)
         for k in range(depth):
             blocks[i, k] = G[:cols[k + 1], :cols[k]]
-    degrees = np.fromiter((sum(n) for n in basis.enumeration.indices),
-                          dtype=float, count=U)
-    lam = 0.5 * degrees * (degrees - 1.0 + p.theta_total)
+    lam = model_mod.neutral_eigenvalue(basis.enumeration.degrees, p)
     block = _horner((), multis.get((), 0.0) + lam, multis, live, blocks,
                     cols)
     block.sum_duplicates()   # canonical: sorted in place, hashed as it is
@@ -416,24 +413,25 @@ def convergence_table(p, D_list, n_list, track=()):
     """
     if not D_list:
         return []
-    smallest = BasisEnumeration(p.K, min(D_list))
+    low = min(D_list)
+    U = total_count(p.K, low)
     n_eig = max([*n_list, *(n for n, _ in track)], default=0) + 1
-    if n_eig > len(smallest):
+    if n_eig > U:
         raise ParameterError(f"eigenpair {n_eig - 1} not present at "
-                             f"truncation {smallest.D} (size {len(smallest)})")
+                             f"truncation {low} (size {U})")
     track = [(n, tuple(m)) for n, m in track]
     for _, m in track:
-        if m not in smallest.position:
-            raise ParameterError(f"index {m} not in the level-{smallest.D} "
-                                 "basis")
+        if len(m) != p.K - 1 or min(m, default=0) < 0 or sum(m) > low:
+            raise ParameterError(f"index {m} not in the level-{low} basis")
+    pos = graded_positions(np.reshape([m for _, m in track], (-1, p.K - 1)))
     top = assemble_M(p, MultiJacobiBasis(
         p.theta, BasisEnumeration(p.K, max(D_list))))
     rows = []
     for D in D_list:
         sd = decompose(p, D, n_eig=n_eig, within=top)
         lam = {n: float(sd.eigenvalues[n]) for n in n_list}
-        uvals = {(n, m): float(sd.coeffs[n, smallest.position[m]])
-                 for n, m in track}
+        uvals = {(n, m): float(sd.coeffs[n, q])
+                 for (n, m), q in zip(track, pos)}
         rows.append({"D": D, "Lambda": lam, "u": uvals})
     return rows
 
@@ -479,7 +477,8 @@ def write_coefficients_csv(sd, path):
     csvout.CHUNK coefficients.
     """
     labels = np.array([";".join(map(str, m))
-                       for m in sd.basis.enumeration.indices], dtype="S")
+                       for m in sd.basis.enumeration.indices.tolist()],
+                      dtype="S")
     names = np.arange(sd.n_eig).astype("S")
     step = max(1, csvout.CHUNK // sd.size)
 

@@ -2,7 +2,8 @@
 
 Each function computes one entry, or one basis member at an array of points,
 from plain Python floats with math.lgamma and math.log; numpy enters only as
-the container of the points. Every expression keeps the operation order of
+the container of the points. The graded index set is built one tuple at a
+time by a recursive generator. Every expression keeps the operation order of
 the broadcast code in wfspectral.jacobi and wfspectral.basis, so a table
 entry, a norm, a member value or a recurrence entry of the program equals the
 reference bit for bit. Nothing here imports wfspectral.
@@ -111,6 +112,27 @@ def eval_R(n, a, b, x):
 
 
 # -- the basis on the simplex ------------------------------------------------
+
+def compositions(l, parts):
+    """All weak compositions of l into `parts` parts, lexicographically."""
+    if parts == 1:
+        yield (l,)
+        return
+    for first in range(l + 1):
+        for rest in compositions(l - first, parts - 1):
+            yield (first,) + rest
+
+
+def enumeration(K, D):
+    """Index tuples of K-1 entries and degree <= D in graded-lex order, one
+    tuple at a time: lower degree first, then lexicographic."""
+    return [n for l in range(D + 1) for n in compositions(l, K - 1)]
+
+
+def positions(K, D):
+    """Graded-lex position of each tuple of enumeration(K, D)."""
+    return {n: pos for pos, n in enumerate(enumeration(K, D))}
+
 
 def _tails(n):
     """Suffix degrees n_{j+1} + ... + n_{K-1}, one per slot."""

@@ -99,8 +99,8 @@ def test_criterion_05_truncation_stabilization(theta_small, sigma_1):
     sd40 = spectral.decompose(p, 40)
     lam36, lam40 = sd36.eigenvalues[75], sd40.eigenvalues[75]
     assert abs(lam40 - lam36) / lam40 <= 1e-4
-    pos36 = sd36.basis.enumeration.position[(8, 2)]
-    pos40 = sd40.basis.enumeration.position[(8, 2)]
+    pos36 = reference.positions(3, 36)[(8, 2)]
+    pos40 = reference.positions(3, 40)[(8, 2)]
     u36, u40 = sd36.coeffs[75, pos36], sd40.coeffs[75, pos40]
     assert abs(u40 - u36) <= 1e-4 * np.max(np.abs(sd40.coeffs[75]))
     assert time.perf_counter() - start < 600.0
@@ -108,7 +108,7 @@ def test_criterion_05_truncation_stabilization(theta_small, sigma_1):
 
 def test_criterion_06_basis_orthogonality(theta_small):
     basis = MultiJacobiBasis(np.asarray(theta_small), BasisEnumeration(3, 4))
-    members = basis.enumeration.indices
+    members = reference.enumeration(3, 4)
     norms = np.exp(basis.log_norms_all())
     for i, n in enumerate(members):
         for j in range(i, len(members)):

@@ -88,7 +88,7 @@ def candidate_loop_normalizing_constant(sd):
     pts = np.concatenate([density.make_grid(K, 10), np.eye(K)[:, :K - 1]])
     f = np.zeros(len(pts))
     size = np.zeros(len(pts))
-    for pos, m in enumerate(sd.basis.enumeration.indices):
+    for pos, m in enumerate(reference.enumeration(K, sd.D)):
         term = u0[pos] * reference.eval_P(sd.params.theta, m, pts)
         f += term
         size += np.abs(term)

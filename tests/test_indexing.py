@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+import reference
 from wfspectral.errors import ParameterError
 from wfspectral.indexing import (BasisEnumeration, count_at_degree,
                                  graded_positions, tail_sums, total_count)
@@ -10,14 +11,44 @@ from wfspectral.indexing import (BasisEnumeration, count_at_degree,
 
 def test_enumeration_k3_d2_is_graded_lex():
     enum = BasisEnumeration(3, 2)
-    assert enum.indices == [(0, 0), (0, 1), (1, 0), (0, 2), (1, 1), (2, 0)]
+    assert enum.indices.tolist() == [[0, 0], [0, 1], [1, 0], [0, 2], [1, 1],
+                                     [2, 0]]
     assert len(enum) == 6
 
 
 def test_enumeration_k2_is_scalar_degrees():
     enum = BasisEnumeration(2, 5)
-    assert enum.indices == [(0,), (1,), (2,), (3,), (4,), (5,)]
+    assert enum.indices.tolist() == [[0], [1], [2], [3], [4], [5]]
     assert len(enum) == 6
+
+
+@pytest.mark.parametrize("K", [2, 3, 4, 5])
+def test_indices_equal_the_reference_generator(K):
+    for D in range(13):
+        enum = BasisEnumeration(K, D)
+        assert enum.indices.dtype == np.int64
+        assert enum.indices.shape == (total_count(K, D), K - 1)
+        assert [tuple(n) for n in enum.indices.tolist()] == \
+            reference.enumeration(K, D)
+        assert np.array_equal(graded_positions(enum.indices),
+                              np.arange(len(enum)))
+
+
+@pytest.mark.parametrize("K", [2, 3, 4, 5])
+def test_degrees_and_tails_are_row_and_suffix_sums(K):
+    enum = BasisEnumeration(K, 9)
+    rows = [tuple(n) for n in enum.indices.tolist()]
+    assert enum.degrees.tolist() == [sum(n) for n in rows]
+    assert enum.tails.shape == enum.indices.shape
+    assert [tuple(t) for t in enum.tails.tolist()] == [tail_sums(n)
+                                                        for n in rows]
+
+
+def test_arrays_are_read_only():
+    enum = BasisEnumeration(3, 4)
+    for name in ("indices", "degrees", "tails"):
+        with pytest.raises(ValueError):
+            getattr(enum, name)[0] = 1
 
 
 def test_enumeration_k4_d1_length():
@@ -46,12 +77,12 @@ def test_degree_counts_sum_to_total():
 def test_position_round_trip():
     enum = BasisEnumeration(3, 8)
     for pos, n in enumerate(enum.indices):
-        assert enum.position[n] == pos
+        assert graded_positions(n[None, :]).tolist() == [pos]
 
 
 def test_ordering_is_graded_then_lex():
-    enum = BasisEnumeration(4, 6)
-    for a, b in zip(enum.indices, enum.indices[1:]):
+    rows = [tuple(n) for n in BasisEnumeration(4, 6).indices.tolist()]
+    for a, b in zip(rows, rows[1:]):
         assert sum(a) < sum(b) or (sum(a) == sum(b) and a < b)
 
 
@@ -60,7 +91,7 @@ def test_prefix_property_under_deeper_truncation():
     # one, which is what makes truncated matrix slicing exact
     small = BasisEnumeration(3, 6)
     large = BasisEnumeration(3, 8)
-    assert large.indices[:len(small)] == small.indices
+    assert np.array_equal(large.indices[:len(small)], small.indices)
 
 
 def degree_slice(enum, d):
@@ -72,14 +103,14 @@ def test_degree_slice_covers_degrees():
     enum = BasisEnumeration(3, 5)
     for d in range(6):
         sl = degree_slice(enum, d)
-        assert all(sum(enum.indices[i]) <= d for i in sl)
+        assert all(enum.indices[i].sum() <= d for i in sl)
         assert len(sl) == total_count(3, d)
 
 
 def test_graded_positions_match_the_enumeration():
     for K in range(2, 7):
         enum = BasisEnumeration(K, 8)
-        tuples = np.array(enum.indices).reshape(len(enum), K - 1)
+        tuples = enum.indices
         assert np.array_equal(graded_positions(tuples), np.arange(len(enum)))
         # a position depends on its own row only
         order = np.random.default_rng(K).permutation(len(enum))
@@ -93,7 +124,8 @@ def test_graded_positions_match_the_enumeration():
 
 def test_known_position_of_8_2():
     enum = BasisEnumeration(3, 12)
-    assert enum.position[(8, 2)] == 63
+    assert graded_positions([[8, 2]]).tolist() == [63]
+    assert enum.indices[63].tolist() == [8, 2]
 
 
 def test_big_truncation_sizes():
@@ -121,9 +153,7 @@ def test_rejects_bad_parameters():
 
 def test_enumeration_is_immutable_view():
     enum = BasisEnumeration(3, 4)
-    listed = list(enum)
-    assert listed == enum.indices
+    assert not enum.indices.flags.writeable
     rng = np.random.default_rng(10)
     picks = rng.integers(0, len(enum), size=10)
-    for i in picks:
-        assert enum.position[enum.indices[i]] == i
+    assert np.array_equal(graded_positions(enum.indices[picks]), picks)

@@ -145,6 +145,16 @@ def test_neutral_eigenvalue_pins():
         model.neutral_eigenvalue(-1, p)
 
 
+def test_neutral_eigenvalue_broadcasts_bit_for_bit():
+    p = ModelParams([0.01, 0.02, 0.03, 0.04], np.zeros((4, 4)))
+    degrees = np.repeat(np.arange(30), 3)
+    got = model.neutral_eigenvalue(degrees, p)
+    want = [model.neutral_eigenvalue(int(l), p) for l in degrees]
+    assert got.dtype == float and got.tolist() == want
+    with pytest.raises(ParameterError):
+        model.neutral_eigenvalue(np.array([3, -1]), p)
+
+
 def test_stationary_uniform_case():
     p = ModelParams([1.0, 1.0, 1.0], np.zeros((3, 3)))
     x = np.array([0.3, 0.5])

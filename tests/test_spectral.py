@@ -69,7 +69,7 @@ def test_neutral_matrix_is_diagonal(theta_small):
     M = om.matrix.toarray()
     off = M - np.diag(np.diag(M))
     assert np.max(np.abs(off)) == 0.0
-    for pos, n in enumerate(om.basis.enumeration.indices):
+    for pos, n in enumerate(reference.enumeration(3, 8)):
         assert M[pos, pos] == pytest.approx(
             model.neutral_eigenvalue(sum(n), p), rel=1e-14)
 
@@ -127,7 +127,7 @@ def test_detailed_balance_entrywise(theta_small, sigma_1):
 def test_band_structure(theta_small, sigma_1):
     p, om = assemble(theta_small, sigma_1, 10)
     M = om.matrix.toarray()
-    degs = np.array([sum(n) for n in om.basis.enumeration.indices])
+    degs = np.array([sum(n) for n in reference.enumeration(3, 10)])
     far = np.abs(degs[:, None] - degs[None, :]) > 4
     assert np.max(np.abs(M[far])) == 0.0
 
@@ -150,7 +150,8 @@ def summed_multiset_assembly(p, D, pad):
     """
     enum_pad = BasisEnumeration(p.K, D + pad)
     basis_pad = MultiJacobiBasis(p.theta, enum_pad)
-    degrees = np.array([sum(n) for n in enum_pad.indices], dtype=float)
+    degrees = np.array([sum(n) for n in reference.enumeration(p.K, D + pad)],
+                       dtype=float)
     acc = scipy.sparse.diags(0.5 * degrees * (degrees - 1.0 + p.theta_total),
                              format="csr")
     weights = multiset_weights(p)
@@ -312,7 +313,7 @@ def test_eval_B_neutral_is_normalized_P(theta_unit):
     x = rng.dirichlet(np.ones(3), size=30)[:, :2]
     for n in (0, 1, 4, 9):
         pos = int(np.argmax(np.abs(sd.coeffs[n])))
-        m = basis.enumeration.indices[pos]
+        m = reference.enumeration(basis.K, basis.D)[pos]
         want = sd.coeffs[n, pos] * reference.eval_P(theta_unit, m, x)
         got = spectral.eval_B(sd, n, x)
         assert np.allclose(got, want, rtol=1e-10, atol=1e-12)
@@ -376,6 +377,10 @@ def test_convergence_table_validation(theta_unit):
         spectral.convergence_table(p, [2], [99])
     with pytest.raises(ParameterError):
         spectral.convergence_table(p, [2], [0], track=[(0, (9, 9))])
+    # a wrong length, a negative entry, a degree above the smallest level
+    for m in ((0,), (0, 0, 0), (-1, 1), (2, 1)):
+        with pytest.raises(ParameterError, match="not in the level-2 basis"):
+            spectral.convergence_table(p, [4, 2], [0], track=[(0, m)])
 
 
 # K, the selective sigma, and levels D < D' small enough to solve fully
@@ -417,7 +422,7 @@ def test_convergence_table_equals_per_level_solves(K, sigma, D, D_top,
     n_list = [0, 1, 3]
     track = [(0, (0,) * (K - 1)), (1, (1,) + (0,) * (K - 2)),
              (3, (0,) * (K - 2) + (2,))]
-    smallest = BasisEnumeration(K, min(D_list))
+    position = reference.positions(K, min(D_list))
     for p in nesting_models(K, sigma, sigma_1):
         rows = spectral.convergence_table(p, D_list, n_list, track=track)
         for row, level in zip(rows, D_list, strict=True):
@@ -425,7 +430,7 @@ def test_convergence_table_equals_per_level_solves(K, sigma, D, D_top,
             assert row == {
                 "D": level,
                 "Lambda": {n: float(sd.eigenvalues[n]) for n in n_list},
-                "u": {(n, m): float(sd.coeffs[n, smallest.position[m]])
+                "u": {(n, m): float(sd.coeffs[n, position[m]])
                       for n, m in track}}
 
 
@@ -504,6 +509,19 @@ def test_decomposition_hash_reproducible(theta_small, sigma_1):
     assert h1 == h2
     assert h1 != h3
     assert len(h1) == 64
+
+
+@pytest.mark.parametrize("theta, sigma, D, want", [
+    ((0.01, 0.02, 0.03), "sigma_1", 12,
+     "3da7fe377f5e5f4da36656db54fd9960e711bdfd4915dea9cbd078f1cf92884e"),
+    ((0.01, 0.02, 0.03, 0.04), SIGMA_K4, 8,
+     "51628b5e8e92a68897eff207ae69f7772e7a42b323b3ab4085f742151d8fc57c")])
+def test_decomposition_hash_is_pinned(theta, sigma, D, want, sigma_1):
+    # the hash covers M, log C and their graded order: any change of the
+    # enumeration's order, the operator's bits or the norms shows here
+    p = ModelParams(theta, sigma_1 if isinstance(sigma, str) else sigma)
+    assert spectral.decomposition_hash(spectral.decompose(p, D, n_eig=1)) \
+        == want
 
 
 def test_eigensolve_rejects_pair_counts_outside_the_basis(theta_small, sigma_1):
@@ -733,7 +751,7 @@ def test_csv_exports_round_trip(tmp_path, theta_small, sigma_1):
     assert float(norm0) == pytest.approx(1.0, rel=1e-10)
     clines = cpath.read_text().splitlines()
     assert clines[0] == "n,m_tuple,u"
-    pos = sd.basis.enumeration.position
+    pos = reference.positions(sd.basis.K, sd.basis.D)
     for line in clines[1:]:
         n, mt, u = line.split(",")
         m = tuple(int(s) for s in mt.split(";"))
@@ -742,7 +760,7 @@ def test_csv_exports_round_trip(tmp_path, theta_small, sigma_1):
 
 def reference_write_coefficients_csv(sd, path):
     """The plain per-entry coefficient writer, kept as the byte reference."""
-    indices = sd.basis.enumeration.indices
+    indices = reference.enumeration(sd.basis.K, sd.basis.D)
     with open(path, "w", newline="") as fh:
         fh.write("n,m_tuple,u\n")
         for n in range(len(sd.coeffs)):
