@@ -123,6 +123,8 @@ def _multiset_products(coeffs):
     return out
 
 
+# an overflow leaves non-finite entries, which symmetrize refuses
+@np.errstate(over="ignore", invalid="ignore")
 def assemble_M(p, basis):
     """Assemble the truncated operator matrix over the basis enumeration.
 
@@ -203,11 +205,14 @@ def _diagonal(values, n):
                                    shape=(len(values), n))
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def symmetrize(om):
     """Similarity-transform M to its symmetric form S = D^-1 M D, D = diag sqrt C.
 
     S stays sparse (csr). Raises NumericalError when the symmetry defect
-    exceeds tolerance, which indicates detailed balance is broken upstream.
+    exceeds tolerance, which indicates detailed balance is broken upstream,
+    or when S or the defect is not finite, as when the selection polynomial
+    overflows.
 
     S is M's data scaled once, on M's own indices. When its transpose has the
     same pattern, as detailed balance makes it, the defect and the average
@@ -228,6 +233,9 @@ def symmetrize(om):
     else:
         defect = abs(S - T).max()
         S = 0.5 * (S + T)
+    if not (np.isfinite(defect) and np.all(np.isfinite(S.data))):
+        raise NumericalError(f"non-finite operator at truncation {om.D}: "
+                             "an entry overflows double precision")
     if defect > SYMMETRY_DEFECT_TOL * scale:
         raise NumericalError(
             f"detailed balance broken: symmetry defect {defect:.3e} "

@@ -446,6 +446,18 @@ def test_indefinite_operator_exit_code(tmp_path, capsys, monkeypatch):
     assert not (tmp_path / "normconst.json").exists()
 
 
+@pytest.mark.parametrize("sub", ["normconst", "density", "spectrum"])
+def test_overflowing_selection_exit_code(tmp_path, capsys, sub):
+    # a finite sigma whose selection polynomial overflows double precision
+    code = run(tmp_path, sub, "--set", "truncation=6",
+               "--set", "model.sigma=[[1e160,0,0],[0,0,0],[0,0,0]]")
+    assert code == 3
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "numerical"
+    assert "non-finite operator at truncation 6" in err["message"]
+    assert not any(tmp_path.glob("*.json"))
+
+
 def test_zero_time_rejected(tmp_path, capsys):
     code = run(tmp_path, "density", "--set", "times=[0.0,0.5]",
                "--set", "truncation=6")

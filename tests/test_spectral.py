@@ -245,6 +245,19 @@ def test_symmetrize_guard_trips_on_selected_matrix(theta_small, sigma_1,
         spectral.symmetrize(dataclasses.replace(om, matrix=bad))
 
 
+@pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan, 1e308])
+def test_symmetrize_refuses_a_non_finite_operator(theta_small, sigma_1, bad):
+    _, om = assemble(theta_small, sigma_1, 6)
+    M = om.matrix.copy()
+    if bad == 1e308:
+        M.data[:] = bad   # finite in M, overflowing once scaled to S
+    else:
+        M.data[5] = bad
+    with pytest.raises(NumericalError,
+                       match="non-finite operator at truncation 6"):
+        spectral.symmetrize(dataclasses.replace(om, matrix=M))
+
+
 def test_eigenvalues_match_general_solver(theta_small, sigma_1):
     import scipy.linalg
 
