@@ -22,6 +22,7 @@ pi(y) = e^{sbar(y)} pi0(y) / C_stat with C_stat computed from the lead
 eigenvector without any quadrature, at its best-conditioned point.
 """
 
+import math
 import warnings
 
 import numpy as np
@@ -35,6 +36,9 @@ from .simplex import to_cube
 DEFAULT_N_MAX = 562    # eigenpairs kept; a fixed default, for every K
 TAIL_WARN_THRESHOLD = 1e-8
 NORMCONST_GRID = 10    # grid resolution of the stationary-ratio candidates
+# log C_stat may leave its closed-form bounds by this much, well above
+# rounding: a neutral model lies on both bounds exactly
+NORMCONST_SLACK = 1e-6
 
 
 def n_max_or_default(n_max, held):
@@ -264,7 +268,9 @@ def normalizing_constant(sd, diagnostics=None):
     the interior grid make_grid(K, NORMCONST_GRID) and the K vertices.
 
     A dict passed as diagnostics receives "C_stat_kappa", kappa at the
-    chosen point, and "C_stat_point", the point itself.
+    chosen point, "C_stat_point", the point itself, and
+    "log_C_stat_bounds" from log_normconst_bounds. A value outside those
+    bounds raises NumericalError.
     """
     u0 = sd.coeffs[0]
     num = float(np.sum(u0 ** 2 * np.exp(sd.log_norms)))
@@ -278,11 +284,36 @@ def normalizing_constant(sd, diagnostics=None):
     if not np.isfinite(kappa[best]):
         raise NumericalError("lead eigenvector vanishes at every candidate "
                              "point; cannot form the stationary normalizer")
+    value = float(num * np.exp(model_mod.mean_fitness(sd.params, pts[best]))
+                  / f[best] ** 2)
+    lo, hi = log_normconst_bounds(sd.params)
     if diagnostics is not None:
         diagnostics.update(C_stat_kappa=float(kappa[best]),
-                           C_stat_point=pts[best].tolist())
-    return float(num * np.exp(model_mod.mean_fitness(sd.params, pts[best]))
-                 / f[best] ** 2)
+                           C_stat_point=pts[best].tolist(),
+                           log_C_stat_bounds=[lo, hi])
+    slack = NORMCONST_SLACK
+    if not (value > 0 and lo - slack <= math.log(value) <= hi + slack):
+        raise NumericalError(
+            f"C_stat = {value:.6g} at truncation {sd.D} is outside its "
+            f"closed-form bounds: log C_stat must lie in [{lo:.6g}, {hi:.6g}]"
+            "; raise the truncation")
+    return value
+
+
+def log_normconst_bounds(p):
+    """Closed-form bounds on log C_stat, with C_stat = B(theta) E[e^sbar]
+    under the Dirichlet(theta) law and B(theta) = prod Gamma(theta_i) /
+    Gamma(|theta|).
+
+    Jensen's inequality gives log B + E[sbar] below, with
+    E[x_i x_j] = (theta_i theta_j + delta_ij theta_i) / (|theta| (|theta|+1));
+    sbar <= max sigma_ij on the simplex gives log B + max sigma_ij above.
+    """
+    th, tt = p.theta, p.theta_total
+    log_b = sum(math.lgamma(t) for t in th) - math.lgamma(tt)
+    second = (np.outer(th, th) + np.diag(th)) / (tt * (tt + 1.0))
+    return (log_b + float(np.sum(p.sigma * second)),
+            log_b + float(p.sigma.max()))
 
 
 def stationary_density(sd, y):

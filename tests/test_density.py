@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 
 from wfspectral import density, model, oracles, simplex, spectral
 from wfspectral.basis import MultiJacobiBasis
-from wfspectral.errors import ParameterError
+from wfspectral.errors import NumericalError, ParameterError
 from wfspectral.indexing import total_count
 from wfspectral.model import ModelParams
 from wfspectral.oracles import gauss_jacobi_01
@@ -127,6 +127,34 @@ def test_normalizer_holds_under_strong_selection(scale, which, sigma_1,
         theta=theta)
     assert got == pytest.approx(want, rel=1e-7)
     assert 1.0 <= diagnostics["C_stat_kappa"] < 10.0
+
+
+@pytest.mark.parametrize("theta, sigma", [
+    ((0.01, 0.02, 0.03), [[12.0, 14.0, 15.0], [14.0, 11.0, 13.0],
+                          [15.0, 13.0, 0.0]]),
+    ((0.3, 0.4, 0.3), [[60.0, 14.0, 15.0], [14.0, 55.0, 13.0],
+                       [15.0, 13.0, 0.0]]),
+    ((1.0, 1.0, 1.0), [[-4.0, 2.0, 1.0], [2.0, 3.0, -2.0], [1.0, -2.0, 0.0]]),
+    ((0.5, 0.5, 1.0), np.zeros((3, 3)))])
+def test_normconst_bounds_hold_against_quadrature(theta, sigma):
+    p = model.ModelParams(theta, sigma)
+    lo, hi = density.log_normconst_bounds(p)
+    want = oracles.simplex_quadrature(
+        lambda y: np.exp(model.mean_fitness(p, y)), 3, 120, theta=theta)
+    assert lo <= math.log(want) + 1e-12 and math.log(want) <= hi + 1e-12
+    if not p.is_neutral:
+        assert lo < hi
+    else:   # both bounds are log B(theta), here log pi
+        assert lo == hi == pytest.approx(math.log(math.pi), rel=1e-14)
+
+
+def test_normconst_outside_its_bounds_is_refused():
+    # an unconverged series: C_stat 7927.9 where the exact value is above
+    # e^168, Jensen's lower bound
+    sd = decompose([0.01, 0.02, 0.03], np.diag([1000.0, 0.0, 0.0]), 40,
+                   n_eig=1)
+    with pytest.raises(NumericalError, match="closed-form bounds"):
+        density.normalizing_constant(sd)
 
 
 def test_stationary_density_integrates_to_one(theta_unit, sigma_1):
