@@ -81,17 +81,10 @@ CONFIG_KEYS = [
     ("mc.block_size", 1024, _at_least(1), "an integer >= 1"),
     ("mc.record_every", None, _at_least(1, null=True),
      "null or an integer >= 1"),
-    ("pad", RETIRED, lambda v: v == 4, "4, or left out: the assembly pads "
-     "by the degree of the selection polynomial, which keeps the retained "
-     "block exact"),
     ("precision", RETIRED, lambda v: v in ("double", "auto"),
      '"double" or "auto", or left out: both mean double. A retired 128-bit '
      "path agreed with double to 2.5e-14 of the spectral scale on "
      "eigenvalues and 1.6e-11 on coefficients, with sigma entries up to 80"),
-    ("m_max", RETIRED, lambda v: v is None, "null, or left out: every series "
-     "keeps all degrees up to the truncation D. At 5 x the benchmark sigma "
-     "and D=40, a cap of 36 gave density errors of 1.0-1.4e-9 of max |p| "
-     "for t >= 0.2, and all degrees 2.8-3.6e-11"),
 ]
 
 
