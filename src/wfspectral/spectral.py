@@ -296,14 +296,14 @@ def _solve(S, n_eig, theta_total):
     if n_eig == 1 and U >= ARPACK_MIN_SIZE:
         w, V = _lowest_pair(S, theta_total)
         return w, V, "arpack_shift_invert"
-    # Fortran order lets LAPACK work in this one dense copy
+    # S is exactly symmetric, so the dense transpose is S in Fortran order,
+    # filled from CSC straight off S's arrays: LAPACK works in this one copy
     if n_eig <= SUBSET_FRACTION * U:
-        w, V = scipy.linalg.eigh(S.toarray(order="F"), overwrite_a=True,
+        w, V = scipy.linalg.eigh(S.T.toarray(), overwrite_a=True,
                                  subset_by_index=[0, n_eig - 1])
         return w, V, "eigh_subset"
     # divide and conquer returns the eigenvectors in the dense copy itself
-    w, V = scipy.linalg.eigh(S.toarray(order="F"), overwrite_a=True,
-                             driver="evd")
+    w, V = scipy.linalg.eigh(S.T.toarray(), overwrite_a=True, driver="evd")
     return w[:n_eig], V[:, :n_eig], "eigh"
 
 
