@@ -142,6 +142,22 @@ def test_normconst_closed_form(tmp_path):
     assert code == 0
     doc = json.loads((tmp_path / "normconst.json").read_text())
     assert doc["C_stat"] == pytest.approx(math.pi, rel=1e-8)
+    # a neutral model sits on both bounds: log B(theta) = log pi
+    assert doc["log_C_stat_bounds"] == pytest.approx([math.log(math.pi)] * 2,
+                                                     rel=1e-12)
+
+
+def test_normconst_outside_its_bounds_exit_code(tmp_path, capsys):
+    # at sigma_11 = 1000 the series gives C_stat = 7927.9, log 8.98, where
+    # Jensen's bound puts log C_stat at 168.0 or more
+    code = run(tmp_path, "normconst",
+               "--set", "model.sigma=[[1000,0,0],[0,0,0],[0,0,0]]")
+    assert code == 3
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "numerical"
+    assert "closed-form bounds" in err["message"]
+    assert "truncation 40" in err["message"]
+    assert not (tmp_path / "normconst.json").exists()
 
 
 def test_converge_table(tmp_path):
@@ -252,8 +268,9 @@ def test_every_default_key_has_a_row():
         if default is not cli.RETIRED)
     for path, value in defaults.items():
         assert rows[path][1](value), path
-    # the retired keys are rows, left out of the defaults
-    assert {"pad", "precision", "m_max"} <= set(rows) - set(defaults)
+    # the one retired key is a row, left out of the defaults; pad and m_max
+    # are no rows at all
+    assert set(rows) - set(defaults) == {"precision"}
 
 
 @pytest.mark.parametrize("sub, setting", [
@@ -269,8 +286,8 @@ def test_every_default_key_has_a_row():
     ("converge", "converge.n_list=[0,-1]"),
     ("density", "truncation=true"),
     ("density", "n_max=true"),
+    # m_max is gone: every series keeps all degrees up to D
     ("density", "m_max=1.5"),
-    # m_max is retired: every series keeps all degrees up to D
     ("density", "m_max=36"),
     ("normconst", "m_max=6"),
     ("density", "grid_resolution=2.5"),
@@ -350,27 +367,28 @@ def test_decomposition_hash_follows_the_operator(tmp_path, sigma_1):
         normconst("sigma", "--set", "model.sigma=[[1,2,3],[2,1,2],[3,2,0]]"),
         normconst("theta", "--set", "model.theta=[0.02,0.02,0.03]")]}
     assert len(hashes) == 4
-    # configs written while the pad was an option carry "pad": 4
-    pad4 = json.loads(normconst("pad4", "--set", "pad=4"))
-    assert pad4["decomposition_hash"] == json.loads(first)["decomposition_hash"]
-    assert pad4["config"]["pad"] == 4
-    assert run(tmp_path / "pad5", "normconst", "--set", "truncation=6",
-               "--set", "pad=5") == 2
-    assert not (tmp_path / "pad5" / "normconst.json").exists()
+    # the pad is no option: every assembly pads by the degree of the
+    # selection polynomial, and a config that names it is refused
+    for pad in (4, 5):
+        assert run(tmp_path / f"pad{pad}", "normconst", "--set",
+                   "truncation=6", "--set", f"pad={pad}") == 2
+        assert not (tmp_path / f"pad{pad}" / "normconst.json").exists()
 
 
 @pytest.mark.filterwarnings("ignore:truncation undershoot")
-def test_retired_m_max_accepts_only_null(tmp_path, capsys):
-    # configs written while m_max was an option carry "m_max": null
-    assert run(tmp_path / "null", "density", "--set", "truncation=6",
-               "--set", "grid_resolution=4", "--set", "m_max=null") == 0
-    meta = json.loads((tmp_path / "null" / "density_meta.json").read_text())
-    assert meta["config"]["m_max"] is None
-    assert meta["m_max"] == 6      # the sidecar records the degrees kept
-    capsys.readouterr()
-    assert run(tmp_path / "36", "density", "--set", "m_max=36") == 2
-    assert "keeps all degrees" in json.loads(
-        capsys.readouterr().err)["message"]
+def test_m_max_is_an_unknown_key(tmp_path, capsys):
+    # every series keeps all degrees up to D, so m_max, null or not, is
+    # refused as unknown; the sidecar still records the degrees kept
+    for value in ("null", "36"):
+        assert run(tmp_path / value, "density", "--set", "truncation=6",
+                   "--set", f"m_max={value}") == 2
+        assert "unknown config key m_max" in json.loads(
+            capsys.readouterr().err)["message"]
+    assert run(tmp_path / "kept", "density", "--set", "truncation=6",
+               "--set", "grid_resolution=4") == 0
+    meta = json.loads((tmp_path / "kept" / "density_meta.json").read_text())
+    assert "m_max" not in meta["config"]
+    assert meta["m_max"] == 6
 
 
 def test_auto_and_double_both_mean_double(tmp_path, sigma_1):
