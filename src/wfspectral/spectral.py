@@ -429,7 +429,7 @@ def convergence_table(p, D_list, n_list, track=()):
                              f"truncation {low} (size {U})")
     track = [(n, tuple(m)) for n, m in track]
     for _, m in track:
-        if len(m) != p.K - 1 or min(m, default=0) < 0 or sum(m) > low:
+        if len(m) != p.K - 1 or min(m) < 0 or sum(m) > low:
             raise ParameterError(f"index {m} not in the level-{low} basis")
     pos = graded_positions(np.reshape([m for _, m in track], (-1, p.K - 1)))
     top = assemble_M(p, MultiJacobiBasis(
