@@ -179,6 +179,11 @@ def _validate_config(cfg, reads_x):
     if given:
         raise ParameterError(f"unknown config key {min(given)}: see the "
                              "config reference for the keys")
+    span = cfg["distance"]
+    if span["t_min"] >= span["t_max"]:
+        raise ParameterError(
+            f"distance.t_min must be below distance.t_max, got "
+            f"{span['t_min']!r} and {span['t_max']!r}")
     x, K = cfg["x"], len(cfg["model"]["theta"])
     if reads_x:
         if len(x) != K - 1:
@@ -259,6 +264,7 @@ def cmd_density(cfg):
     U, n_max = _cutoffs(cfg)
     # the tail warning reads the first dropped eigenvalue
     sd = _decompose(cfg, n_eig=min(n_max + 1, U))
+    density.normalizing_constant(sd)   # exit 3 if the truncation is unconverged
     x = np.asarray(cfg["x"], dtype=float)
     grid = density.make_grid(sd.params.K, cfg["grid_resolution"])
     out = _out_dir(cfg)
@@ -327,6 +333,7 @@ def cmd_distance(cfg):
         raise ParameterError(
             f"distance needs n_max >= 2, got n_max={n_max} (U={U})")
     sd = _decompose(cfg, n_eig=n_max)
+    density.normalizing_constant(sd)   # exit 3 if the truncation is unconverged
     x = np.asarray(cfg["x"], dtype=float)
     dist_cfg = cfg["distance"]
     times = np.linspace(dist_cfg["t_min"], dist_cfg["t_max"],
@@ -342,6 +349,23 @@ def cmd_distance(cfg):
 
 
 # -- validation suites -------------------------------------------------------
+
+def _quadrature_nodes(cfg):
+    """The validation rule for the config's model, taken before any solve or
+    simulation: a K the rule cannot take exits 2 at once."""
+    from .oracles import simplex_quadrature_nodes
+    theta = cfg["model"]["theta"]
+    return simplex_quadrature_nodes(len(theta), cfg["quadrature_resolution"],
+                                    theta=theta)
+
+
+def _finite(values):
+    """values, refused as oracles.simplex_quadrature refuses its integrand."""
+    import numpy as np
+    if not np.all(np.isfinite(values)):
+        raise NumericalError("integrand produced non-finite samples")
+    return values
+
 
 def _validate_q(cfg):
     import numpy as np
@@ -370,18 +394,13 @@ def _validate_orthogonality(cfg):
 
     from .basis import MultiJacobiBasis
     from .indexing import BasisEnumeration
-    from .oracles import simplex_quadrature_nodes
     from .simplex import to_cube
-    theta = np.asarray(cfg["model"]["theta"], dtype=float)
-    K = len(theta)
-    basis = MultiJacobiBasis(theta, BasisEnumeration(K, 4))
-    points, w = simplex_quadrature_nodes(K, cfg["quadrature_resolution"],
-                                         theta=theta)
+    points, w = _quadrature_nodes(cfg)
+    theta = cfg["model"]["theta"]
+    basis = MultiJacobiBasis(theta, BasisEnumeration(len(theta), 4))
     # the Gram matrix of the evaluator the density and normconst run
     P = basis.eval_prefix_cube(to_cube(points))
-    gram = (P * w) @ P.T
-    if not np.all(np.isfinite(gram)):
-        raise NumericalError("integrand produced non-finite samples")
+    gram = _finite((P * w) @ P.T)
     norms = np.exp(basis.log_norms_all())
     # upper triangle, each row scaled by its member's norm
     defect = np.triu(np.abs(gram - np.diag(norms))) / norms[:, None]
@@ -419,8 +438,8 @@ def _validate_mc(cfg):
     import numpy as np
 
     from . import density
-    from .oracles import MCConfig, mc_simulate, simplex_quadrature, \
-        write_mc_summary_csv
+    from .oracles import MCConfig, mc_simulate, write_mc_summary_csv
+    z, w = _quadrature_nodes(cfg)
     p = _make_model(cfg)
     mc_cfg = cfg["mc"]
     config = MCConfig(N=mc_cfg["N"], generations=mc_cfg["generations"],
@@ -437,43 +456,32 @@ def _validate_mc(cfg):
     mc_mean = result.means[-1][:p.K - 1]
     mc_se = np.sqrt(np.diag(result.covs[-1])[:p.K - 1]
                     / config.replicates)
-    theta = np.asarray(p.theta, dtype=float)
-    spec_mean = np.empty(p.K - 1)
-    for i in range(p.K - 1):
-        spec_mean[i] = simplex_quadrature(
-            lambda y: y[..., i] * np.squeeze(
-                density.smooth_kernel(sd, t, x0, y, n_max=n_max), axis=0),
-            p.K, cfg["quadrature_resolution"], theta=theta)
-    z = np.abs(spec_mean - mc_mean) / mc_se
+    k = _finite(density.smooth_kernel(sd, t, x0, z, n_max=n_max)[0])
+    spec_mean = (w * k) @ z
+    score = np.abs(spec_mean - mc_mean) / mc_se
     return {"t": float(t), "spectral_mean": spec_mean.tolist(),
             "mc_mean": mc_mean.tolist(), "mc_se": mc_se.tolist(),
-            "z_scores": z.tolist(), "tolerance_se": 3.0,
-            "passed": bool(np.all(z <= 3.0))}
+            "z_scores": score.tolist(), "tolerance_se": 3.0,
+            "passed": bool(np.all(score <= 3.0))}
 
 
 def _validate_chapman(cfg):
     import numpy as np
 
     from . import density
-    from .oracles import simplex_quadrature
+    z, w = _quadrature_nodes(cfg)
     _, n_max = _cutoffs(cfg)
     sd = _decompose(cfg, n_eig=n_max)
-    p = sd.params
-    theta = np.asarray(p.theta, dtype=float)
+    K = sd.params.K
     s = t = 0.25
     rng = np.random.default_rng(cfg["seed"])
-    pairs = rng.dirichlet(np.ones(p.K), size=(5, 2))[..., :p.K - 1]
-    worst = 0.0
-    res = cfg["quadrature_resolution"]
-    for x, y in pairs:
-        def integrand(z):
-            left = density.smooth_kernel(sd, s, x, z, n_max=n_max)[0]
-            right = density.smooth_kernel(sd, t, z, y, n_max=n_max)[:, 0]
-            return left * right
-        composed = simplex_quadrature(integrand, p.K, res, theta=theta)
-        direct = density.smooth_kernel(sd, s + t, x, y, n_max=n_max)[0, 0]
-        rel = abs(composed - direct) / abs(direct)
-        worst = max(worst, float(rel))
+    pairs = rng.dirichlet(np.ones(K), size=(5, 2))[..., :K - 1]
+    xs, ys = pairs[:, 0], pairs[:, 1]
+    left = density.smooth_kernel(sd, s, xs, z, n_max=n_max)     # (5, M)
+    right = density.smooth_kernel(sd, t, z, ys, n_max=n_max)    # (M, 5)
+    composed = _finite(left * right.T) @ w
+    direct = np.diag(density.smooth_kernel(sd, s + t, xs, ys, n_max=n_max))
+    worst = float(np.max(np.abs(composed - direct) / np.abs(direct)))
     return {"max_rel_defect": worst, "tolerance": 2e-3,
             "passed": bool(worst <= 2e-3)}
 

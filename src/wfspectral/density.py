@@ -79,11 +79,16 @@ def _phi_at(sd, pts, n_max, u_m):
     return np.tensordot(sd.coeffs[:n_max, :u_m], P, axes=(1, 0))
 
 
-def _eigenfunctions_at(sd, x, n_max):
-    """e^{-sbar(x)/2} B~_n(x) for the first n_max terms at simplex points.
+def eigenfunctions(sd, x, n_max):
+    """e^{-sbar(x)/2} B~_n(x), n < n_max, at simplex points x (..., K-1).
 
-    Returns an array of shape (n_max,) + x.shape[:-1].
+    Returns an array of shape (n_max,) + x.shape[:-1]. The first n_max pairs
+    must be held: n_max beyond sd.n_eig is a ParameterError.
     """
+    if not 1 <= n_max <= sd.n_eig:
+        raise ParameterError(
+            f"n_max must be in 1..{sd.n_eig}, the pairs held, got {n_max}")
+    x = _points(sd.params, x)
     phi = _phi_at(sd, x, n_max, sd.size)
     return phi * np.exp(-0.5 * model_mod.mean_fitness(sd.params, x))
 
@@ -104,7 +109,7 @@ def _series(sd, times, x, y, log_wy, n_max):
     axis, then over its (K-1)-allele suffix basis evaluated once at y
     (MultiJacobiBasis.sum_prefix_cube), at most about 2 T Mx U My flops.
     """
-    bx = _eigenfunctions_at(sd, x, n_max)             # (n_max, Mx)
+    bx = eigenfunctions(sd, x, n_max)                 # (n_max, Mx)
     decay = np.exp(-np.outer(times, sd.eigenvalues[:n_max]))
     left = decay[:, None, :] * bx.T[None, :, :]       # (T, Mx, n_max)
     w = left.reshape(-1, n_max) @ sd.coeffs[:n_max]
@@ -332,7 +337,7 @@ def distance_to_stationarity(sd, x, times, n_max=None):
     """
     times, _, x = _check_start(sd.params, times, x)
     n_max = _resolve_cutoffs(sd, n_max)
-    amp = _eigenfunctions_at(sd, x, n_max)[1:] ** 2
+    amp = eigenfunctions(sd, x, n_max)[1:] ** 2
     return np.exp(-2.0 * np.outer(times, sd.eigenvalues[1:n_max])) @ amp
 
 

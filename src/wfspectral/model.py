@@ -66,13 +66,6 @@ class ModelParams:
         return not np.any(self.sigma)
 
 
-@dataclass(frozen=True)
-class LocalGeneratorCoefficients:
-    """Drift vector a and diffusion matrix b of the generator at one point."""
-    a: np.ndarray  # (K-1,)
-    b: np.ndarray  # (K-1, K-1)
-
-
 def mean_fitness(p, x):
     """sigma-weighted quadratic form sum_ij sigma_ij x_i x_j (x_K implied)."""
     xf = full_point(x)
@@ -85,7 +78,8 @@ def marginal_fitness_all(p, x):
 
 
 def drift_diffusion(p, x):
-    """Generator coefficients at a single point x (length K-1)."""
+    """Generator coefficients at a single point x (length K-1): the drift
+    vector a (K-1,) and the diffusion matrix b (K-1, K-1), as (a, b)."""
     x = np.asarray(x, dtype=float)
     if x.shape != (p.K - 1,):
         raise ParameterError(f"expected {p.K - 1} frequencies, got {x.shape}")
@@ -93,7 +87,7 @@ def drift_diffusion(p, x):
     s_all = marginal_fitness_all(p, x)
     sbar = mean_fitness(p, x)
     a = 0.5 * (p.theta[:-1] - p.theta_total * x) + x * (s_all[:-1] - sbar)
-    return LocalGeneratorCoefficients(a=a, b=b)
+    return a, b
 
 
 def neutral_eigenvalue(l, p):

@@ -52,10 +52,10 @@ def gauss_jacobi_01(n, a, b):
 def simplex_quadrature_nodes(K, resolution, theta=None):
     """Tensor quadrature rule over the open simplex.
 
-    With theta=None the rule integrates f against plain Lebesgue measure dx.
-    With theta given it integrates f against the Dirichlet kernel
+    The rule integrates f against the Dirichlet kernel
     prod x_i^(theta_i - 1) dx: the kernel (and the cube Jacobian) is folded
     into the weights, so integrands stay finite even for tiny theta.
+    theta=None means theta = (1, ..., 1), plain Lebesgue measure dx.
 
     Returns:
         (points, weights): points of shape (M, K-1) on the simplex, weights
@@ -66,16 +66,12 @@ def simplex_quadrature_nodes(K, resolution, theta=None):
             f"tensor quadrature supports K in {QUADRATURE_KS}, got {K}")
     if resolution < 1:
         raise ParameterError(f"resolution must be >= 1, got {resolution}")
-    if theta is not None:
-        theta = np.asarray(theta, dtype=float)
-        if theta.shape != (K,) or np.any(theta <= 0):
-            raise ParameterError("theta must hold K positive entries")
+    theta = np.ones(K) if theta is None else np.asarray(theta, dtype=float)
+    if theta.shape != (K,) or np.any(theta <= 0):
+        raise ParameterError("theta must hold K positive entries")
     axis_nodes, axis_weights = [], []
     for j in range(K - 1):
-        if theta is None:
-            a, b = 1.0, float(K - 1 - j)
-        else:
-            a, b = float(theta[j]), float(theta[j + 1:].sum())
+        a, b = float(theta[j]), float(theta[j + 1:].sum())
         nodes, weights = gauss_jacobi_01(resolution, a, b)
         axis_nodes.append(nodes)
         axis_weights.append(weights)
@@ -123,7 +119,7 @@ def fd_generator_apply(p, f, x, h=1e-4):
     if np.min(x) < 2 * h or 1.0 - x.sum() < 4 * h:
         raise ParameterError(
             "point too close to the simplex boundary for the chosen step")
-    coeff = model_mod.drift_diffusion(p, x)
+    a, b = model_mod.drift_diffusion(p, x)
     f0 = float(f(x))
 
     def at(*steps):
@@ -136,13 +132,13 @@ def fd_generator_apply(p, f, x, h=1e-4):
     for i in range(d):
         fp = at((i, h))
         fm = at((i, -h))
-        val += coeff.a[i] * (fp - fm) / (2 * h)
-        val += 0.5 * coeff.b[i, i] * (fp - 2 * f0 + fm) / (h * h)
+        val += a[i] * (fp - fm) / (2 * h)
+        val += 0.5 * b[i, i] * (fp - 2 * f0 + fm) / (h * h)
     for i in range(d):
         for j in range(i + 1, d):
             mixed = (at((i, h), (j, h)) - at((i, h), (j, -h))
                      - at((i, -h), (j, h)) + at((i, -h), (j, -h))) / (4 * h * h)
-            val += coeff.b[i, j] * mixed  # symmetric pair counted once
+            val += b[i, j] * mixed  # symmetric pair counted once
     return val
 
 

@@ -51,7 +51,6 @@ from .errors import NumericalError, ParameterError
 from .indexing import BasisEnumeration, graded_positions, total_count
 # q_tables is unused here, but bench/spans.py wraps spectral.q_tables by name
 from .model import ModelParams, q_tables  # noqa: F401
-from .simplex import to_cube
 
 SYMMETRY_DEFECT_TOL = 1e-9
 # The truncated operator is positive semidefinite with a simple lowest
@@ -386,18 +385,6 @@ def decompose(p, D, n_eig=None, within=None):
         return eigensolve(leading_block(within, D), n_eig=n_eig)
     basis = MultiJacobiBasis(p.theta, BasisEnumeration(p.K, D))
     return eigensolve(assemble_M(p, basis), n_eig=n_eig)
-
-
-def eval_B(sd, n, x):
-    """Evaluate eigenfunction n at simplex points x.
-
-    B_n(x) = exp(-mean_fitness(x)/2) * sum_m u_{n,m} P_m(x).
-    """
-    if not 0 <= n < sd.n_eig:
-        raise ParameterError(f"eigenpair {n} outside the {sd.n_eig} held")
-    P = sd.basis.eval_prefix_cube(to_cube(x))
-    sbar = model_mod.mean_fitness(sd.params, x)
-    return np.exp(-0.5 * sbar) * np.tensordot(sd.coeffs[n], P, axes=(0, 0))
 
 
 def convergence_table(p, D_list, n_list, track=()):

@@ -201,7 +201,7 @@ def test_criterion_11_generator_eigen_identity(theta_small, sigma_1):
         lam = sd.eigenvalues[n]
         for x in pts:
             def f(v):
-                return float(spectral.eval_B(sd, n, np.asarray(v)))
+                return float(density.eigenfunctions(sd, v, n + 1)[n])
             val = f(x)
             got = fd_generator_apply(p1, f, x)
             denom = max(abs(lam * val), abs(val))

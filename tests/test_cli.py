@@ -28,8 +28,9 @@ import pytest
 import scipy.sparse
 
 from wfspectral import basis as basis_mod
-from wfspectral import cli, density, model, spectral
+from wfspectral import cli, density, model, oracles, spectral
 from wfspectral.model import ModelParams
+from wfspectral.oracles import simplex_quadrature
 
 ROOT = Path(__file__).resolve().parents[1]
 SRC = ROOT / "src"
@@ -158,6 +159,20 @@ def test_normconst_outside_its_bounds_exit_code(tmp_path, capsys):
     assert "closed-form bounds" in err["message"]
     assert "truncation 40" in err["message"]
     assert not (tmp_path / "normconst.json").exists()
+
+
+@pytest.mark.parametrize("sub", ["density", "distance"])
+def test_unconverged_series_exit_code(tmp_path, capsys, sub):
+    # the series shares the lead pair whose C_stat, 7925.6 at truncation 12,
+    # normconst refuses; its densities are truncation noise
+    code = run(tmp_path, sub, "--set", "truncation=12",
+               "--set", "model.sigma=[[1000,0,0],[0,0,0],[0,0,0]]")
+    assert code == 3
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "numerical"
+    assert "truncation 12" in err["message"]
+    assert not list(tmp_path.glob("*.csv"))
+    assert not list(tmp_path.glob("*.json"))
 
 
 def test_converge_table(tmp_path):
@@ -320,6 +335,9 @@ def test_every_default_key_has_a_row():
     # two times whose density_t{t:g}.csv names are the same
     ("density", "times=[0.1234561,0.1234562,1.0,1.0]"),
     ("density", "times=[1,1.0]"),
+    # a descending grid, and 20 rows of one time
+    ("distance", "distance.t_min=3 distance.t_max=0.05"),
+    ("distance", "distance.t_min=1 distance.t_max=1"),
 ])
 def test_bad_config_values_rejected_before_solving(tmp_path, capsys,
                                                    monkeypatch, sub, setting):
@@ -599,11 +617,53 @@ def test_validate_against_the_simulator_and_composition(tmp_path, which):
     assert code == 0
     doc = json.loads((tmp_path / f"validate_{which}.json").read_text())
     assert doc["suite"] == which
-    assert doc["report"]["passed"] is True
+    report = doc["report"]
+    assert report["passed"] is True
+    # the batched integrals equal one quadrature per axis or per pair
+    theta = cli.DEFAULT_CONFIG["model"]["theta"]
+    sd = spectral.decompose(ModelParams(theta, [[1, 2, 3], [2, 1, 2],
+                                                [3, 2, 0]]), 8)
     if which == "mc":
         header, rows = read_csv(tmp_path / "mc_summary.csv")
         assert header[:2] == ["generation", "t"]
         assert int(rows[-1][0]) == 200
+        x = np.array([0.3, 0.3])
+        want = [simplex_quadrature(
+            lambda z: z[:, i] * density.smooth_kernel(sd, report["t"], x, z)[0],
+            3, 20, theta=theta) for i in range(2)]
+        assert np.allclose(report["spectral_mean"], want, rtol=1e-12, atol=0)
+    else:
+        rng = np.random.default_rng(cli.DEFAULT_CONFIG["seed"])
+        defects = []
+        for x, y in rng.dirichlet(np.ones(3), size=(5, 2))[..., :2]:
+            composed = simplex_quadrature(
+                lambda z: density.smooth_kernel(sd, 0.25, x, z)[0]
+                * density.smooth_kernel(sd, 0.25, z, y)[:, 0],
+                3, 20, theta=theta)
+            direct = density.smooth_kernel(sd, 0.5, x, y)[0, 0]
+            defects.append(abs(composed - direct) / abs(direct))
+        # the defect is itself a relative difference of the integrals,
+        # about 2e-11 here, so the two agree in absolute terms
+        assert abs(report["max_rel_defect"] - max(defects)) <= 1e-14
+
+
+@pytest.mark.parametrize("which", ["mc", "chapman"])
+def test_validate_refuses_a_k_the_quadrature_cannot_take(
+        tmp_path, capsys, monkeypatch, which):
+    def refuse(*args, **kwargs):
+        raise AssertionError("solved or simulated before the quadrature")
+
+    monkeypatch.setattr(spectral, "decompose", refuse)
+    monkeypatch.setattr(oracles, "mc_simulate", refuse)
+    code = run(tmp_path, "validate", which, "--set", "truncation=8",
+               "--set", "model.theta=[0.1,0.2,0.3,0.4,0.5]",
+               "--set", f"model.sigma={json.dumps(np.zeros((5, 5)).tolist())}",
+               "--set", "x=[0.1,0.1,0.1,0.1]")
+    assert code == 2
+    err = json.loads(capsys.readouterr().err)
+    assert err == {"error": "parameter", "message": "tensor quadrature "
+                   "supports K in (2, 3, 4), got 5"}
+    assert not (tmp_path / f"validate_{which}.json").exists()
 
 
 def test_installed_entry_point(tmp_path):
@@ -717,7 +777,6 @@ print(sorted(m for m in sys.modules if m.split(".")[0] in ("numpy", "scipy")))
 def test_strong_selection_normconst_finishes(tmp_path, sigma_1):
     # 5 x SIGMA_1 at the default truncation 40: "auto" once sent this to a
     # 128-bit solve that did not finish, and the corner ratio was 77% off
-    from wfspectral.oracles import simplex_quadrature
     sigma = 5 * sigma_1
     proc = subprocess.run(
         [sys.executable, "-m", "wfspectral", "normconst",

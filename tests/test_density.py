@@ -336,7 +336,7 @@ def test_distance_terms_have_unit_norm(theta_small, sigma_1):
     assert np.max(np.abs(norms - 1.0)) <= 1e-13
     x = np.array([0.2, 0.25])
     times = [0.05, 0.5, 2.0]
-    bx = density._eigenfunctions_at(sd, x[None, :], sd.n_eig)[:, 0]
+    bx = density.eigenfunctions(sd, x[None, :], sd.n_eig)[:, 0]
     divided = (np.exp(-2.0 * np.outer(times, sd.eigenvalues[1:]))
                @ (bx[1:] ** 2 / norms[1:]))
     got = density.distance_to_stationarity(sd, x, times, n_max=sd.n_eig)
@@ -492,8 +492,8 @@ def series_scale(sd, t, x, y, log_wy):
     weights e^{-sbar(x)/2} and e^{log_wy(y)} the series carries: the size of
     its terms, which scales its rounding error."""
     n_max = density._resolve_cutoffs(sd, None)
-    bx = density._eigenfunctions_at(sd, np.atleast_2d(x), n_max)
-    by = density._eigenfunctions_at(sd, y, n_max) * np.exp(
+    bx = density.eigenfunctions(sd, np.atleast_2d(x), n_max)
+    by = density.eigenfunctions(sd, y, n_max) * np.exp(
         0.5 * model.mean_fitness(sd.params, y) + log_wy)
     decay = np.exp(-t * sd.eigenvalues[:n_max])
     return np.max((decay[:, None] * np.abs(bx)).T @ np.abs(by))

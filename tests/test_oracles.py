@@ -39,6 +39,17 @@ def test_dirichlet_kernel_normalizers():
     assert general == pytest.approx(want, rel=1e-12)
 
 
+@pytest.mark.parametrize("K", [2, 3, 4])
+@pytest.mark.parametrize("resolution", [1, 7, 20])
+def test_lebesgue_rule_is_the_unit_theta_rule(K, resolution):
+    # theta=None means theta = (1, ..., 1), node for node and bit for bit
+    points, w = oracles.simplex_quadrature_nodes(K, resolution)
+    same_points, same_w = oracles.simplex_quadrature_nodes(
+        K, resolution, theta=np.ones(K))
+    assert np.array_equal(points, same_points)
+    assert np.array_equal(w, same_w)
+
+
 def test_lebesgue_moment():
     # int x1 x2 over the triangle = 1/24
     val = oracles.simplex_quadrature(lambda x: x[:, 0] * x[:, 1], 3, 20)

@@ -319,7 +319,7 @@ def test_neutral_coefficient_rows_are_single_entry(theta_unit):
         assert np.count_nonzero(np.abs(sd.coeffs[n]) > 1e-12) == 1
 
 
-def test_eval_B_neutral_is_normalized_P(theta_unit):
+def test_eigenfunctions_neutral_is_normalized_P(theta_unit):
     p, sd = make(theta_unit, np.zeros((3, 3)), 5)
     basis = sd.basis
     rng = np.random.default_rng(3)
@@ -328,15 +328,15 @@ def test_eval_B_neutral_is_normalized_P(theta_unit):
         pos = int(np.argmax(np.abs(sd.coeffs[n])))
         m = reference.enumeration(basis.K, basis.D)[pos]
         want = sd.coeffs[n, pos] * reference.eval_P(theta_unit, m, x)
-        got = spectral.eval_B(sd, n, x)
+        got = density.eigenfunctions(sd, x, n + 1)[n]
         assert np.allclose(got, want, rtol=1e-10, atol=1e-12)
 
 
-def test_eval_B_ground_state_constant(theta_small, sigma_1):
+def test_eigenfunctions_ground_state_constant(theta_small, sigma_1):
     _, sd = make(theta_small, sigma_1, 20)
     rng = np.random.default_rng(4)
     x = rng.dirichlet(np.ones(3), size=100)[:, :2]
-    vals = spectral.eval_B(sd, 0, x)
+    vals = density.eigenfunctions(sd, x, 1)[0]
     spread = np.max(vals) - np.min(vals)
     assert spread <= 1e-6 * np.abs(np.mean(vals))
 
@@ -735,10 +735,11 @@ def test_partial_decomposition_consumers(tmp_path, theta_small, sigma_1):
     sd = spectral.decompose(p, 8, n_eig=7)
     assert (sd.size, sd.n_eig) == (45, 7)
     x = np.array([[0.2, 0.3]])
-    assert np.allclose(spectral.eval_B(sd, 6, x), spectral.eval_B(full, 6, x),
-                       rtol=1e-10)
-    with pytest.raises(ParameterError, match="7 held"):
-        spectral.eval_B(sd, 7, x)
+    assert np.allclose(density.eigenfunctions(sd, x, 7),
+                       density.eigenfunctions(full, x, 7), rtol=1e-10)
+    for n_max in (0, 8):
+        with pytest.raises(ParameterError, match=r"1\.\.7, the pairs held"):
+            density.eigenfunctions(sd, x, n_max)
     spectral.write_eigenvalues_csv(sd, tmp_path / "eigs.csv")
     assert len((tmp_path / "eigs.csv").read_text().splitlines()) == 1 + 7
     spectral.write_coefficients_csv(sd, tmp_path / "got.csv")
