@@ -59,6 +59,7 @@ class MultiJacobiBasis:
         self._log_norms = None
         self._suffix = None
         self._band_tables = {}
+        self._axis0_bands = {}
 
     def axis_params(self, j, tail_degree):
         """Univariate weight exponents (a, b) at axis j given suffix degree.
@@ -87,9 +88,13 @@ class MultiJacobiBasis:
         if count > len(enum):
             raise ParameterError(
                 f"requested {count} basis members, enumeration holds {len(enum)}")
+        top = int(enum.degrees[:count].max(initial=0))
+        if self.K == 2:
+            # the members are R_n themselves; on points that rarely share a
+            # value, as a K=3 basis passes its suffix, no gather pays
+            return self._axis0_R(top, xi[..., 0])[:count, 0]
         n, tails = enum.indices[:count], enum.tails[:count]
-        table, pows, spread, suffix, _ = self._split(
-            int(enum.degrees[:count].max(initial=0)), xi)
+        table, pows, spread, suffix, _ = self._split(top, xi)
         # every member starts with R (1 - xi_0)^t: form it once per (n_0, t)
         table *= pows
         second = graded_positions(n[:, 1:])
@@ -164,10 +169,20 @@ class MultiJacobiBasis:
         # a lattice repeats xi_0 across its rows, so axis 0 runs on the
         # distinct values, spread to the points after
         x0, spread = np.unique(flat_xi[:, 0], return_inverse=True)
-        a, b = self.axis_params(0, np.arange(len(bounds) - 1))
-        table = jacobi.eval_R_all(top, a, b[:, None], x0)
+        table = self._axis0_R(top, x0)
         pows = np.vander(1.0 - x0, len(bounds) - 1, increasing=True).T
         return table, pows, spread, suffix, bounds
+
+    def _axis0_R(self, top, x0):
+        """R_k^(a, b_t)(x0) of axis 0, indexed [k, t, ...] for k <= top and
+        suffix degrees t <= top (t = 0 only at K = 2), with the recurrence
+        band kept per top and shape of x0."""
+        a, b = self.axis_params(0, np.arange(top + 1 if self.K > 2 else 1))
+        b = b.reshape((-1,) + (1,) * np.ndim(x0))
+        key = top, b.ndim
+        if key not in self._axis0_bands:
+            self._axis0_bands[key] = jacobi.recurrence_band(top, a, b)
+        return jacobi.eval_R_all(top, a, b, x0, band=self._axis0_bands[key])
 
     # -- norms ---------------------------------------------------------------
 

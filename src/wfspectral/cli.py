@@ -43,7 +43,9 @@ def _list_of(ok):
 
 
 # Every config key: dotted path, default, test, and what the value must be.
-# A null n_max resolves in _cutoffs to density.DEFAULT_N_MAX.
+# A null n_max keeps all U pairs in density, which then applies exp(-tS) by
+# Krylov; distance and the validate suites resolve it in _cutoffs to
+# density.DEFAULT_N_MAX.
 # Retired keys: configs written while they existed carry them, so the values
 # that mean what the code now always does still run.
 CONFIG_KEYS = [
@@ -261,9 +263,14 @@ def cmd_density(cfg):
             raise ParameterError(
                 f"times {same} would all write {name}; give times that "
                 "differ in their first 6 significant digits")
-    U, n_max = _cutoffs(cfg)
-    # the tail warning reads the first dropped eigenvalue
-    sd = _decompose(cfg, n_eig=min(n_max + 1, U))
+    n_max = cfg["n_max"]
+    if n_max is None:
+        # all U pairs come from S; the lead pair serves the C_stat check
+        sd = _decompose(cfg, n_eig=1)
+    else:
+        U, n_max = _cutoffs(cfg)
+        # the tail warning reads the first dropped eigenvalue
+        sd = _decompose(cfg, n_eig=min(n_max + 1, U))
     density.normalizing_constant(sd)   # exit 3 if the truncation is unconverged
     x = np.asarray(cfg["x"], dtype=float)
     grid = density.make_grid(sd.params.K, cfg["grid_resolution"])

@@ -6,15 +6,18 @@ The density at elapsed time t factors through the eigenbasis:
                  e^{+sbar(y)/2} pi0(y),
 
 with B~_n the C-orthonormal polynomial combinations and pi0 the unnormalized
-neutral stationary density. The series keeps n_max eigenpairs, each with
-all U coefficients of the level-D basis.
+neutral stationary density. An integer n_max keeps that many eigenpairs,
+each with all U coefficients of the level-D basis; a null n_max keeps all U.
 
 The series is summed in basis space. B~_n(y) = sum_m u_{n,m} P_m(y), so the
 eigenpairs and the start points fold into one coefficient row per (time,
 start point), w = (e^{-Lambda t} B~(x)) @ u, which costs 2 T Mx n_max U
-flops. A basis member is a first-axis factor times a member of the
-(K-1)-allele suffix basis at theta[1:], so matrix products sum w @ P(y) over
-the first axis and the suffix basis, evaluated once at y, sums the rest: at
+flops. With all U pairs the row is w = C^{-1/2} exp(-tS) v with
+v = e^{-sbar(x)/2} C^{-1/2} P(x), and spectral.semigroup_action computes it
+from S alone, without the eigenpairs. A basis member is a first-axis factor
+times a member of the (K-1)-allele suffix basis at theta[1:], so matrix
+products sum w @ P(y) over the first axis and the suffix basis, evaluated
+once at y, sums the rest: at
 most about 2 T Mx U My flops (far fewer on a lattice, whose points share
 their first cube coordinate), without the (U, My) basis matrix or the
 (n_max, My) eigenfunction values. The stationary density is
@@ -29,6 +32,7 @@ import numpy as np
 
 from . import csvout
 from . import model as model_mod
+from . import spectral
 from .errors import NumericalError, ParameterError
 from .indexing import BasisEnumeration
 from .simplex import to_cube
@@ -42,8 +46,9 @@ NORMCONST_SLACK = 1e-6
 
 
 def n_max_or_default(n_max, held):
-    """The eigenpairs a series sums: n_max, or DEFAULT_N_MAX when it is None,
-    capped at the pairs held (U before the solve, sd.n_eig after it)."""
+    """The eigenpairs a truncated series sums: n_max, or DEFAULT_N_MAX when
+    it is None, capped at the pairs held (U before the solve, sd.n_eig after
+    it). The distance and the validate suites read a null n_max this way."""
     return min(DEFAULT_N_MAX if n_max is None else n_max, held)
 
 
@@ -66,6 +71,16 @@ def _resolve_cutoffs(sd, n_max, m_max=None):
             f"m_max must be None or D={sd.D}, got {m_max}: every series "
             "keeps all degrees up to D")
     return n_max_or_default(n_max, sd.n_eig)
+
+
+def _series_cutoff(sd, n_max, m_max):
+    """The pairs a density series sums: n_max checked against the
+    decomposition, or for n_max None all U: the pairs held when there are
+    U of them, else None, which the semigroup sums from S."""
+    cut = _resolve_cutoffs(sd, n_max, m_max)
+    if n_max is not None:
+        return cut
+    return sd.size if sd.n_eig == sd.size else None
 
 
 def _phi_at(sd, pts, n_max, u_m):
@@ -93,7 +108,7 @@ def eigenfunctions(sd, x, n_max):
     return phi * np.exp(-0.5 * model_mod.mean_fitness(sd.params, x))
 
 
-def _series(sd, times, x, y, log_wy, n_max):
+def _series(sd, times, x, y, log_wy, n_max, krylov=None):
     """The eigenfunction series at every time, summed in basis space.
 
     Returns the (T, Mx, My) array
@@ -108,14 +123,33 @@ def _series(sd, times, x, y, log_wy, n_max):
     at 2 T Mx n_max U flops, and the basis sums w @ P(y) over its first
     axis, then over its (K-1)-allele suffix basis evaluated once at y
     (MultiJacobiBasis.sum_prefix_cube), at most about 2 T Mx U My flops.
+
+    n_max None sums all U pairs from S: each start point's rows come from
+    one semigroup_action run. A dict passed as krylov then receives the
+    runs' "krylov_steps" and "krylov_error", one list per start point.
     """
-    bx = eigenfunctions(sd, x, n_max)                 # (n_max, Mx)
-    decay = np.exp(-np.outer(times, sd.eigenvalues[:n_max]))
-    left = decay[:, None, :] * bx.T[None, :, :]       # (T, Mx, n_max)
-    w = left.reshape(-1, n_max) @ sd.coeffs[:n_max]
+    if n_max is None:
+        scale = np.exp(-0.5 * sd.log_norms)
+        v = (scale[:, None] * sd.basis.eval_prefix_cube(to_cube(x))
+             * np.exp(-0.5 * model_mod.mean_fitness(sd.params, x)))
+        w = np.empty((len(times), len(x), sd.size))
+        steps, errors = [], []
+        for i, start in enumerate(v.T):
+            w[:, i], step, error = spectral.semigroup_action(
+                sd.symmetric, start, times, scale)
+            steps.append(step)
+            errors.append(error)
+        if krylov is not None:
+            krylov.update(krylov_steps=steps, krylov_error=errors)
+        w = w.reshape(-1, sd.size)
+    else:
+        bx = eigenfunctions(sd, x, n_max)                 # (n_max, Mx)
+        decay = np.exp(-np.outer(times, sd.eigenvalues[:n_max]))
+        left = decay[:, None, :] * bx.T[None, :, :]       # (T, Mx, n_max)
+        w = left.reshape(-1, n_max) @ sd.coeffs[:n_max]
     kernel = sd.basis.sum_prefix_cube(w, to_cube(y))
     kernel *= np.exp(log_wy)
-    return kernel.reshape(len(times), bx.shape[1], len(y))
+    return kernel.reshape(len(times), len(x), len(y))
 
 
 def _check_times(t):
@@ -157,10 +191,11 @@ def smooth_kernel(sd, t, x, y, n_max=None, m_max=None):
     density is this times pi0(y). Bounded up to the boundary, which makes it
     the right integrand for kernel-weighted quadrature. A 1-D array of times
     adds a leading time axis: (T, Mx, My). m_max is as in
-    transition_density.
+    transition_density. n_max None sums all U pairs, from S with one Krylov
+    run per start point when fewer are held.
     """
     times, scalar = _check_times(t)
-    n_max = _resolve_cutoffs(sd, n_max, m_max)
+    n_max = _series_cutoff(sd, n_max, m_max)
     x = np.atleast_2d(_points(sd.params, x))
     y = np.atleast_2d(_points(sd.params, y))
     log_wy = 0.5 * model_mod.mean_fitness(sd.params, y)
@@ -177,7 +212,11 @@ def transition_density(sd, t, x, y, n_max=None, m_max=None,
         t: elapsed time, > 0, or a 1-D array of such times.
         x: start point, first K-1 coordinates.
         y: evaluation points, shape (..., K-1); the batch may be empty.
-        n_max: eigenpairs kept (default min(562, held)).
+        n_max: eigenpairs kept; None (the default) keeps all U. A
+            decomposition that holds fewer keeps S, and the series is then
+            exp(-tS) applied to one vector (spectral.semigroup_action), so
+            any decomposition serves, one holding only the lead pair
+            included.
         m_max: None or the truncation D, which mean the same: every
             degree up to D is kept. Kept for bench/checks.py, which passes
             the m_max that density_meta.json records.
@@ -188,7 +227,10 @@ def transition_density(sd, t, x, y, n_max=None, m_max=None,
             negative density value (0.0 when there is none); and
             "max_density", the largest value (at least 0.0). Both extremes
             are taken before clipping; they are the numbers the warnings
-            print.
+            print. When the series comes from S it also receives
+            "krylov_steps" and "krylov_error", the Krylov dimension and the
+            error estimate (relative to the largest coefficient) of each
+            time.
 
     Returns the density at y (scalar for a single point and a scalar t). An
     array of times adds a leading time axis; the warnings and the clipping
@@ -196,10 +238,10 @@ def transition_density(sd, t, x, y, n_max=None, m_max=None,
     """
     p = sd.params
     times, scalar, x = _check_start(p, t, x)
-    n_max = _resolve_cutoffs(sd, n_max, m_max)
+    n_max = _series_cutoff(sd, n_max, m_max)
     labels = np.atleast_1d(t).tolist()
     tails = np.zeros(len(times))
-    if n_max < sd.size:
+    if n_max is not None and n_max < sd.size:
         # the first dropped pair, or the last held one, whose weight bounds
         # it, when the decomposition stops at n_max
         tails = np.exp(-sd.eigenvalues[min(n_max, sd.n_eig - 1)] * times)
@@ -216,7 +258,8 @@ def transition_density(sd, t, x, y, n_max=None, m_max=None,
     # intended net prefactor e^{+sbar(y)/2} * dirichlet(y) needs -1/2 here
     log_wy = (model_mod.log_stationary_unnormalized(p, y)
               - 0.5 * model_mod.mean_fitness(p, y))
-    out = _series(sd, times, x[None, :], y, log_wy, n_max)[:, 0, :]
+    krylov = {}
+    out = _series(sd, times, x[None, :], y, log_wy, n_max, krylov)[:, 0, :]
     lows = np.min(out, axis=1, initial=0.0)
     highs = np.max(out, axis=1, initial=0.0)
     for i, (neg, scale) in enumerate(zip(lows, highs)):
@@ -229,7 +272,8 @@ def transition_density(sd, t, x, y, n_max=None, m_max=None,
     if diagnostics is not None:
         diagnostics.update(tail_weight=tails.tolist(),
                            undershoot=lows.tolist(),
-                           max_density=highs.tolist())
+                           max_density=highs.tolist(),
+                           **{k: v[0] for k, v in krylov.items()})
     out = out.reshape((len(times),) + batch)
     if not scalar:
         return out

@@ -64,11 +64,25 @@ def _band(n, m, lo, entries):
     return np.choose(k, entries + (0.0,))[()]
 
 
-def eval_R_all(nmax, a, b, x):
+def recurrence_band(nmax, a, b):
+    """The G band eval_R_all steps R_1 .. R_{nmax-1} up with.
+
+    x*R_k = G_{k,k-1} R_{k-1} + G_{k,k} R_k + G_{k,k+1} R_{k+1}; returns the
+    array of shape (nmax-1, 3) + b.shape, the band moved ahead of the axes
+    of b. It depends on x through nothing, so a caller that evaluates one
+    family at many point sets can compute it once.
+    """
+    b = np.asarray(b, dtype=float)
+    n = np.arange(1, nmax).reshape((-1,) + (1,) * (b.ndim + 1))
+    return np.moveaxis(coeff_G(n, n + np.arange(-1, 2), a, b[..., None]), -1, 1)
+
+
+def eval_R_all(nmax, a, b, x, band=None):
     """Evaluate R_0 .. R_nmax at x via the upward recurrence.
 
     b may be an array that broadcasts against x. Returns an array of shape
     (nmax+1,) + broadcast shape of b and x; scalar b and x give (nmax+1,).
+    band, when given, is recurrence_band(nmax, a, b).
     """
     _degrees(nmax, a, b)
     x = np.asarray(x, dtype=float)
@@ -78,10 +92,7 @@ def eval_R_all(nmax, a, b, x):
     if nmax == 0:
         return out
     out[1] = (a + b) * x - a
-    # x*R_k = G_{k,k-1} R_{k-1} + G_{k,k} R_k + G_{k,k+1} R_{k+1}, the band
-    # moved ahead of the axes of b
-    n = np.arange(1, nmax).reshape((-1,) + (1,) * (b.ndim + 1))
-    g = np.moveaxis(coeff_G(n, n + np.arange(-1, 2), a, b[..., None]), -1, 1)
+    g = recurrence_band(nmax, a, b) if band is None else band
     for k, (sub, diag, sup) in enumerate(g, start=1):
         out[k + 1] = ((x - diag) * out[k] - sub * out[k - 1]) / sup
     return out

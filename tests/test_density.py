@@ -409,10 +409,14 @@ def test_partial_decomposition_cutoffs(theta_unit, sigma_1):
     assert np.allclose(d2, want, rtol=1e-10)
     # pair 5 is not held, so the tail check bounds its weight by pair 4's
     with pytest.warns(UserWarning, match="n_max"):
-        got = density.transition_density(sd, 0.5, x, ys)
+        got = density.transition_density(sd, 0.5, x, ys, n_max=5)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
         want = density.transition_density(full, 0.5, x, ys, n_max=5)
+    assert np.allclose(got, want, rtol=1e-10)
+    # a null n_max sums all U pairs from S, whatever the pairs held
+    got = density.transition_density(sd, 0.5, x, ys)
+    want = density.transition_density(full, 0.5, x, ys, n_max=full.n_eig)
     assert np.allclose(got, want, rtol=1e-10)
 
 
