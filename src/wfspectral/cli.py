@@ -43,9 +43,9 @@ def _list_of(ok):
 
 
 # Every config key: dotted path, default, test, and what the value must be.
-# A null n_max keeps all U pairs in density, which then applies exp(-tS) by
-# Krylov; distance and the validate suites resolve it in _cutoffs to
-# density.DEFAULT_N_MAX.
+# A null n_max keeps all U pairs in every command: density and distance
+# apply exp(-tS) by Krylov, and the validate suites solve all U pairs. An
+# integer n_max above U is capped at U (_decompose).
 # Retired keys: configs written while they existed carry them, so the values
 # that mean what the code now always does still run.
 CONFIG_KEYS = [
@@ -57,8 +57,9 @@ CONFIG_KEYS = [
     ("n_max", None, _at_least(1, null=True), "null or an integer >= 1"),
     ("grid_resolution", 30, _at_least(2), "an integer >= 2"),
     ("quadrature_resolution", 60, _at_least(2), "an integer >= 2"),
-    ("times", [0.04, 0.2, 1.0, 2.0], _list_of(_is_positive),
-     "a list of positive finite numbers"),
+    ("times", [0.04, 0.2, 1.0, 2.0],
+     lambda v: v != [] and _list_of(_is_positive)(v),
+     "a non-empty list of positive finite numbers"),
     ("x", [0.02, 0.02], _list_of(_is_finite),
      "the start point, a list of finite numbers"),
     ("seed", 20260816, lambda v: _at_least(0)(v) and v < 2 ** 64,
@@ -199,19 +200,30 @@ def _make_model(cfg):
     return ModelParams(cfg["model"]["theta"], cfg["model"]["sigma"])
 
 
-def _cutoffs(cfg):
-    """(U, n_max) from the config, before any solve: the basis size and the
-    eigenpairs a series sums, null as its default, capped at U."""
-    from .density import n_max_or_default
+def _size(cfg):
+    """The basis size U of the config, before any solve."""
     from .indexing import total_count
-    U = total_count(_make_model(cfg).K, cfg["truncation"])
-    return U, n_max_or_default(cfg["n_max"], U)
+    return total_count(len(cfg["model"]["theta"]), cfg["truncation"])
 
 
 def _decompose(cfg, n_eig=None):
+    """The config's n_eig lowest pairs, all U for None; an n_eig above U is
+    capped at U, as an integer n_max is."""
     from . import spectral
-    p = _make_model(cfg)
-    return spectral.decompose(p, cfg["truncation"], n_eig=n_eig)
+    n_eig = n_eig and min(n_eig, _size(cfg))
+    return spectral.decompose(_make_model(cfg), cfg["truncation"],
+                              n_eig=n_eig)
+
+
+def _series_decomposition(cfg, beyond):
+    """(sd, n_max) for a series from x: a null n_max solves the lead pair
+    and sums all U from S, an integer one (capped at U) n_max + beyond
+    pairs. An unconverged truncation's C_stat exits 3 before any output."""
+    from . import density
+    n_max = cfg["n_max"]
+    sd = _decompose(cfg, n_eig=1 if n_max is None else n_max + beyond)
+    density.normalizing_constant(sd)
+    return sd, n_max and min(n_max, sd.size)
 
 
 def _solve_meta(sd):
@@ -252,8 +264,6 @@ def cmd_spectrum(cfg):
 
 
 def cmd_density(cfg):
-    import numpy as np
-
     from . import density
     # bench/checks.py reads the tables back by these names
     names = [f"density_t{t:g}.csv" for t in cfg["times"]]
@@ -263,22 +273,14 @@ def cmd_density(cfg):
             raise ParameterError(
                 f"times {same} would all write {name}; give times that "
                 "differ in their first 6 significant digits")
-    n_max = cfg["n_max"]
-    if n_max is None:
-        # all U pairs come from S; the lead pair serves the C_stat check
-        sd = _decompose(cfg, n_eig=1)
-    else:
-        U, n_max = _cutoffs(cfg)
-        # the tail warning reads the first dropped eigenvalue
-        sd = _decompose(cfg, n_eig=min(n_max + 1, U))
-    density.normalizing_constant(sd)   # exit 3 if the truncation is unconverged
-    x = np.asarray(cfg["x"], dtype=float)
+    # the tail warning of an integer n_max reads the first dropped pair
+    sd, n_max = _series_decomposition(cfg, beyond=1)
     grid = density.make_grid(sd.params.K, cfg["grid_resolution"])
     out = _out_dir(cfg)
     outputs = []
     diagnostics = {}
     series = density.transition_density(
-        sd, cfg["times"], x, grid, n_max=n_max,
+        sd, cfg["times"], cfg["x"], grid, n_max=n_max,
         clip_negative=cfg["clip_negative"], diagnostics=diagnostics)
     for name, values in zip(names, series):
         path = os.path.join(out, name)
@@ -334,23 +336,23 @@ def cmd_distance(cfg):
     import numpy as np
 
     from . import density
-    U, n_max = _cutoffs(cfg)
-    if n_max < 2:
+    n_max, U = cfg["n_max"], _size(cfg)
+    if U < 2 or n_max == 1:
         # d^2 sums over the pairs n >= 1; with one pair it is 0 at every t
-        raise ParameterError(
-            f"distance needs n_max >= 2, got n_max={n_max} (U={U})")
-    sd = _decompose(cfg, n_eig=n_max)
-    density.normalizing_constant(sd)   # exit 3 if the truncation is unconverged
-    x = np.asarray(cfg["x"], dtype=float)
+        raise ParameterError(f"distance needs 2 pairs or more, got U={U}"
+                             + (f" and n_max={n_max}" if n_max else ""))
+    sd, n_max = _series_decomposition(cfg, beyond=0)
     dist_cfg = cfg["distance"]
     times = np.linspace(dist_cfg["t_min"], dist_cfg["t_max"],
                         dist_cfg["points"])
-    values = density.distance_to_stationarity(sd, x, times, n_max=n_max)
+    diagnostics = {}
+    values = density.distance_to_stationarity(
+        sd, cfg["x"], times, n_max=n_max, diagnostics=diagnostics)
     out = _out_dir(cfg)
     path = os.path.join(out, "distance.csv")
     density.write_distance_csv(path, times, values)
     _write_json(os.path.join(out, "distance_meta.json"), _meta(
-        cfg, **_solve_meta(sd), outputs=[path]))
+        cfg, **_solve_meta(sd), n_max=n_max, **diagnostics, outputs=[path]))
     print(f"wrote {path}")
     return 0
 
@@ -455,15 +457,15 @@ def _validate_mc(cfg):
                       block_size=mc_cfg["block_size"])
     x0 = np.asarray(cfg["x"], dtype=float)
     result = mc_simulate(p, config, x0)   # refuses a model before the solve
-    _, n_max = _cutoffs(cfg)
-    sd = _decompose(cfg, n_eig=n_max)
+    sd = _decompose(cfg, n_eig=cfg["n_max"])
     out = _out_dir(cfg)
     write_mc_summary_csv(result, os.path.join(out, "mc_summary.csv"))
     t = result.times[-1]
     mc_mean = result.means[-1][:p.K - 1]
     mc_se = np.sqrt(np.diag(result.covs[-1])[:p.K - 1]
                     / config.replicates)
-    k = _finite(density.smooth_kernel(sd, t, x0, z, n_max=n_max)[0])
+    # the pairs held: all U for a null n_max, not a Krylov run
+    k = _finite(density.smooth_kernel(sd, t, x0, z, n_max=sd.n_eig)[0])
     spec_mean = (w * k) @ z
     score = np.abs(spec_mean - mc_mean) / mc_se
     return {"t": float(t), "spectral_mean": spec_mean.tolist(),
@@ -477,8 +479,9 @@ def _validate_chapman(cfg):
 
     from . import density
     z, w = _quadrature_nodes(cfg)
-    _, n_max = _cutoffs(cfg)
-    sd = _decompose(cfg, n_eig=n_max)
+    # all U pairs held for a null n_max, not one Krylov run per node
+    sd = _decompose(cfg, n_eig=cfg["n_max"])
+    n_max = sd.n_eig
     K = sd.params.K
     s = t = 0.25
     rng = np.random.default_rng(cfg["seed"])

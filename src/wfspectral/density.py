@@ -9,20 +9,15 @@ with B~_n the C-orthonormal polynomial combinations and pi0 the unnormalized
 neutral stationary density. An integer n_max keeps that many eigenpairs,
 each with all U coefficients of the level-D basis; a null n_max keeps all U.
 
-The series is summed in basis space. B~_n(y) = sum_m u_{n,m} P_m(y), so the
-eigenpairs and the start points fold into one coefficient row per (time,
-start point), w = (e^{-Lambda t} B~(x)) @ u, which costs 2 T Mx n_max U
-flops. With all U pairs the row is w = C^{-1/2} exp(-tS) v with
-v = e^{-sbar(x)/2} C^{-1/2} P(x), and spectral.semigroup_action computes it
-from S alone, without the eigenpairs. A basis member is a first-axis factor
-times a member of the (K-1)-allele suffix basis at theta[1:], so matrix
-products sum w @ P(y) over the first axis and the suffix basis, evaluated
-once at y, sums the rest: at
-most about 2 T Mx U My flops (far fewer on a lattice, whose points share
-their first cube coordinate), without the (U, My) basis matrix or the
-(n_max, My) eigenfunction values. The stationary density is
-pi(y) = e^{sbar(y)} pi0(y) / C_stat with C_stat computed from the lead
-eigenvector without any quadrature, at its best-conditioned point.
+The series is summed in basis space (see _series): the eigenpairs and the
+start points fold into one coefficient row per (time, start point), and the
+basis sums it at y without the (U, My) basis matrix. With all U pairs the
+row is C^{-1/2} exp(-tS) v with v = e^{-sbar(x)/2} C^{-1/2} P(x), and the
+squared distance to stationarity is |exp(-tS) v'|^2, v' being v less its
+lead component: spectral.semigroup_action computes both from S alone. The
+stationary density is pi(y) = e^{sbar(y)} pi0(y) / C_stat with C_stat
+computed from the lead eigenvector without any quadrature, at its
+best-conditioned point.
 """
 
 import math
@@ -37,7 +32,9 @@ from .errors import NumericalError, ParameterError
 from .indexing import BasisEnumeration
 from .simplex import to_cube
 
-DEFAULT_N_MAX = 562    # eigenpairs kept; a fixed default, for every K
+# bench/spans.py pairs_used reads this, in traced runs; no code here does:
+# a null n_max means all U pairs everywhere
+DEFAULT_N_MAX = 562
 TAIL_WARN_THRESHOLD = 1e-8
 NORMCONST_GRID = 10    # grid resolution of the stationary-ratio candidates
 # log C_stat may leave its closed-form bounds by this much, well above
@@ -45,42 +42,26 @@ NORMCONST_GRID = 10    # grid resolution of the stationary-ratio candidates
 NORMCONST_SLACK = 1e-6
 
 
-def n_max_or_default(n_max, held):
-    """The eigenpairs a truncated series sums: n_max, or DEFAULT_N_MAX when
-    it is None, capped at the pairs held (U before the solve, sd.n_eig after
-    it). The distance and the validate suites read a null n_max this way."""
-    return min(DEFAULT_N_MAX if n_max is None else n_max, held)
-
-
-def _resolve_cutoffs(sd, n_max, m_max=None):
-    """n_max checked against the decomposition, or its default.
+def _cutoff(sd, n_max, m_max=None):
+    """The pairs a series sums: an integer n_max, checked against the pairs
+    held, or for None all U: sd.size when all are held, else None (from S).
 
     m_max is None or D: every series keeps all degrees up to D. It stays a
-    keyword only because bench/checks.py passes the m_max that
-    density_meta.json records.
+    keyword for bench/checks.py, which passes density_meta.json's m_max.
     """
-    if n_max is not None:
-        if not 1 <= n_max <= sd.size:
-            raise ParameterError(f"n_max must be in 1..{sd.size}, got {n_max}")
-        if n_max > sd.n_eig:
-            raise ParameterError(
-                f"n_max={n_max} needs more eigenpairs than the {sd.n_eig} "
-                f"this decomposition holds; decompose with n_eig >= {n_max}")
     if m_max not in (None, sd.D):
         raise ParameterError(
             f"m_max must be None or D={sd.D}, got {m_max}: every series "
             "keeps all degrees up to D")
-    return n_max_or_default(n_max, sd.n_eig)
-
-
-def _series_cutoff(sd, n_max, m_max):
-    """The pairs a density series sums: n_max checked against the
-    decomposition, or for n_max None all U: the pairs held when there are
-    U of them, else None, which the semigroup sums from S."""
-    cut = _resolve_cutoffs(sd, n_max, m_max)
-    if n_max is not None:
-        return cut
-    return sd.size if sd.n_eig == sd.size else None
+    if n_max is None:
+        return sd.size if sd.n_eig == sd.size else None
+    if not 1 <= n_max <= sd.size:
+        raise ParameterError(f"n_max must be in 1..{sd.size}, got {n_max}")
+    if n_max > sd.n_eig:
+        raise ParameterError(
+            f"n_max={n_max} needs more eigenpairs than the {sd.n_eig} "
+            f"this decomposition holds; decompose with n_eig >= {n_max}")
+    return n_max
 
 
 def _phi_at(sd, pts, n_max, u_m):
@@ -108,6 +89,14 @@ def eigenfunctions(sd, x, n_max):
     return phi * np.exp(-0.5 * model_mod.mean_fitness(sd.params, x))
 
 
+def _start_vectors(sd, x):
+    """v = e^{-sbar(x)/2} C^{-1/2} P(x), a column per point of x (Mx, K-1),
+    whose coefficients in the eigenbasis of S are e^{-sbar(x)/2} B~_n(x)."""
+    scale = np.exp(-0.5 * sd.log_norms)
+    return (scale[:, None] * sd.basis.eval_prefix_cube(to_cube(x))
+            * np.exp(-0.5 * model_mod.mean_fitness(sd.params, x)))
+
+
 def _series(sd, times, x, y, log_wy, n_max, krylov=None):
     """The eigenfunction series at every time, summed in basis space.
 
@@ -130,11 +119,9 @@ def _series(sd, times, x, y, log_wy, n_max, krylov=None):
     """
     if n_max is None:
         scale = np.exp(-0.5 * sd.log_norms)
-        v = (scale[:, None] * sd.basis.eval_prefix_cube(to_cube(x))
-             * np.exp(-0.5 * model_mod.mean_fitness(sd.params, x)))
         w = np.empty((len(times), len(x), sd.size))
         steps, errors = [], []
-        for i, start in enumerate(v.T):
+        for i, start in enumerate(_start_vectors(sd, x).T):
             w[:, i], step, error = spectral.semigroup_action(
                 sd.symmetric, start, times, scale)
             steps.append(step)
@@ -195,7 +182,7 @@ def smooth_kernel(sd, t, x, y, n_max=None, m_max=None):
     run per start point when fewer are held.
     """
     times, scalar = _check_times(t)
-    n_max = _series_cutoff(sd, n_max, m_max)
+    n_max = _cutoff(sd, n_max, m_max)
     x = np.atleast_2d(_points(sd.params, x))
     y = np.atleast_2d(_points(sd.params, y))
     log_wy = 0.5 * model_mod.mean_fitness(sd.params, y)
@@ -212,25 +199,19 @@ def transition_density(sd, t, x, y, n_max=None, m_max=None,
         t: elapsed time, > 0, or a 1-D array of such times.
         x: start point, first K-1 coordinates.
         y: evaluation points, shape (..., K-1); the batch may be empty.
-        n_max: eigenpairs kept; None (the default) keeps all U. A
-            decomposition that holds fewer keeps S, and the series is then
-            exp(-tS) applied to one vector (spectral.semigroup_action), so
-            any decomposition serves, one holding only the lead pair
-            included.
-        m_max: None or the truncation D, which mean the same: every
-            degree up to D is kept. Kept for bench/checks.py, which passes
-            the m_max that density_meta.json records.
+        n_max: eigenpairs kept; None (the default) keeps all U, from S
+            by spectral.semigroup_action when fewer are held, so a
+            decomposition of the lead pair alone serves.
+        m_max: None or the truncation D, which both keep every degree up
+            to D; bench/checks.py passes the one density_meta.json records.
         clip_negative: zero out small negative excursions near the boundary.
-        diagnostics: a dict that receives three lists, one entry per
-            time: "tail_weight", the weight e^{-Lambda t} of the first
-            dropped pair (0.0 when none is dropped); "undershoot", the most
-            negative density value (0.0 when there is none); and
-            "max_density", the largest value (at least 0.0). Both extremes
-            are taken before clipping; they are the numbers the warnings
-            print. When the series comes from S it also receives
+        diagnostics: a dict that receives, one entry per time,
+            "tail_weight", the weight e^{-Lambda t} of the first dropped
+            pair, "undershoot", the most negative value, and "max_density",
+            the largest: each 0.0 when there is none, and both extremes the
+            unclipped values the warnings print. From S it also receives
             "krylov_steps" and "krylov_error", the Krylov dimension and the
-            error estimate (relative to the largest coefficient) of each
-            time.
+            error estimate relative to the largest coefficient.
 
     Returns the density at y (scalar for a single point and a scalar t). An
     array of times adds a leading time axis; the warnings and the clipping
@@ -238,7 +219,7 @@ def transition_density(sd, t, x, y, n_max=None, m_max=None,
     """
     p = sd.params
     times, scalar, x = _check_start(p, t, x)
-    n_max = _series_cutoff(sd, n_max, m_max)
+    n_max = _cutoff(sd, n_max, m_max)
     labels = np.atleast_1d(t).tolist()
     tails = np.zeros(len(times))
     if n_max is not None and n_max < sd.size:
@@ -372,17 +353,32 @@ def stationary_density(sd, y):
     return np.exp(model_mod.log_stationary_unnormalized(p, y)) / c
 
 
-def distance_to_stationarity(sd, x, times, n_max=None):
+def distance_to_stationarity(sd, x, times, n_max=None, diagnostics=None):
     """Chi-square divergence of p(t, x, .) from the stationary law.
 
     d(t)^2 = sum_{n >= 1} e^{-2 Lambda_n t} e^{-sbar(x)} B~_n(x)^2; decreasing
     in t with decay rate 2 Lambda_1. Each B~_n keeps every coefficient, so
     it has unit C-norm and no term needs a divisor.
+
+    n_max is as in transition_density. With fewer than U pairs held, None
+    gives d(t)^2 = |exp(-tS) v'|^2 by one semigroup_action run, where
+    v' = v - (q_0 . v) q_0 is the start vector less its lead component,
+    q_0 = C^{1/2} u_0: taken off |exp(-tS) v|^2 instead, the lead term would
+    cancel the digits of a small d^2. A dict passed as diagnostics then
+    receives "krylov_steps" and "krylov_error", one entry per time.
     """
     times, _, x = _check_start(sd.params, times, x)
-    n_max = _resolve_cutoffs(sd, n_max)
-    amp = eigenfunctions(sd, x, n_max)[1:] ** 2
-    return np.exp(-2.0 * np.outer(times, sd.eigenvalues[1:n_max])) @ amp
+    n_max = _cutoff(sd, n_max)
+    if n_max is not None:
+        amp = eigenfunctions(sd, x, n_max)[1:] ** 2
+        return np.exp(-2.0 * np.outer(times, sd.eigenvalues[1:n_max])) @ amp
+    v = _start_vectors(sd, x[None, :])[:, 0]
+    q0 = np.exp(0.5 * sd.log_norms) * sd.coeffs[0]
+    w, steps, errors = spectral.semigroup_action(
+        sd.symmetric, v - (q0 @ v) * q0, times, np.ones(sd.size))
+    if diagnostics is not None:
+        diagnostics.update(krylov_steps=steps, krylov_error=errors)
+    return np.einsum("tu,tu->t", w, w)
 
 
 def make_grid(K, resolution):

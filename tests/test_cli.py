@@ -29,6 +29,7 @@ import scipy.sparse
 
 from wfspectral import basis as basis_mod
 from wfspectral import cli, density, model, oracles, spectral
+from wfspectral.errors import ParameterError
 from wfspectral.model import ModelParams
 from wfspectral.oracles import simplex_quadrature
 
@@ -109,20 +110,23 @@ def test_density_grids(tmp_path):
 
 @pytest.mark.filterwarnings("ignore:truncation undershoot")
 def test_density_reruns_are_byte_identical(tmp_path):
-    a = tmp_path / "a"
-    b = tmp_path / "b"
-    argv = ["density", "--set", "truncation=10", "--set", "grid_resolution=8"]
-    assert cli.main(argv + ["--out", str(a)]) == 0
-    assert cli.main(argv + ["--out", str(b)]) == 0
-    names = sorted(p.name for p in a.glob("density_t*.csv"))
-    assert names
-    for name in names:
-        assert (a / name).read_bytes() == (b / name).read_bytes()
-    metas = [json.loads((d / "density_meta.json").read_text())
-             for d in (a, b)]
-    for meta in metas:
-        del meta["config"], meta["outputs"]
-    assert metas[0] == metas[1]
+    # both series from S: the density and the distance
+    for sub in ("density", "distance"):
+        a = tmp_path / sub / "a"
+        b = tmp_path / sub / "b"
+        argv = [sub, "--set", "truncation=10", "--set", "grid_resolution=8"]
+        assert cli.main(argv + ["--out", str(a)]) == 0
+        assert cli.main(argv + ["--out", str(b)]) == 0
+        names = sorted(p.name for p in a.glob(f"{sub}*.csv"))
+        assert names
+        for name in names:
+            assert (a / name).read_bytes() == (b / name).read_bytes()
+        metas = [json.loads((d / f"{sub}_meta.json").read_text())
+                 for d in (a, b)]
+        for meta in metas:
+            del meta["config"], meta["outputs"]
+        assert metas[0] == metas[1]
+        assert "krylov_steps" in metas[0]
 
 
 def test_density_csv_line_endings_and_precision(tmp_path):
@@ -242,29 +246,53 @@ def test_distance_curve(tmp_path, sigma_1):
     assert all(a > b for a, b in zip(d2, d2[1:]))
 
 
-def test_cutoffs_come_from_the_config_before_solving():
-    cfg = dict(cli.DEFAULT_CONFIG, truncation=6, n_max=100)
-    assert cli._cutoffs(cfg) == (28, 28)
-    cfg.update(n_max=5)
-    assert cli._cutoffs(cfg) == (28, 5)
-    # null resolves to the default the series would use, capped at U
-    cfg.update(n_max=None)
-    assert cli._cutoffs(cfg) == (28, 28)
-    cfg.update(truncation=40)
-    assert cli._cutoffs(cfg) == (861, 562)
+def test_cutoffs_come_from_the_config_before_solving(tmp_path, monkeypatch):
+    # the pairs each command asks of the solver at K=3 D=6 (U=28): an
+    # integer n_max is capped at U; a null one solves the lead pair for a
+    # series from S, and all U for the kernels of the validate suites
+    asked = []
+
+    def record(p, D, n_eig=None):
+        asked.append(n_eig)
+        raise ParameterError("recorded, not solved")
+
+    monkeypatch.setattr(spectral, "decompose", record)
+    mc = ["--set", "mc.N=500", "--set", "mc.generations=2",
+          "--set", "mc.replicates=4"]
+    want = {("density", None): 1, ("density", 5): 6, ("density", 100): 28,
+            ("distance", None): 1, ("distance", 5): 5,
+            ("distance", 100): 28, ("validate chapman", None): None,
+            ("validate chapman", 5): 5, ("validate mc", None): None,
+            ("validate mc", 100): 28}
+    for (sub, n_max), n_eig in want.items():
+        asked.clear()
+        assert run(tmp_path, *sub.split(), "--set", "truncation=6", *mc,
+                   "--set", f"n_max={json.dumps(n_max)}") == 2
+        assert asked == [n_eig], (sub, n_max)
 
 
-def test_default_cutoffs_match_the_density_defaults(sigma_1):
-    # the CLI default is null, so the number lives in density alone
+def test_default_cutoffs_match_the_density_defaults(tmp_path, capsys,
+                                                   sigma_1):
+    # the CLI default is null, which means all U pairs in every command,
+    # as it does in density
     assert cli.DEFAULT_CONFIG["n_max"] is None
     assert "m_max" not in cli.DEFAULT_CONFIG
-    assert cli._cutoffs(cli.DEFAULT_CONFIG)[1] == density.DEFAULT_N_MAX
-    # before the solve and after it, one rule picks the default
-    cfg = dict(cli.DEFAULT_CONFIG, truncation=6,
-               model={"theta": [0.01, 0.02, 0.03], "sigma": sigma_1.tolist()})
-    U, n_max = cli._cutoffs(cfg)
-    sd = cli._decompose(cfg, n_eig=n_max)
-    assert density._resolve_cutoffs(sd, None) == n_max == U
+    sigma = f"model.sigma={json.dumps(sigma_1.tolist())}"
+    assert run(tmp_path, "distance", "--set", "truncation=6",
+               "--set", sigma) == 0
+    _, rows = read_csv(tmp_path / "distance.csv")
+    times, d2 = np.array(rows, dtype=float).T
+    full = spectral.decompose(ModelParams([0.01, 0.02, 0.03], sigma_1), 6)
+    want = density.distance_to_stationarity(
+        full, cli.DEFAULT_CONFIG["x"], times, n_max=full.n_eig)
+    assert np.allclose(d2, want, rtol=1e-10, atol=0)
+    meta = json.loads((tmp_path / "distance_meta.json").read_text())
+    assert meta["n_max"] is None and meta["eigenpairs"] == 1
+    assert len(meta["krylov_steps"]) == len(meta["krylov_error"]) == 20
+    # truncation 0 holds one pair; the refusal names U, not an n_max
+    assert run(tmp_path / "D0", "distance", "--set", "truncation=0") == 2
+    message = json.loads(capsys.readouterr().err)["message"]
+    assert "U=1" in message and "n_max" not in message
 
 
 def test_every_default_key_has_a_row():
@@ -290,6 +318,7 @@ def test_every_default_key_has_a_row():
 
 @pytest.mark.parametrize("sub, setting", [
     ("density", "times=0.5"),
+    ("density", "times=[]"),
     ("density", "times=[Infinity]"),
     ("density", "x=abc"),
     ("density", "x=[0.3]"),
@@ -366,6 +395,16 @@ def test_subcommands_solve_only_the_pairs_they_read(tmp_path, sigma_1):
         meta = json.loads((tmp_path / sub / name).read_text())
         assert (meta["eigenpairs"], meta["eigensolver"]) == (pairs, solver)
         hashes.add(meta["decomposition_hash"])
+    name = "distance_meta.json"
+    assert json.loads((tmp_path / "distance" / name).read_text())[
+        "n_max"] == 5
+    # a null n_max sums all U pairs from S: distance solves the lead pair
+    assert run(tmp_path / "null", "distance", *base[:2], *base[4:]) == 0
+    meta = json.loads((tmp_path / "null" / name).read_text())
+    assert (meta["eigenpairs"], meta["eigensolver"]) == (
+        1, "arpack_shift_invert")
+    assert meta["n_max"] is None
+    hashes.add(meta["decomposition_hash"])
     assert len(hashes) == 1
     _, rows = read_csv(tmp_path / "spectrum" / "spectrum_eigenvalues.csv")
     assert len(rows) == 28
@@ -608,7 +647,13 @@ def test_validate_orthogonality_checks_the_solver_evaluator(
 
 
 @pytest.mark.parametrize("which", ["mc", "chapman"])
-def test_validate_against_the_simulator_and_composition(tmp_path, which):
+def test_validate_against_the_simulator_and_composition(tmp_path, monkeypatch,
+                                                        which):
+    def refuse(*args, **kwargs):
+        raise AssertionError("a null n_max ran a Krylov solve")
+
+    # a null n_max solves all U pairs, and the kernels sum them
+    monkeypatch.setattr(spectral, "semigroup_action", refuse)
     code = run(tmp_path, "validate", which, "--set", "truncation=8",
                "--set", "quadrature_resolution=20", "--set", "mc.N=500",
                "--set", "mc.generations=200", "--set", "mc.replicates=400",

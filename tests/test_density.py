@@ -403,10 +403,13 @@ def test_partial_decomposition_cutoffs(theta_unit, sigma_1):
                                                           n_max=6)):
         with pytest.raises(ParameterError, match="the 5 this decomposition"):
             call()
-    # the default cutoff is what the decomposition holds
+    # the default sums all U pairs, from S, not the 5 pairs held
     d2 = density.distance_to_stationarity(sd, x, [0.5, 1.0])
-    want = density.distance_to_stationarity(full, x, [0.5, 1.0], n_max=5)
+    want = density.distance_to_stationarity(full, x, [0.5, 1.0],
+                                            n_max=full.n_eig)
     assert np.allclose(d2, want, rtol=1e-10)
+    held = density.distance_to_stationarity(full, x, [0.5, 1.0], n_max=5)
+    assert np.all(d2 > held)
     # pair 5 is not held, so the tail check bounds its weight by pair 4's
     with pytest.warns(UserWarning, match="n_max"):
         got = density.transition_density(sd, 0.5, x, ys, n_max=5)
@@ -495,7 +498,7 @@ def series_scale(sd, t, x, y, log_wy):
     """max over x and y of sum_n e^{-Lambda_n t} |B~_n(x) B~_n(y)|, with the
     weights e^{-sbar(x)/2} and e^{log_wy(y)} the series carries: the size of
     its terms, which scales its rounding error."""
-    n_max = density._resolve_cutoffs(sd, None)
+    n_max = sd.n_eig
     bx = density.eigenfunctions(sd, np.atleast_2d(x), n_max)
     by = density.eigenfunctions(sd, y, n_max) * np.exp(
         0.5 * model.mean_fitness(sd.params, y) + log_wy)

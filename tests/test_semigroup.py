@@ -1,11 +1,13 @@
-"""The all-pairs density by Krylov (a null n_max) against independent sums.
+"""The all-pairs density and distance by Krylov (a null n_max) against
+independent sums.
 
-With a null n_max, density.transition_density sums all U pairs. From a
-decomposition that holds fewer, one holding only the lead pair included,
-it applies exp(-tS) to one vector (spectral.semigroup_action, Lanczos).
-These tests
-hold it to the full-eigh series over all U pairs, to the neutral closed
-form, to quadrature and to a higher truncation, and check its refusal.
+With a null n_max, density.transition_density and
+density.distance_to_stationarity sum all U pairs. From a decomposition that
+holds fewer, one holding only the lead pair included, they apply exp(-tS)
+to one vector (spectral.semigroup_action, Lanczos). These tests hold them to
+the full-eigh series over all U pairs, the density also to the neutral
+closed form, to quadrature, and both to a higher truncation, and check the
+refusal.
 """
 
 import json
@@ -34,6 +36,16 @@ SHIPPED_TIMES = np.array([0.0453, 0.1755, 0.9982, 1.9596])
 # its distance from the D=48 all-pairs series, as a share of max|p|
 SHIPPED_MASS = 1e-8
 SHIPPED_D48 = 5e-12
+# relative, per time: the Krylov d^2 against the full-eigh all-pairs d^2 of
+# the same truncation (over 750 random draws of the property test the worst
+# was 3.2e-12), and at the shipped config against the D=48 all-pairs d^2
+DISTANCE_MATCH = 1e-10
+DISTANCE_TIMES = np.linspace(0.05, 3.0, 20)   # the CLI's default grid
+# bench/workloads.py's SIGMA_K4: SIGMA_1 bordered by (10, 9, 8, 0)
+SIGMA_K4 = np.array([[12.0, 14.0, 15.0, 10.0],
+                     [14.0, 11.0, 13.0, 9.0],
+                     [15.0, 13.0, 0.0, 8.0],
+                     [10.0, 9.0, 8.0, 0.0]])
 
 
 def krylov_density(p, D, times, x, y):
@@ -48,12 +60,23 @@ def krylov_density(p, D, times, x, y):
     return out, diagnostics
 
 
-def all_pairs(p, D, times, x, y):
+def all_pairs(full, times, x, y):
     """The eigen-series over all U pairs of a full eigh solve."""
-    sd = spectral.decompose(p, D)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", UserWarning)
-        return density.transition_density(sd, times, x, y, n_max=sd.n_eig)
+        return density.transition_density(full, times, x, y,
+                                          n_max=full.n_eig)
+
+
+def check_distance(p, D, x, times, full):
+    """The null-n_max d^2 from a one-pair decomposition at level D, within
+    DISTANCE_MATCH per time of the all-pairs d^2 of the full decomposition
+    `full`; returns it."""
+    d2 = density.distance_to_stationarity(
+        spectral.decompose(p, D, n_eig=1), x, times)
+    want = density.distance_to_stationarity(full, x, times, n_max=full.n_eig)
+    assert np.all(np.abs(d2 / want - 1) <= DISTANCE_MATCH)
+    return d2
 
 
 def expm_density(p, D, times, x, y):
@@ -112,13 +135,15 @@ def test_null_n_max_matches_the_all_pairs_series(K, seed):
     y = rng.dirichlet(np.ones(K), size=40)[:, :K - 1]
     times = np.sort(rng.uniform(0.01, 3.0, size=3))
     got, diagnostics = krylov_density(p, D, times, x, y)
-    ref = all_pairs(p, D, times, x, y)
+    full = spectral.decompose(p, D)
+    ref = all_pairs(full, times, x, y)
     # the eigen-series carries the rounding of its eigenvectors, which at
     # some models is above MATCH: where it and the expm series differ by
     # more than MATCH / 2, the bound is twice their distance
     spread = errors(expm_density(p, D, times, x, y), ref).max()
     assert np.all(errors(got, ref) <= max(MATCH, 2 * spread))
     assert len(diagnostics["krylov_steps"]) == len(times)
+    check_distance(p, D, x, times, full)
 
 
 def test_five_alleles(monkeypatch):
@@ -126,7 +151,7 @@ def test_five_alleles(monkeypatch):
     p = random_model(rng, 5, 6.0)
     x = np.full(4, 0.2)
     y = rng.dirichlet(np.ones(5), size=100)[:, :4]
-    ref = all_pairs(p, 8, TIMES, x, y)
+    ref = all_pairs(spectral.decompose(p, 8), TIMES, x, y)
     estimate, observed, _ = check_against(ref, p, 8, x, y, monkeypatch)
     assert np.any(estimate > MATCH)   # the loose run stopped early
 
@@ -137,9 +162,12 @@ def test_strong_selection(sigma_1, theta_small, monkeypatch):
     p = ModelParams(theta_small, 5.0 * sigma_1)
     x = np.array([0.2, 0.3])
     y = density.make_grid(3, 30)
-    ref = all_pairs(p, 40, TIMES, x, y)
+    full = spectral.decompose(p, 40)
+    ref = all_pairs(full, TIMES, x, y)
     estimate, _, _ = check_against(ref, p, 40, x, y, monkeypatch)
     assert np.any(estimate > MATCH)
+    # d^2 falls to 2e-31 here, and holds its relative accuracy
+    assert np.all(np.diff(check_distance(p, 40, x, DISTANCE_TIMES, full)) < 0)
 
 
 @pytest.mark.parametrize("D", [4, 12])
@@ -166,8 +194,33 @@ def test_shipped_config_mass_and_truncation(sigma_1, theta_small):
         assert abs(mass - 1.0) <= SHIPPED_MASS
     grid = density.make_grid(3, 100)
     got, _ = krylov_density(p, 40, SHIPPED_TIMES, SHIPPED_X, grid)
-    ref = all_pairs(p, 48, SHIPPED_TIMES, SHIPPED_X, grid)
+    d48 = spectral.decompose(p, 48)
+    ref = all_pairs(d48, SHIPPED_TIMES, SHIPPED_X, grid)
     assert np.all(errors(got, ref) <= SHIPPED_D48)
+    check_distance(p, 40, SHIPPED_X, DISTANCE_TIMES, d48)
+
+
+@pytest.mark.parametrize("theta, sigma, D, x, t_max", [
+    # the benchmark's seed-1 k3_default distance job (SIGMA_K4[:3, :3] is
+    # SIGMA_1)
+    ((0.01, 0.02, 0.03), SIGMA_K4[:3, :3], 40, SHIPPED_X, 3.0),
+    # d^2 falls to 6e-8 of the lead term: taken off |exp(-tS) v|^2 instead
+    # of out of v, that term would leave an error of 3e-5 of d^2
+    ((0.3, 0.5), [[2.0, 1.0], [1.0, 0.0]], 30, [0.3], 20.0),
+    # U = 969 > 562: the 562-pair default once dropped 1e-3 of d^2 here
+    ((0.01, 0.02, 0.03, 0.04), SIGMA_K4, 16, [0.1, 0.1, 0.1], 3.0),
+], ids=["k3_default", "K2", "K4_D16"])
+def test_null_distance_matches_the_all_pairs_series(theta, sigma, D, x,
+                                                    t_max):
+    p = ModelParams(theta, sigma)
+    full = spectral.decompose(p, D)
+    times = np.linspace(0.05, t_max, 20)
+    d2 = check_distance(p, D, x, times, full)
+    assert np.all(np.diff(d2) < 0)
+    # a full decomposition sums its own U pairs
+    assert np.array_equal(
+        density.distance_to_stationarity(full, x, times),
+        density.distance_to_stationarity(full, x, times, n_max=full.n_eig))
 
 
 def test_a_full_decomposition_sums_its_own_pairs(sigma_1, theta_small):
