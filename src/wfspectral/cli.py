@@ -43,9 +43,8 @@ def _list_of(ok):
 
 
 # Every config key: dotted path, default, test, and what the value must be.
-# A null n_max keeps all U pairs in every command: density and distance
-# apply exp(-tS) by Krylov, and the validate suites solve all U pairs. An
-# integer n_max above U is capped at U (_decompose).
+# A null n_max keeps all U pairs in every series, from the lead pair and S
+# by Krylov; an integer n_max above U is capped at U (_decompose).
 # Retired keys: configs written while they existed carry them, so the values
 # that mean what the code now always does still run.
 CONFIG_KEYS = [
@@ -80,7 +79,7 @@ CONFIG_KEYS = [
     ("distance.points", 20, _at_least(2), "an integer >= 2"),
     ("mc.N", 10000, _at_least(1), "an integer >= 1"),
     ("mc.generations", 4000, _at_least(1), "an integer >= 1"),
-    ("mc.replicates", 10000, _at_least(1), "an integer >= 1"),
+    ("mc.replicates", 10000, _at_least(2), "an integer >= 2"),
     ("mc.block_size", 1024, _at_least(1), "an integer >= 1"),
     ("mc.record_every", None, _at_least(1, null=True),
      "null or an integer >= 1"),
@@ -216,9 +215,9 @@ def _decompose(cfg, n_eig=None):
 
 
 def _series_decomposition(cfg, beyond):
-    """(sd, n_max) for a series from x: a null n_max solves the lead pair
-    and sums all U from S, an integer one (capped at U) n_max + beyond
-    pairs. An unconverged truncation's C_stat exits 3 before any output."""
+    """(sd, n_max) for a series: a null n_max solves the lead pair and sums
+    all U from S, an integer one (capped at U) n_max + beyond pairs. An
+    unconverged truncation's C_stat exits 3 before any output."""
     from . import density
     n_max = cfg["n_max"]
     sd = _decompose(cfg, n_eig=1 if n_max is None else n_max + beyond)
@@ -457,15 +456,14 @@ def _validate_mc(cfg):
                       block_size=mc_cfg["block_size"])
     x0 = np.asarray(cfg["x"], dtype=float)
     result = mc_simulate(p, config, x0)   # refuses a model before the solve
-    sd = _decompose(cfg, n_eig=cfg["n_max"])
+    sd, n_max = _series_decomposition(cfg, beyond=0)
     out = _out_dir(cfg)
     write_mc_summary_csv(result, os.path.join(out, "mc_summary.csv"))
     t = result.times[-1]
     mc_mean = result.means[-1][:p.K - 1]
     mc_se = np.sqrt(np.diag(result.covs[-1])[:p.K - 1]
                     / config.replicates)
-    # the pairs held: all U for a null n_max, not a Krylov run
-    k = _finite(density.smooth_kernel(sd, t, x0, z, n_max=sd.n_eig)[0])
+    k = _finite(density.smooth_kernel(sd, t, x0, z, n_max=n_max)[0])
     spec_mean = (w * k) @ z
     score = np.abs(spec_mean - mc_mean) / mc_se
     return {"t": float(t), "spectral_mean": spec_mean.tolist(),
@@ -479,9 +477,7 @@ def _validate_chapman(cfg):
 
     from . import density
     z, w = _quadrature_nodes(cfg)
-    # all U pairs held for a null n_max, not one Krylov run per node
-    sd = _decompose(cfg, n_eig=cfg["n_max"])
-    n_max = sd.n_eig
+    sd, n_max = _series_decomposition(cfg, beyond=0)
     K = sd.params.K
     s = t = 0.25
     rng = np.random.default_rng(cfg["seed"])

@@ -89,25 +89,25 @@ def eigenfunctions(sd, x, n_max):
     return phi * np.exp(-0.5 * model_mod.mean_fitness(sd.params, x))
 
 
-def _start_vectors(sd, x):
-    """v = e^{-sbar(x)/2} C^{-1/2} P(x), a column per point of x (Mx, K-1),
-    whose coefficients in the eigenbasis of S are e^{-sbar(x)/2} B~_n(x)."""
+def _start_vectors(sd, x, log_wx):
+    """v = e^{log_wx(x)} C^{-1/2} P(x), a column per point of x (Mx, K-1),
+    whose coefficients in the eigenbasis of S are e^{log_wx(x)} B~_n(x)."""
     scale = np.exp(-0.5 * sd.log_norms)
     return (scale[:, None] * sd.basis.eval_prefix_cube(to_cube(x))
-            * np.exp(-0.5 * model_mod.mean_fitness(sd.params, x)))
+            * np.exp(log_wx))
 
 
-def _series(sd, times, x, y, log_wy, n_max, krylov=None):
+def _series(sd, times, x, y, log_wx, log_wy, n_max, krylov=None):
     """The eigenfunction series at every time, summed in basis space.
 
     Returns the (T, Mx, My) array
 
-        e^{-sbar(x)/2} [sum_n e^{-Lambda_n t} B~_n(x) B~_n(y)] e^{log_wy(y)}
+        e^{log_wx(x)} [sum_n e^{-Lambda_n t} B~_n(x) B~_n(y)] e^{log_wy(y)}
 
-    for times (T,), x (Mx, K-1), y (My, K-1) and the y weight log_wy (My,).
+    for times (T,), x (Mx, K-1), y (My, K-1) and weights log_wx, log_wy.
     The eigenpairs fold into one coefficient row per (time, start point),
 
-        w = (decay * B~(x)) @ coeffs[:n_max],   shape (T Mx, U),
+        w = (decay * e^{log_wx} B~(x)) @ coeffs[:n_max],   shape (T Mx, U),
 
     at 2 T Mx n_max U flops, and the basis sums w @ P(y) over its first
     axis, then over its (K-1)-allele suffix basis evaluated once at y
@@ -121,7 +121,7 @@ def _series(sd, times, x, y, log_wy, n_max, krylov=None):
         scale = np.exp(-0.5 * sd.log_norms)
         w = np.empty((len(times), len(x), sd.size))
         steps, errors = [], []
-        for i, start in enumerate(_start_vectors(sd, x).T):
+        for i, start in enumerate(_start_vectors(sd, x, log_wx).T):
             w[:, i], step, error = spectral.semigroup_action(
                 sd.symmetric, start, times, scale)
             steps.append(step)
@@ -130,7 +130,7 @@ def _series(sd, times, x, y, log_wy, n_max, krylov=None):
             krylov.update(krylov_steps=steps, krylov_error=errors)
         w = w.reshape(-1, sd.size)
     else:
-        bx = eigenfunctions(sd, x, n_max)                 # (n_max, Mx)
+        bx = _phi_at(sd, x, n_max, sd.size) * np.exp(log_wx)   # (n_max, Mx)
         decay = np.exp(-np.outer(times, sd.eigenvalues[:n_max]))
         left = decay[:, None, :] * bx.T[None, :, :]       # (T, Mx, n_max)
         w = left.reshape(-1, n_max) @ sd.coeffs[:n_max]
@@ -179,14 +179,19 @@ def smooth_kernel(sd, t, x, y, n_max=None, m_max=None):
     the right integrand for kernel-weighted quadrature. A 1-D array of times
     adds a leading time axis: (T, Mx, My). m_max is as in
     transition_density. n_max None sums all U pairs, from S with one Krylov
-    run per start point when fewer are held.
+    run per point of the smaller batch when fewer are held: the bracket is
+    symmetric in x and y, so with more start points than end points the
+    series runs from y, each side keeping its weight.
     """
     times, scalar = _check_times(t)
     n_max = _cutoff(sd, n_max, m_max)
     x = np.atleast_2d(_points(sd.params, x))
     y = np.atleast_2d(_points(sd.params, y))
-    log_wy = 0.5 * model_mod.mean_fitness(sd.params, y)
-    out = _series(sd, times, x, y, log_wy, n_max)
+    hx, hy = (0.5 * model_mod.mean_fitness(sd.params, pts) for pts in (x, y))
+    if len(x) <= len(y):
+        out = _series(sd, times, x, y, -hx, hy, n_max)
+    else:   # from y, each side with its own weight: no new exponential
+        out = _series(sd, times, y, x, hy, -hx, n_max).swapaxes(1, 2)
     return out[0] if scalar else out
 
 
@@ -240,7 +245,9 @@ def transition_density(sd, t, x, y, n_max=None, m_max=None,
     log_wy = (model_mod.log_stationary_unnormalized(p, y)
               - 0.5 * model_mod.mean_fitness(p, y))
     krylov = {}
-    out = _series(sd, times, x[None, :], y, log_wy, n_max, krylov)[:, 0, :]
+    log_wx = -0.5 * model_mod.mean_fitness(p, x[None, :])
+    out = _series(sd, times, x[None, :], y, log_wx, log_wy, n_max,
+                  krylov)[:, 0, :]
     lows = np.min(out, axis=1, initial=0.0)
     highs = np.max(out, axis=1, initial=0.0)
     for i, (neg, scale) in enumerate(zip(lows, highs)):
@@ -372,7 +379,8 @@ def distance_to_stationarity(sd, x, times, n_max=None, diagnostics=None):
     if n_max is not None:
         amp = eigenfunctions(sd, x, n_max)[1:] ** 2
         return np.exp(-2.0 * np.outer(times, sd.eigenvalues[1:n_max])) @ amp
-    v = _start_vectors(sd, x[None, :])[:, 0]
+    v = _start_vectors(sd, x[None, :],
+                       -0.5 * model_mod.mean_fitness(sd.params, x))[:, 0]
     q0 = np.exp(0.5 * sd.log_norms) * sd.coeffs[0]
     w, steps, errors = spectral.semigroup_action(
         sd.symmetric, v - (q0 @ v) * q0, times, np.ones(sd.size))

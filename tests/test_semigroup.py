@@ -7,7 +7,8 @@ holds fewer, one holding only the lead pair included, they apply exp(-tS)
 to one vector (spectral.semigroup_action, Lanczos). These tests hold them to
 the full-eigh series over all U pairs, the density also to the neutral
 closed form, to quadrature, and both to a higher truncation, and check the
-refusal.
+refusal. The kernel with more start points than end points runs from the
+end points; it is held to the kernel built one start point at a time.
 """
 
 import json
@@ -221,6 +222,85 @@ def test_null_distance_matches_the_all_pairs_series(theta, sigma, D, x,
     assert np.array_equal(
         density.distance_to_stationarity(full, x, times),
         density.distance_to_stationarity(full, x, times, n_max=full.n_eig))
+
+
+SWAP_MODELS = {
+    "K2": ((0.3, 0.5), [[2.0, 1.0], [1.0, 0.0]], 20),
+    "K3": ((0.01, 0.02, 0.03), SIGMA_K4[:3, :3], 16),
+    "K4": ((0.01, 0.02, 0.03, 0.04), SIGMA_K4, 8),
+}
+
+
+def by_rows(sd, times, xs, y, n_max=None):
+    """smooth_kernel one start point at a time: never more start points
+    than end points, so each row runs from its x."""
+    return np.stack([density.smooth_kernel(sd, times, x[None], y, n_max)[:, 0]
+                     for x in xs], axis=1)
+
+
+@pytest.mark.parametrize("case", SWAP_MODELS)
+def test_kernel_runs_from_the_smaller_batch(case, monkeypatch):
+    theta, sigma, D = SWAP_MODELS[case]
+    p = ModelParams(theta, sigma)
+    K = p.K
+    rng = np.random.default_rng(len(case) + K)
+    xs = rng.dirichlet(np.ones(K), size=12)[:, :K - 1]
+    ys = rng.dirichlet(np.ones(K), size=3)[:, :K - 1]
+    full = spectral.decompose(p, D)
+    one = spectral.decompose(p, D, n_eig=1)
+    # the eigen-series over all U pairs, from x and from y
+    want = by_rows(full, TIMES, xs, ys, full.n_eig)
+    got = density.smooth_kernel(full, TIMES, xs, ys, full.n_eig)
+    assert got.shape == (len(TIMES), 12, 3)
+    assert np.all(errors(got.reshape(len(TIMES), -1),
+                         want.reshape(len(TIMES), -1)) <= 1e-13)
+    # from S, one Krylov run per point of the smaller batch
+    runs = []
+    action = spectral.semigroup_action
+
+    def spy(S, v, times, scale):
+        runs.append(len(v))
+        return action(S, v, times, scale)
+
+    monkeypatch.setattr(spectral, "semigroup_action", spy)
+    got = density.smooth_kernel(one, TIMES, xs, ys)
+    assert len(runs) == 3
+    assert np.all(errors(got.reshape(len(TIMES), -1),
+                         want.reshape(len(TIMES), -1)) <= MATCH)
+    runs.clear()
+    back = density.smooth_kernel(one, TIMES, ys, xs)
+    assert len(runs) == 3
+    assert np.all(errors(back.reshape(len(TIMES), -1),
+                         by_rows(full, TIMES, ys, xs, full.n_eig).reshape(
+                             len(TIMES), -1)) <= MATCH)
+    # an empty batch runs nothing and keeps its axis
+    runs.clear()
+    empty = np.empty((0, K - 1))
+    assert density.smooth_kernel(one, TIMES, xs, empty).shape == (4, 12, 0)
+    assert density.smooth_kernel(one, 0.5, empty, ys).shape == (0, 3)
+    assert density.smooth_kernel(full, TIMES, xs, empty, 5).shape == (
+        4, 12, 0)
+    assert runs == []
+
+
+def test_swapped_kernel_takes_no_exponential_the_direct_one_does_not():
+    # sbar(y) = 902.5 at y = (0.95, 0.02), so e^{sbar(y)} alone overflows
+    # while e^{sbar(y)/2} does not: the direct kernel is finite, and so is
+    # the kernel from y. Taken as e^{-sbar(y)/2} from y and e^{sbar(y)}
+    # after, the entry at x = (0.87, 0.05), sbar = 756.9, 1.6e24 in the
+    # direct kernel, would underflow to 0
+    p = ModelParams((0.01, 0.02, 0.03), [[1000, 0, 0], [0, 0, 0], [0, 0, 0]])
+    sd = spectral.decompose(p, 6)
+    xs = np.array([[0.2, 0.3], [0.5, 0.2], [0.87, 0.05], [0.1, 0.1],
+                   [0.3, 0.6]])
+    y = np.array([[0.95, 0.02]])
+    assert model.mean_fitness(p, y)[0] > np.log(np.finfo(float).max)
+    want = by_rows(sd, [0.5], xs, y, sd.n_eig)
+    with np.errstate(over="raise", invalid="raise"):
+        got = density.smooth_kernel(sd, [0.5], xs, y, sd.n_eig)
+    assert np.all(np.isfinite(want)) and np.all(want != 0)
+    assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
+    assert np.all(np.abs(got / want - 1) <= 1e-9)
 
 
 def test_a_full_decomposition_sums_its_own_pairs(sigma_1, theta_small):
