@@ -20,16 +20,16 @@ orthonormality. Everything runs in double precision: under strong selection
 path agreed with it to 2.5e-14 of the spectral scale on eigenvalues.
 
 Callers ask for the n_eig lowest eigenpairs they read. A single pair comes
-from ARPACK in shift-invert mode on the sparse symmetric matrix, with the
-inverse from a banded Cholesky factorization (the graded order keeps S
-within a band). The shift sits just below Lambda_0 ~ 0, at
--max(|theta|/256, 1e-8 max|S_ij|), so a Lanczos basis of ncv = 6 vectors
-converges in a few solves. A small share of the spectrum comes from a
-LAPACK subset solve; anything else from the full dense solve, sliced. The
-full solve is LAPACK's divide-and-conquer driver (Gu & Eisenstat 1995): it
-writes the eigenvectors over the dense matrix and needs about 2U^2 doubles
-of workspace besides, so its peak is about 3U^2 doubles (485 MB at
-U = 4495). The eigenvectors are scaled to coefficients in that same array.
+from shift-invert Lanczos (Ericsson & Ruhe, Math. Comp. 35:1251, 1980) on
+the sparse symmetric matrix, with the inverse from a banded Cholesky
+factorization (the graded order keeps S within a band) and the shift just
+below Lambda_0 ~ 0, so a few solves converge. A small share of the
+spectrum comes from a LAPACK subset solve; anything else from the full
+dense solve, sliced. The full solve is LAPACK's divide-and-conquer driver
+(Gu & Eisenstat 1995): it writes the eigenvectors over the dense matrix
+and needs about 2U^2 doubles of workspace besides, so its peak is about
+3U^2 doubles (485 MB at U = 4495). The eigenvectors are scaled to
+coefficients in that same array.
 
 In the graded order the level-D operator is the leading U(D) x U(D) block of
 the operator at any higher level, so a table over several levels assembles
@@ -40,7 +40,6 @@ exp(-tS) applied to one vector, which semigroup_action computes by Lanczos
 from sparse products with S (Saad, SIAM J. Numer. Anal. 29:209, 1992).
 """
 
-import functools
 import hashlib
 from dataclasses import dataclass
 
@@ -68,9 +67,6 @@ SYMMETRY_DEFECT_TOL = 1e-9
 # factorization fails.
 SHIFT_GAP_SHARE = 1 / 128
 SHIFT_FLOOR = 1e-8
-ARPACK_NCV = 6             # Lanczos basis size; scipy's default is 20
-# below this the dense solve is cheap; ARPACK itself needs U > ARPACK_NCV
-ARPACK_MIN_SIZE = 21
 SUBSET_FRACTION = 1 / 3    # LAPACK subset solve only up to this share of U
 # semigroup_action: a time's result is accepted once its error estimate is
 # at most KRYLOV_TOL of max|w|; the estimate is read every KRYLOV_CHECK
@@ -259,59 +255,84 @@ def symmetrize(om):
     return S
 
 
-def _arpack_shift(S, theta_total):
+def _shift(S, theta_total):
     """The shift of the one-pair solve: -max(|theta|/256, 1e-8 max|S_ij|)."""
     return -max(SHIFT_GAP_SHARE * 0.5 * theta_total,
                 SHIFT_FLOOR * np.abs(S.data).max(initial=0.0))
 
 
-def _lowest_pair(S, theta_total):
-    """Lowest eigenpair of sparse symmetric S by ARPACK in shift-invert mode.
+def _lanczos(apply, q):
+    """Lanczos with full reorthogonalization from the unit vector q, where
+    apply(x) is a symmetric operator A times x. Step m yields (alpha, beta,
+    Q, r): the diagonals alpha and beta[:-1] of T = Q'AQ, the m orthonormal
+    rows of Q, and the residual r, of norm beta[-1]. It stops after
+    min(KRYLOV_MAX_STEPS, U) steps; a caller stops it at a breakdown."""
+    U = len(q)
+    cap = min(KRYLOV_MAX_STEPS, U)
+    Q = np.empty((cap + 1, U))
+    Q[0] = q
+    alpha, beta = np.empty(cap), np.empty(cap)
+    for j in range(cap):
+        r = apply(Q[j])
+        alpha[j] = Q[j] @ r
+        r -= alpha[j] * Q[j]
+        if j:
+            r -= beta[j - 1] * Q[j - 1]
+        r -= (Q[:j + 1] @ r) @ Q[:j + 1]
+        beta[j] = np.linalg.norm(r)
+        yield alpha[:j + 1], beta[:j + 1], Q[:j + 1], r
+        Q[j + 1] = r / beta[j]
 
-    The shift is _arpack_shift(S, theta_total), and the Lanczos basis holds
-    ARPACK_NCV vectors. The inverse of S - shift*I comes from one banded
-    Cholesky factorization, with the bandwidth read from the nonzeros of S:
-    the graded order keeps every coupling within four degrees. The band is
-    laid out in LAPACK's column order, so it is factored in place without a
-    copy. The shifted matrix must be positive definite; when it is not, the
-    factorization raises LinAlgError instead of letting ARPACK return the
-    eigenvalue nearest the shift. The start vector is fixed so that reruns
-    give the same bits.
+
+def _lowest_pair(S, theta_total):
+    """Lowest eigenpair of sparse symmetric S by shift-invert Lanczos.
+
+    The shift is _shift(S, theta_total). The inverse of S - shift*I comes
+    from one banded Cholesky factorization, with the bandwidth read from
+    the nonzeros of S: the graded order keeps every coupling within four
+    degrees. The band is laid out in LAPACK's column order, so it is
+    factored in place without a copy. The shifted matrix must be positive
+    definite; when it is not, the factorization raises LinAlgError instead
+    of letting Lanczos return the eigenvalue nearest the shift. The lead
+    Ritz pair (rho, Q'z) of the inverse is accepted at beta_m |z_m| <=
+    KRYLOV_BREAKDOWN rho, ARPACK's default (deflating by q_0 needs q_0 to
+    rounding, which KRYLOV_TOL misses), or at m = U, and refused with
+    LinAlgError after KRYLOV_MAX_STEPS. The start vector is fixed, so
+    reruns give the same bits.
     """
-    # imported here: only this path needs it, and it adds about 20 ms to
-    # the start-up of every command
-    import scipy.sparse.linalg
     U = S.shape[0]
-    shift = _arpack_shift(S, theta_total)
+    shift = _shift(S, theta_total)
     lower = scipy.sparse.tril(S, format="coo")
     band = np.zeros((U, int((lower.row - lower.col).max(initial=0)) + 1)).T
     band[lower.row - lower.col, lower.col] = lower.data
     band[0] -= shift
     factor = scipy.linalg.cholesky_banded(band, overwrite_ab=True, lower=True)
-    inverse = scipy.sparse.linalg.LinearOperator(
-        (U, U), dtype=float,
-        matvec=functools.partial(scipy.linalg.cho_solve_banded, (factor, True),
-                                 check_finite=False))
-    return scipy.sparse.linalg.eigsh(S, k=1, sigma=shift, which="LM",
-                                     OPinv=inverse, v0=np.ones(U),
-                                     ncv=ARPACK_NCV)
+    for alpha, beta, Q, _ in _lanczos(lambda x: scipy.linalg.cho_solve_banded(
+            (factor, True), x, check_finite=False), np.full(U, U ** -0.5)):
+        rho, Z = scipy.linalg.eigh_tridiagonal(alpha, beta[:-1])
+        defect = beta[-1] * abs(Z[-1, -1]) / rho[-1]
+        if defect <= KRYLOV_BREAKDOWN or len(alpha) == U:
+            return np.array([shift + 1 / rho[-1]]), (Z[:, -1] @ Q)[:, None]
+    raise scipy.linalg.LinAlgError(
+        f"the lowest pair did not converge in {len(alpha)} Lanczos steps: "
+        f"residual estimate {defect:.1e} of its Ritz value")
 
 
 def _solve(S, n_eig, theta_total):
     """The n_eig lowest eigenpairs of sparse symmetric S, ascending.
 
     Returns (eigenvalues, eigenvectors as columns, solver name). S is made
-    dense only for LAPACK. A solve fails with LinAlgError from LAPACK or from
-    the banded Cholesky, or with an ARPACK RuntimeError.
+    dense only for LAPACK. A solve fails with LinAlgError from LAPACK, from
+    the banded Cholesky or from an unconverged one-pair solve.
     """
     U = S.shape[0]
-    # ARPACK serves one pair only: single-vector Lanczos cannot resolve the
+    # Lanczos from one vector serves one pair only: it cannot resolve the
     # multiplicities of neutral clusters. Asked for the four lowest pairs of
-    # a neutral K=3 model, it returned Lambda = 2.0 in place of the second
-    # member of the degree-1 cluster at 0.5.
-    if n_eig == 1 and U >= ARPACK_MIN_SIZE:
+    # a neutral K=3 model, ARPACK returned Lambda = 2.0 in place of the
+    # second member of the degree-1 cluster at 0.5.
+    if n_eig == 1:
         w, V = _lowest_pair(S, theta_total)
-        return w, V, "arpack_shift_invert"
+        return w, V, "lanczos_shift_invert"
     # S is exactly symmetric, so the dense transpose is S in Fortran order,
     # filled from CSC straight off S's arrays: LAPACK works in this one copy
     if n_eig <= SUBSET_FRACTION * U:
@@ -329,7 +350,7 @@ def semigroup_action(S, v, times, scale):
     Args:
         S: sparse symmetric matrix (U, U), positive semidefinite up to
             rounding.
-        v: start vector (U,), not zero.
+        v: start vector (U,) of finite non-zero norm, or NumericalError.
         times: 1-D array of times t > 0.
         scale: positive vector (U,); the result is w = scale * exp(-tS) v,
             and the stop rule measures the error of w.
@@ -337,57 +358,47 @@ def semigroup_action(S, v, times, scale):
     Returns (w, steps, errors): w of shape (T, U), and per time the Krylov
     dimension used and the error estimate relative to max|w|.
 
-    One Lanczos run with full reorthogonalization serves every time: with
-    Q the orthonormal basis from q_1 = v/|v| and T = Q'SQ tridiagonal,
-    exp(-tS) v ~ |v| Q exp(-tT) e_1. After m steps the residual r, of which
-    q_{m+1} is the unit vector, gives Saad's a-posteriori estimate of the
-    error of w, |v| |e_m' exp(-tT) e_1| max|scale * r|. Every KRYLOV_CHECK
-    steps each time still open is accepted when that estimate is at most
-    KRYLOV_TOL max|w|. A time's result is the prefix its own rule picks, so
-    it depends only on (S, v, t), not on the other times. A residual at
-    rounding level (a breakdown) or the m = U step makes every open time
-    exact. A time still open after KRYLOV_MAX_STEPS steps raises
-    NumericalError with its estimate.
+    One _lanczos run serves every time: with Q its basis from v/|v| and T
+    = Q'SQ, exp(-tS) v ~ |v| Q exp(-tT) e_1, where |v| is BLAS nrm2, which
+    holds where |v|^2 under- or overflows. After m steps the residual r
+    gives Saad's a-posteriori estimate of the error of w,
+    |v| |e_m' exp(-tT) e_1| max|scale * r|. Every KRYLOV_CHECK steps each
+    time still open is accepted when that estimate is at most KRYLOV_TOL
+    max|w|. A time's result is the prefix its own rule picks, so it depends
+    only on (S, v, t), not on the other times. A residual at rounding level
+    (a breakdown) or the m = U step makes every open time exact. A time
+    still open after KRYLOV_MAX_STEPS steps raises NumericalError.
     """
     U = len(v)
-    cap = min(KRYLOV_MAX_STEPS, U)
-    size = np.linalg.norm(v)
-    Q = np.empty((cap + 1, U))
-    Q[0] = v / size
-    alpha, beta = np.empty(cap), np.empty(cap)
+    size = scipy.linalg.norm(v, check_finite=False)
+    if not 0 < size < np.inf:
+        raise NumericalError(f"exp(-tS)v needs a start vector of finite "
+                             f"non-zero norm, got {size:g}")
     out = np.empty((len(times), U))
     steps, errors = [0] * len(times), [0.0] * len(times)
     open_ = list(range(len(times)))
     norm_T = 0.0
-    for j in range(cap if open_ else 0):
-        r = S @ Q[j]
-        alpha[j] = Q[j] @ r
-        r -= alpha[j] * Q[j]
-        if j:
-            r -= beta[j - 1] * Q[j - 1]
-        r -= (Q[:j + 1] @ r) @ Q[:j + 1]
-        beta[j] = np.linalg.norm(r)
-        m = j + 1
-        norm_T = max(norm_T, abs(alpha[j]) + beta[j])
-        exact = m == U or beta[j] <= KRYLOV_BREAKDOWN * U * norm_T
-        if exact or m % KRYLOV_CHECK == 0 or m == cap:
-            theta, Z = scipy.linalg.eigh_tridiagonal(alpha[:m], beta[:m - 1])
+    for alpha, beta, Q, r in _lanczos(S.dot, v / size) if open_ else ():
+        m = len(alpha)
+        norm_T = max(norm_T, abs(alpha[-1]) + beta[-1])
+        exact = m == U or beta[-1] <= KRYLOV_BREAKDOWN * U * norm_T
+        if exact or m % KRYLOV_CHECK == 0 or m == KRYLOV_MAX_STEPS:
+            theta, Z = scipy.linalg.eigh_tridiagonal(alpha, beta[:-1])
             tail = np.abs(scale * r).max()
             for i in list(open_):
                 e = Z @ (np.exp(-times[i] * theta) * Z[0])
-                w = scale * (size * (e @ Q[:m]))
+                w = scale * (size * (e @ Q))
                 error = size * abs(e[-1]) * tail / np.abs(w).max()
                 if exact or error <= KRYLOV_TOL:
                     out[i], steps[i], errors[i] = w, m, float(error)
                     open_.remove(i)
-                elif m == cap:
+                elif m == KRYLOV_MAX_STEPS:
                     raise NumericalError(
                         f"exp(-tS)v at t={times[i]:g} did not converge in "
-                        f"{cap} Krylov steps: error estimate {error:.2e} of "
+                        f"{m} Krylov steps: error estimate {error:.2e} of "
                         f"max|w|, above {KRYLOV_TOL:.0e}")
             if not open_:
                 break
-        Q[m] = r / beta[j]
     return out, steps, errors
 
 
@@ -435,10 +446,9 @@ def eigensolve(om, n_eig=None):
     S = symmetrize(om)
     try:
         w, V, solver = _solve(S, n_eig, om.params.theta_total)
-    except (scipy.linalg.LinAlgError, RuntimeError) as exc:
+    except scipy.linalg.LinAlgError as exc:
         # LAPACK failures, the banded Cholesky of an indefinite shifted
-        # operator among them, raise LinAlgError; ARPACK's are RuntimeError
-        # subclasses
+        # operator among them, and an unconverged one-pair solve
         raise NumericalError(
             f"eigensolver failed at truncation {om.D}: {exc}")
     # scaled in LAPACK's array: no second U x n_eig array is made

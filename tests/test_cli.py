@@ -395,7 +395,7 @@ def test_subcommands_solve_only_the_pairs_they_read(tmp_path, sigma_1):
             "--set", f"model.sigma={json.dumps(sigma_1.tolist())}"]
     want = {"spectrum": ("spectrum_meta.json", 28, "eigh"),
             "density": ("density_meta.json", 6, "eigh_subset"),
-            "normconst": ("normconst.json", 1, "arpack_shift_invert"),
+            "normconst": ("normconst.json", 1, "lanczos_shift_invert"),
             "distance": ("distance_meta.json", 5, "eigh_subset")}
     hashes = set()
     for sub, (name, pairs, solver) in want.items():
@@ -410,7 +410,7 @@ def test_subcommands_solve_only_the_pairs_they_read(tmp_path, sigma_1):
     assert run(tmp_path / "null", "distance", *base[:2], *base[4:]) == 0
     meta = json.loads((tmp_path / "null" / name).read_text())
     assert (meta["eigenpairs"], meta["eigensolver"]) == (
-        1, "arpack_shift_invert")
+        1, "lanczos_shift_invert")
     assert meta["n_max"] is None
     hashes.add(meta["decomposition_hash"])
     assert len(hashes) == 1

@@ -303,6 +303,30 @@ def test_swapped_kernel_takes_no_exponential_the_direct_one_does_not():
     assert np.all(np.abs(got / want - 1) <= 1e-9)
 
 
+@pytest.mark.filterwarnings("ignore::UserWarning")  # D=6 undershoots
+def test_a_start_weight_whose_square_underflows():
+    # sbar(x) = 810 at x = (0.9, 0.05), so the start vector carries the
+    # weight e^{-sbar(x)/2} = 1e-176: its squared norm underflows to 0,
+    # and |v| must not be taken as sqrt(v.v). d^2 carries e^{-sbar(x)},
+    # which underflows on both routes
+    x, y = np.array([0.9, 0.05]), density.make_grid(3, 12)
+    p = ModelParams((0.01, 0.02, 0.03), [[1000, 0, 0], [0, 0, 0], [0, 0, 0]])
+    one, full = spectral.decompose(p, 6, n_eig=1), spectral.decompose(p, 6)
+    want = density.transition_density(full, TIMES, x, y)
+    got = density.transition_density(one, TIMES, x, y)
+    assert np.all(np.isfinite(want)) and np.abs(want).max() > 0
+    assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+    for sd in (one, full):
+        assert np.all(density.distance_to_stationarity(sd, x, TIMES) == 0)
+    # at sigma_11 = 3000 the weight e^{-1215} is 0 itself: refused
+    p = ModelParams((0.01, 0.02, 0.03), [[3000, 0, 0], [0, 0, 0], [0, 0, 0]])
+    one = spectral.decompose(p, 6, n_eig=1)
+    with pytest.raises(NumericalError, match="non-zero norm"):
+        density.transition_density(one, TIMES, x, y)
+    with pytest.raises(NumericalError, match="non-zero norm"):
+        density.distance_to_stationarity(one, x, TIMES)
+
+
 def test_a_full_decomposition_sums_its_own_pairs(sigma_1, theta_small):
     p = ModelParams(theta_small, sigma_1)
     full = spectral.decompose(p, 8)

@@ -28,7 +28,7 @@ import scipy.sparse
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from wfspectral import density, jacobi, model, spectral
+from wfspectral import cli, density, jacobi, model, spectral
 from wfspectral.basis import MultiJacobiBasis
 from wfspectral.errors import NumericalError, ParameterError
 from wfspectral.indexing import BasisEnumeration, count_at_degree, total_count
@@ -282,10 +282,10 @@ def residual_max(om, sd):
 
 
 def test_left_eigenpair_residual(theta_small, sigma_1):
-    # U = 66: the full solve, ARPACK for one pair, a LAPACK subset below U/3
-    # and a sliced full solve above it
+    # U = 66: the full solve, shift-invert Lanczos for one pair, a LAPACK
+    # subset below U/3 and a sliced full solve above it
     p, om = assemble(theta_small, sigma_1, 10)
-    for n_eig, solver in [(None, "eigh"), (1, "arpack_shift_invert"),
+    for n_eig, solver in [(None, "eigh"), (1, "lanczos_shift_invert"),
                           (5, "eigh_subset"), (40, "eigh")]:
         sd = spectral.eigensolve(om, n_eig=n_eig)
         assert sd.eigensolver == solver
@@ -366,7 +366,7 @@ def test_double_matches_frozen_extended_reference(case):
     scale = np.max(np.abs(want_lam))
     full = spectral.decompose(p, EXTENDED_REFERENCE["D"])
     lead = spectral.decompose(p, EXTENDED_REFERENCE["D"], n_eig=1)
-    assert lead.eigensolver == "arpack_shift_invert"
+    assert lead.eigensolver == "lanczos_shift_invert"
     for sd in (full, lead):
         k = min(sd.n_eig, len(want_u))
         assert np.max(np.abs(sd.eigenvalues - want_lam[:sd.n_eig])) \
@@ -563,6 +563,25 @@ def test_one_pair_solve_refuses_an_indefinite_operator():
     assert spectral.eigensolve(om).eigenvalues[0] == -0.3
 
 
+def test_an_unconverged_one_pair_solve_is_refused(theta_small, sigma_1,
+                                                  monkeypatch, tmp_path,
+                                                  capsys):
+    # U = 66 takes 6 banded solves; 2 Lanczos steps leave the pair open
+    monkeypatch.setattr(spectral, "KRYLOV_MAX_STEPS", 2)
+    _, om = assemble(theta_small, sigma_1, 10)
+    with pytest.raises(NumericalError,
+                       match="did not converge in 2 Lanczos steps"):
+        spectral.eigensolve(om, 1)
+    code = cli.main(["normconst", "--out", str(tmp_path), "--set",
+                     "truncation=10", "--set",
+                     f"model.sigma={json.dumps(sigma_1.tolist())}"])
+    assert code == 3
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "numerical"
+    assert "2 Lanczos steps" in err["message"]
+    assert list(tmp_path.iterdir()) == []
+
+
 def _random_model(K, seed):
     rng = np.random.default_rng(seed)
     theta = rng.uniform(0.05, 2.0, size=K)
@@ -590,8 +609,9 @@ def assert_pairs_agree(sd, ref):
     assert np.all(np.max(np.abs(u - u_ref), axis=1) <= 1e-10 * row_max)
 
 
-# per K, the truncations that put U between 21 (ARPACK's floor) and ~120
-PATH_TRUNCATIONS = {2: (20, 60), 3: (5, 13), 4: (4, 7)}
+# per K, the truncations that put U between 2 and ~120; at U = 1 the full
+# solve is the one-pair solve itself
+PATH_TRUNCATIONS = {2: (1, 60), 3: (1, 13), 4: (1, 7)}
 
 
 @settings(max_examples=25, deadline=None)
@@ -606,22 +626,24 @@ def test_solver_paths_agree_with_the_full_solve(K, pick, seed):
     ref = spectral.eigensolve(om)
     assert ref.eigensolver == "eigh"
     U = om.size
-    for n_eig, solver in [(1, "arpack_shift_invert"),
-                          (max(2, U // 4), "eigh_subset"),
-                          (U // 2, "eigh")]:
+    # one pair, a LAPACK subset up to U/3 and a sliced full solve above it,
+    # as far as a tiny U has room for them
+    for n_eig in sorted({1, min(max(2, U // 4), U), max(1, U // 2)}):
         sd = spectral.eigensolve(om, n_eig=n_eig)
-        assert sd.eigensolver == solver
+        assert sd.eigensolver == ("lanczos_shift_invert" if n_eig == 1
+                                  else "eigh_subset" if 3 * n_eig <= U
+                                  else "eigh")
         assert sd.coeffs.shape == (n_eig, U)
         assert sd.operator_hash == ref.operator_hash
         assert_pairs_agree(sd, ref)
 
 
 @pytest.mark.parametrize("K, D", [(3, 40), (4, 10)])
-def test_arpack_normalizing_constant_matches_full_solve(K, D, sigma_1):
+def test_one_pair_normalizing_constant_matches_full_solve(K, D, sigma_1):
     p = ModelParams((0.01, 0.02, 0.03, 0.04)[:K],
                     sigma_1 if K == 3 else SIGMA_K4)
     one = spectral.decompose(p, D, n_eig=1)
-    assert one.eigensolver == "arpack_shift_invert"
+    assert one.eigensolver == "lanczos_shift_invert"
     full = spectral.decompose(p, D)
     want = density.normalizing_constant(full)
     assert density.normalizing_constant(one) == pytest.approx(want, rel=1e-9)
@@ -671,13 +693,13 @@ def watch_banded_calls(monkeypatch):
 
 @pytest.mark.parametrize("case", sorted(ONE_PAIR_CASES))
 def test_one_pair_solve_work_and_accuracy(case, sigma_1, monkeypatch):
-    # the shift just below Lambda_0 and a 6-vector Lanczos basis: 7 banded
-    # solves where the former shift of -0.1 with 20 vectors took 21
+    # the shift just below Lambda_0: 5 to 7 banded solves, where ARPACK
+    # with the former shift of -0.1 and 20 vectors took 21
     p, om = one_pair_model(case, sigma_1)
     solves, bands = watch_banded_calls(monkeypatch)
     one = spectral.eigensolve(om, 1)
     monkeypatch.undo()
-    assert one.eigensolver == "arpack_shift_invert"
+    assert one.eigensolver == "lanczos_shift_invert"
     assert len(solves) <= 10
     # one band, factored in place
     assert bands == [(True, True)]
@@ -696,14 +718,14 @@ def test_one_pair_solve_work_and_accuracy(case, sigma_1, monkeypatch):
 def test_one_pair_shift_rule(theta_unit, sigma_1, monkeypatch):
     # |theta| = 1: the shift is 1/128 of the neutral gap lambda_1 = 1/2
     p, om = assemble(theta_unit, np.zeros((3, 3)), 10)
-    assert spectral._arpack_shift(spectral.symmetrize(om),
-                                  p.theta_total) == -1 / 256
+    assert spectral._shift(spectral.symmetrize(om), p.theta_total) \
+        == -1 / 256
     # at theta_i = 1e-8, rounding puts Lambda_0 at -7.1e-8, not 0; the
     # shift -|theta|/256 = -1.2e-10 would lie above it, and the Cholesky
     # factorization of S - shift I would fail. The floor lies below it.
     p, om = assemble((1e-8, 1e-8, 1e-8), sigma_1, 20)
     S = spectral.symmetrize(om)
-    shift = spectral._arpack_shift(S, p.theta_total)
+    shift = spectral._shift(S, p.theta_total)
     scale = np.abs(S.data).max()
     assert shift == -1e-8 * scale
     solves, _ = watch_banded_calls(monkeypatch)
@@ -719,14 +741,23 @@ def test_one_pair_shift_rule(theta_unit, sigma_1, monkeypatch):
 
 
 @pytest.mark.parametrize("D, U", [(0, 1), (1, 3)])
-def test_tiny_bases_fall_back_to_dense(theta_small, sigma_1, D, U):
+def test_tiny_bases_fall_back_to_dense(theta_small, sigma_1, D, U,
+                                      monkeypatch):
+    # one pair is shift-invert Lanczos at every U; more fall back to LAPACK
     p = ModelParams(theta_small, sigma_1)
     full = spectral.decompose(p, D)
+    # at U = 1 the full solve is the one-pair solve: hold it to LAPACK too
+    S = spectral.symmetrize(spectral.assemble_M(p, full.basis)).toarray()
+    assert np.all(np.abs(full.eigenvalues - scipy.linalg.eigvalsh(S))
+                  <= 1e-12 * np.abs(S).max())
     for n_eig in range(1, U + 1):
         sd = spectral.decompose(p, D, n_eig=n_eig)
-        assert sd.eigensolver in ("eigh", "eigh_subset")
+        assert (sd.eigensolver == "lanczos_shift_invert") == (n_eig == 1)
         assert sd.size == U and sd.n_eig == n_eig
         assert_pairs_agree(sd, full)
+    # with no tolerance, a run of U steps spans the space and is exact
+    monkeypatch.setattr(spectral, "KRYLOV_BREAKDOWN", 0.0)
+    assert_pairs_agree(spectral.decompose(p, D, n_eig=1), full)
 
 
 def test_partial_decomposition_consumers(tmp_path, theta_small, sigma_1):
