@@ -226,10 +226,12 @@ def _series_decomposition(cfg, beyond):
 
 
 def _solve_meta(sd):
-    """Sidecar fields that identify the operator and say how it was solved."""
+    """Sidecar fields that identify the operator and say how it was solved;
+    a one-pair solve adds its residuals and route (spectral._lowest_pair)."""
     from . import spectral
     return {"decomposition_hash": spectral.decomposition_hash(sd),
-            "eigenpairs": sd.n_eig, "eigensolver": sd.eigensolver}
+            "eigenpairs": sd.n_eig, "eigensolver": sd.eigensolver,
+            **sd.pair_solve}
 
 
 def _out_dir(cfg):

@@ -21,15 +21,18 @@ path agreed with it to 2.5e-14 of the spectral scale on eigenvalues.
 
 Callers ask for the n_eig lowest eigenpairs they read. A single pair comes
 from shift-invert Lanczos (Ericsson & Ruhe, Math. Comp. 35:1251, 1980) on
-the sparse symmetric matrix, with the inverse from a banded Cholesky
-factorization (the graded order keeps S within a band) and the shift just
-below Lambda_0 ~ 0, so a few solves converge. A small share of the
-spectrum comes from a LAPACK subset solve; anything else from the full
-dense solve, sliced. The full solve is LAPACK's divide-and-conquer driver
-(Gu & Eisenstat 1995): it writes the eigenvectors over the dense matrix
-and needs about 2U^2 doubles of workspace besides, so its peak is about
-3U^2 doubles (485 MB at U = 4495). The eigenvectors are scaled to
-coefficients in that same array.
+the leading block of a nested level D' (the largest with U(D') <= U/4),
+with the inverse from a banded Cholesky factorization (the graded order
+keeps S within a band) and the shift just below Lambda_0 ~ 0, so a few
+solves converge. Embedded in level D, the pair is refined by LOBPCG
+(Knyazev 2001), preconditioned by that factor and the diagonal, so nothing
+is factored at level D; a basis too small for a nested level is solved
+directly. A small share of the spectrum comes from a LAPACK subset solve;
+anything else from the full dense solve, sliced. The full solve is
+LAPACK's divide-and-conquer driver (Gu & Eisenstat 1995): it writes the
+eigenvectors over the dense matrix and needs about 2U^2 doubles of
+workspace besides, so its peak is about 3U^2 doubles (485 MB at U = 4495).
+The eigenvectors are scaled to coefficients in that same array.
 
 In the graded order the level-D operator is the leading U(D) x U(D) block of
 the operator at any higher level, so a table over several levels assembles
@@ -78,6 +81,11 @@ KRYLOV_MAX_STEPS = 600
 # a residual below U times this share of |T| is a breakdown: the Krylov
 # space is invariant to rounding, and the result exact
 KRYLOV_BREAKDOWN = np.finfo(float).eps
+# the refinement of the one-pair solve stops at |Sx - rho x| <= REFINE_TOL
+# max|S_ij|, c = 16 epsilon. Rounding in Sx sets the floor: below 1e-18 of
+# max|S_ij| where the pair lives on low degrees, nearer epsilon where it
+# reaches the top ones. The tested models end at 6e-17 to 3.5e-15.
+REFINE_TOL = 16 * np.finfo(float).eps
 
 
 @dataclass(frozen=True)
@@ -111,6 +119,8 @@ class SpectralDecomposition:
     # S, whose pairs these are, when fewer than U are held: a series over
     # all U pairs then applies exp(-tS) to a vector (semigroup_action)
     symmetric: scipy.sparse.csr_matrix | None
+    # the one-pair solve's residuals and route (_lowest_pair); else empty
+    pair_solve: dict
 
     @property
     def size(self):
@@ -284,24 +294,31 @@ def _lanczos(apply, q):
         Q[j + 1] = r / beta[j]
 
 
-def _lowest_pair(S, theta_total):
-    """Lowest eigenpair of sparse symmetric S by shift-invert Lanczos.
+def _nested_level(K, U):
+    """The level D' >= 1 the one-pair solve starts from: the largest with
+    U(D') <= U/4, or None when even U(1) = K is larger."""
+    level = 0
+    while 4 * total_count(K, level + 1) <= U:
+        level += 1
+    return level or None
 
-    The shift is _shift(S, theta_total). The inverse of S - shift*I comes
-    from one banded Cholesky factorization, with the bandwidth read from
-    the nonzeros of S: the graded order keeps every coupling within four
-    degrees. The band is laid out in LAPACK's column order, so it is
-    factored in place without a copy. The shifted matrix must be positive
-    definite; when it is not, the factorization raises LinAlgError instead
-    of letting Lanczos return the eigenvalue nearest the shift. The lead
-    Ritz pair (rho, Q'z) of the inverse is accepted at beta_m |z_m| <=
-    KRYLOV_BREAKDOWN rho, ARPACK's default (deflating by q_0 needs q_0 to
-    rounding, which KRYLOV_TOL misses), or at m = U, and refused with
-    LinAlgError after KRYLOV_MAX_STEPS. The start vector is fixed, so
-    reruns give the same bits.
+
+def _shift_invert(S, shift):
+    """Lowest pair of sparse symmetric S by shift-invert Lanczos.
+
+    Returns (Lambda_0, unit eigenvector, banded Cholesky factor of S -
+    shift*I). The bandwidth is read from the nonzeros of S: the graded
+    order keeps every coupling within four degrees. The band is laid out in
+    LAPACK's column order, so it is factored in place without a copy. The
+    shifted matrix must be positive definite; when it is not, the
+    factorization raises LinAlgError instead of letting Lanczos return the
+    eigenvalue nearest the shift. The lead Ritz pair (rho, Q'z) of the
+    inverse is accepted at beta_m |z_m| <= KRYLOV_BREAKDOWN rho, ARPACK's
+    default (deflating by q_0 needs q_0 to rounding, which KRYLOV_TOL
+    misses), or at m = U, and refused with LinAlgError after
+    KRYLOV_MAX_STEPS.
     """
     U = S.shape[0]
-    shift = _shift(S, theta_total)
     lower = scipy.sparse.tril(S, format="coo")
     band = np.zeros((U, int((lower.row - lower.col).max(initial=0)) + 1)).T
     band[lower.row - lower.col, lower.col] = lower.data
@@ -312,18 +329,119 @@ def _lowest_pair(S, theta_total):
         rho, Z = scipy.linalg.eigh_tridiagonal(alpha, beta[:-1])
         defect = beta[-1] * abs(Z[-1, -1]) / rho[-1]
         if defect <= KRYLOV_BREAKDOWN or len(alpha) == U:
-            return np.array([shift + 1 / rho[-1]]), (Z[:, -1] @ Q)[:, None]
+            return shift + 1 / rho[-1], Z[:, -1] @ Q, factor
     raise scipy.linalg.LinAlgError(
         f"the lowest pair did not converge in {len(alpha)} Lanczos steps: "
         f"residual estimate {defect:.1e} of its Ritz value")
 
 
-def _solve(S, n_eig, theta_total):
-    """The n_eig lowest eigenpairs of sparse symmetric S, ascending.
+def _refine(S, x, shift, scale, precondition):
+    """Block-size-1 LOBPCG (Knyazev, SIAM J. Sci. Comput. 23:517, 2001)
+    from the unit vector x towards the lowest pair of S.
 
-    Returns (eigenvalues, eigenvectors as columns, solver name). S is made
+    Each step preconditions the residual r = Sx - rho x, orthonormalizes it
+    against x and the previous step's move p, takes its one S.dot, and
+    solves the Rayleigh-Ritz problem on [x, p, T r]; the products of x and
+    p are carried as the same combinations of earlier products. It stops at
+    |r| <= REFINE_TOL scale, scale = max|S_ij|. The Rayleigh quotient only
+    falls, so one at or below the shift proves S - shift*I indefinite and
+    raises LinAlgError, as a Cholesky factorization would; so does a pair
+    still open after KRYLOV_MAX_STEPS steps.
+
+    Returns (Lambda_0, eigenvector, steps, |r| / scale at the start).
+    """
+    Sx = S.dot(x)
+    V, SV = x[:, None], Sx[:, None]      # [x, p] and their products
+    steps = 0
+    while True:
+        rho = x @ Sx
+        if rho <= shift:
+            raise scipy.linalg.LinAlgError(
+                f"the refined eigenvalue {rho:.3e} lies at or below the shift "
+                f"{shift:.3e}: the operator is not positive definite")
+        r = Sx - rho * x
+        residual = np.linalg.norm(r) / scale
+        if not steps:
+            start = residual
+        if residual <= REFINE_TOL:
+            return rho, x, steps, start
+        if steps == KRYLOV_MAX_STEPS:
+            raise scipy.linalg.LinAlgError(
+                f"the lowest pair did not converge in {steps} refinement "
+                f"steps: residual {residual:.1e} of max|S_ij|")
+        steps += 1
+        w = precondition(r)
+        for _ in range(2):
+            w -= V @ (V.T @ w)
+        w /= np.linalg.norm(w)
+        V, SV = np.column_stack([V, w]), np.column_stack([SV, S.dot(w)])
+        H = V.T @ SV
+        y = np.linalg.eigh(0.5 * (H + H.T))[1][:, 0]
+        x, Sx = V @ y, SV @ y
+        # the move: the part of the new x outside the old one, made
+        # orthogonal to the new x
+        p, Sp = V[:, 1:] @ y[1:], SV[:, 1:] @ y[1:]
+        c = x @ p
+        p, Sp = p - c * x, Sp - c * Sx
+        size = np.linalg.norm(p)
+        V, SV = ((np.column_stack([x, p / size]),
+                  np.column_stack([Sx, Sp / size])) if size
+                 else (x[:, None], Sx[:, None]))
+
+
+def _lowest_pair(S, theta_total, K):
+    """Lowest eigenpair of the level-D S, and what its solve did.
+
+    The shift is _shift(S, theta_total). When a level D' = _nested_level(K,
+    U) exists, shift-invert Lanczos solves the leading U(D') x U(D') block,
+    which is the level-D' operator, and LOBPCG refines the embedded vector
+    [q'; 0] at level D, preconditioned by the block's banded factor on the
+    leading rows and by 1 / (S_ii - shift) on the others. Nothing is
+    factored at level D. Otherwise shift-invert Lanczos solves S itself.
+
+    Returns (Lambda_0, unit eigenvector, info): info holds pair_residual,
+    |Sv - Lambda_0 v| / max|S_ij| from a fresh product, and on the nested
+    route nested_level, embedded_residual and refine_steps. The start
+    vectors are fixed, so reruns give the same bits.
+    """
+    U = S.shape[0]
+    scale = np.abs(S.data).max(initial=0.0)
+    shift = _shift(S, theta_total)
+    level = _nested_level(K, U)
+    if level is None:
+        lam, v, _ = _shift_invert(S, shift)
+        info = {}
+    else:
+        lead = total_count(K, level)
+        _, q, factor = _shift_invert(S[:lead, :lead], shift)
+        trailing = S.diagonal()[lead:] - shift
+        if not np.all(trailing > 0):
+            raise scipy.linalg.LinAlgError(
+                "a diagonal entry lies at or below the shift: the operator "
+                "is not positive definite")
+
+        def precondition(r):
+            return np.concatenate([scipy.linalg.cho_solve_banded(
+                (factor, True), r[:lead], check_finite=False),
+                r[lead:] / trailing])
+
+        lam, v, steps, start = _refine(S, np.r_[q, np.zeros(U - lead)],
+                                       shift, scale, precondition)
+        info = {"nested_level": level, "embedded_residual": float(start),
+                "refine_steps": steps}
+    residual = np.linalg.norm(S.dot(v) - lam * v)
+    info["pair_residual"] = float(residual / scale) if scale else 0.0
+    return lam, v, info
+
+
+def _solve(S, n_eig, theta_total, K):
+    """The n_eig lowest eigenpairs of the level-D sparse symmetric S.
+
+    Returns (eigenvalues ascending, eigenvectors as columns, solver name,
+    info): info is _lowest_pair's for one pair, else empty. S is made
     dense only for LAPACK. A solve fails with LinAlgError from LAPACK, from
-    the banded Cholesky or from an unconverged one-pair solve.
+    a banded Cholesky factorization, from a refined eigenvalue at or below
+    the shift or from an unconverged one-pair solve.
     """
     U = S.shape[0]
     # Lanczos from one vector serves one pair only: it cannot resolve the
@@ -331,17 +449,17 @@ def _solve(S, n_eig, theta_total):
     # a neutral K=3 model, ARPACK returned Lambda = 2.0 in place of the
     # second member of the degree-1 cluster at 0.5.
     if n_eig == 1:
-        w, V = _lowest_pair(S, theta_total)
-        return w, V, "lanczos_shift_invert"
+        lam, v, info = _lowest_pair(S, theta_total, K)
+        return np.array([lam]), v[:, None], "lanczos_shift_invert", info
     # S is exactly symmetric, so the dense transpose is S in Fortran order,
     # filled from CSC straight off S's arrays: LAPACK works in this one copy
     if n_eig <= SUBSET_FRACTION * U:
         w, V = scipy.linalg.eigh(S.T.toarray(), overwrite_a=True,
                                  subset_by_index=[0, n_eig - 1])
-        return w, V, "eigh_subset"
+        return w, V, "eigh_subset", {}
     # divide and conquer returns the eigenvectors in the dense copy itself
     w, V = scipy.linalg.eigh(S.T.toarray(), overwrite_a=True, driver="evd")
-    return w[:n_eig], V[:, :n_eig], "eigh"
+    return w[:n_eig], V[:, :n_eig], "eigh", {}
 
 
 def semigroup_action(S, v, times, scale):
@@ -445,10 +563,12 @@ def eigensolve(om, n_eig=None):
         raise ParameterError(f"n_eig must be in 1..{U}, got {n_eig}")
     S = symmetrize(om)
     try:
-        w, V, solver = _solve(S, n_eig, om.params.theta_total)
+        w, V, solver, info = _solve(S, n_eig, om.params.theta_total,
+                                    om.params.K)
     except scipy.linalg.LinAlgError as exc:
-        # LAPACK failures, the banded Cholesky of an indefinite shifted
-        # operator among them, and an unconverged one-pair solve
+        # LAPACK failures, an indefinite shifted operator (a failed banded
+        # Cholesky or a refined eigenvalue at or below the shift), and an
+        # unconverged one-pair solve
         raise NumericalError(
             f"eigensolver failed at truncation {om.D}: {exc}")
     # scaled in LAPACK's array: no second U x n_eig array is made
@@ -461,7 +581,8 @@ def eigensolve(om, n_eig=None):
                                  eigenvalues=w, coeffs=coeffs,
                                  log_norms=om.log_norms, eigensolver=solver,
                                  operator_hash=_operator_hash(om),
-                                 symmetric=S if n_eig < U else None)
+                                 symmetric=S if n_eig < U else None,
+                                 pair_solve=info)
 
 
 def decompose(p, D, n_eig=None, within=None):

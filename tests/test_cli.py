@@ -515,6 +515,39 @@ def test_malformed_sigma_exit_code_and_message(tmp_path, capsys):
     assert "symmetric" in err["message"]
 
 
+PAIR_FIELDS = {"pair_residual", "nested_level", "embedded_residual",
+               "refine_steps"}
+
+
+@pytest.mark.filterwarnings("ignore:truncation undershoot")
+def test_one_pair_sidecars_record_the_solve(tmp_path, sigma_1):
+    # K=3 D=10: U=66, so the lead pair comes from the level-4 block (U=15),
+    # refined at level 10
+    base = ["--set", "truncation=10", "--set", "grid_resolution=8",
+            "--set", f"model.sigma={json.dumps(sigma_1.tolist())}"]
+    for sub, name in [("normconst", "normconst.json"),
+                      ("density", "density_meta.json"),
+                      ("distance", "distance_meta.json")]:
+        metas = []
+        for out in ("a", "b"):
+            assert run(tmp_path / sub / out, sub, *base) == 0
+            meta = json.loads((tmp_path / sub / out / name).read_text())
+            metas.append({key: meta[key] for key in PAIR_FIELDS})
+        assert metas[0] == metas[1]
+        info = metas[0]
+        assert info["pair_residual"] <= 1e-12
+        assert info["nested_level"] == 4
+        assert info["refine_steps"] >= 0
+        assert info["embedded_residual"] >= info["pair_residual"]
+    # a direct solve records its residual alone; more pairs record none
+    assert run(tmp_path / "small", "normconst", "--set", "truncation=2") == 0
+    meta = json.loads((tmp_path / "small" / "normconst.json").read_text())
+    assert PAIR_FIELDS & set(meta) == {"pair_residual"}
+    assert run(tmp_path / "pairs", "spectrum", *base[:2]) == 0
+    meta = json.loads((tmp_path / "pairs" / "spectrum_meta.json").read_text())
+    assert not PAIR_FIELDS & set(meta)
+
+
 def test_indefinite_operator_exit_code(tmp_path, capsys, monkeypatch):
     # an operator with eigenvalues below the one-pair solve's shift
     lam = np.r_[-0.3, -0.05, np.linspace(1.0, 30.0, 28)]
@@ -710,8 +743,10 @@ def test_validate_refuses_a_k_the_quadrature_cannot_take(
                "--set", "x=[0.1,0.1,0.1,0.1]")
     assert code == 2
     err = json.loads(capsys.readouterr().err)
-    assert err == {"error": "parameter", "message": "tensor quadrature "
-                   "supports K in (2, 3, 4), got 5"}
+    # the default resolution 60 at K=5 is 60^4 nodes
+    assert err == {"error": "parameter", "message": "a resolution-60 tensor "
+                   "rule at K=5 has 12960000 nodes, above the budget of "
+                   "1048576"}
     assert not (tmp_path / f"validate_{which}.json").exists()
 
 

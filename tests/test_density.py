@@ -148,6 +148,27 @@ def test_normconst_bounds_hold_against_quadrature(theta, sigma):
         assert lo == hi == pytest.approx(math.log(math.pi), rel=1e-14)
 
 
+# SIGMA_K4 bordered by (7, 6, 5, 4, 0)
+SIGMA_K5 = np.array([[12.0, 14.0, 15.0, 10.0, 7.0],
+                     [14.0, 11.0, 13.0, 9.0, 6.0],
+                     [15.0, 13.0, 0.0, 8.0, 5.0],
+                     [10.0, 9.0, 8.0, 0.0, 4.0],
+                     [7.0, 6.0, 5.0, 4.0, 0.0]])
+
+
+def test_k5_normconst_matches_quadrature():
+    # the one-pair solve at K=5 D=16 (U=4845, from its level-10 block)
+    # against a resolution-16 rule, 65,536 nodes. They are 1.6e-9 apart,
+    # the truncation's error: the rule moves by 3e-11 at resolution 20
+    # and 24, and the spectral value at D=20 is within 5.2e-11
+    p = model.ModelParams((0.01, 0.02, 0.03, 0.04, 0.05), SIGMA_K5)
+    sd = decompose(p.theta, p.sigma, 16, n_eig=1)
+    assert sd.pair_solve["nested_level"] == 10
+    want = oracles.simplex_quadrature(
+        lambda y: np.exp(model.mean_fitness(p, y)), 5, 16, theta=p.theta)
+    assert density.normalizing_constant(sd) == pytest.approx(want, rel=5e-9)
+
+
 def test_normconst_outside_its_bounds_is_refused():
     # an unconverged series: C_stat 7927.9 where the exact value is above
     # e^168, Jensen's lower bound

@@ -69,8 +69,12 @@ def test_resolution_doubling_stability():
 
 
 def test_quadrature_validation():
-    with pytest.raises(ParameterError):
-        oracles.simplex_quadrature(lambda x: 1.0, 5, 10)
+    # 60^4 nodes at K=5: refused by the node budget before any is made
+    with pytest.raises(ParameterError, match="12960000 nodes, above the "
+                       "budget"):
+        oracles.simplex_quadrature(lambda x: 1.0, 5, 60)
+    with pytest.raises(ParameterError, match="K >= 2"):
+        oracles.simplex_quadrature(lambda x: 1.0, 1, 10)
     with pytest.raises(ParameterError):
         oracles.simplex_quadrature(lambda x: 1.0, 3, 0)
     with pytest.raises(ParameterError):
@@ -81,6 +85,15 @@ def test_quadrature_validation():
         oracles.simplex_quadrature(lambda x: np.ones(3), 3, 10)
     with pytest.raises(NumericalError):
         oracles.simplex_quadrature(lambda x: np.full(len(x), np.nan), 3, 10)
+
+
+def test_quadrature_node_budget():
+    # the benchmark's K=4 check at resolution 60: 216,000 nodes, allowed
+    assert oracles.simplex_quadrature(lambda x: 1.0, 4, 60) == pytest.approx(
+        1.0 / 6.0, rel=1e-12)
+    assert 60 ** 3 <= oracles.QUADRATURE_NODE_BUDGET < 33 ** 4
+    with pytest.raises(ParameterError, match="1185921 nodes"):
+        oracles.simplex_quadrature_nodes(5, 33)
 
 
 def test_fd_annihilates_constants(theta_small, sigma_1):

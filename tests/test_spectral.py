@@ -11,7 +11,8 @@ with 128-bit references frozen from a multiprecision solve. The level-D
 operator is checked to be, bit for bit, the leading block of a higher
 level's, and the full solve to be C-orthonormal to rounding and scaled in
 LAPACK's own array. The one-pair solve is held to a few banded solves, one
-band factored in place, and a residual at rounding.
+band factored in place (the nested level's), a residual at rounding, the
+direct level-D solve's eigenvalue and C_stat, and its refusals.
 """
 
 import dataclasses
@@ -582,6 +583,60 @@ def test_an_unconverged_one_pair_solve_is_refused(theta_small, sigma_1,
     assert list(tmp_path.iterdir()) == []
 
 
+def coupled_indefinite_operator(entry=0.5, coupling=0.5):
+    """A U = 30 operator, positive definite on its level-6 block, with
+    diagonal entry 20 and its coupling to row 0 given."""
+    lam = np.r_[0.01, np.linspace(1.0, 29.0, 29)]
+    lam[20] = entry
+    S = scipy.sparse.diags(lam, format="lil")
+    S[0, 20] = S[20, 0] = coupling
+    p = ModelParams([0.5, 0.5], np.zeros((2, 2)))
+    basis = MultiJacobiBasis(p.theta, BasisEnumeration(2, 29))
+    return spectral.OperatorMatrix(params=p, D=29, basis=basis,
+                                   matrix=S.tocsr(), log_norms=np.zeros(30))
+
+
+def test_refinement_refuses_an_indefinite_operator():
+    # the level-6 block (rows 0-6) and every diagonal entry are positive,
+    # so only the refinement at level D meets the negative eigenvalue
+    om = coupled_indefinite_operator()
+    assert spectral._nested_level(2, om.size) == 6
+    assert np.all(np.linalg.eigvalsh(om.matrix[:7, :7].toarray()) > 0)
+    with pytest.raises(NumericalError, match="refined eigenvalue .* at or "
+                       "below the shift"):
+        spectral.eigensolve(om, 1)
+    assert spectral.eigensolve(om).eigenvalues[0] < -0.3
+    # a negative diagonal entry beyond the block is refused before any
+    # step, even uncoupled, where [q'; 0] is an exact eigenvector
+    om = coupled_indefinite_operator(entry=-0.2, coupling=0.0)
+    with pytest.raises(NumericalError, match="diagonal entry lies at or "
+                       "below the shift"):
+        spectral.eigensolve(om, 1)
+
+
+def test_an_open_refinement_is_refused(theta_small, sigma_1, monkeypatch,
+                                       tmp_path, capsys):
+    # at 5 SIGMA_1, D=40 the level-19 block takes 6 Lanczos steps and the
+    # refinement 14: a cap of 10 leaves only the refinement open
+    _, om = assemble(theta_small, 5 * sigma_1, 40)
+    solves, _ = watch_banded_calls(monkeypatch)
+    steps = spectral.eigensolve(om, 1).pair_solve["refine_steps"]
+    monkeypatch.undo()
+    assert len(solves) - steps < 10 < steps
+    monkeypatch.setattr(spectral, "KRYLOV_MAX_STEPS", 10)
+    with pytest.raises(NumericalError, match=r"did not converge in 10 "
+                       r"refinement steps: residual \S+ of max\|S_ij\|"):
+        spectral.eigensolve(om, 1)
+    code = cli.main(["normconst", "--out", str(tmp_path), "--set",
+                     "truncation=40", "--set",
+                     f"model.sigma={json.dumps((5 * sigma_1).tolist())}"])
+    assert code == 3
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "numerical"
+    assert "10 refinement steps" in err["message"]
+    assert list(tmp_path.iterdir()) == []
+
+
 def _random_model(K, seed):
     rng = np.random.default_rng(seed)
     theta = rng.uniform(0.05, 2.0, size=K)
@@ -663,8 +718,17 @@ ONE_PAIR_CASES = {
 }
 
 
+# the one-pair cases and the benchmark's K=4 model at 1 and 3 SIGMA_K4
+AGREEMENT_CASES = {
+    **ONE_PAIR_CASES,
+    "K4_D28_sigma_K4": ((0.01, 0.02, 0.03, 0.04), SIGMA_K4.tolist(), 28),
+    "K4_D28_3sigma_K4": ((0.01, 0.02, 0.03, 0.04), (3 * SIGMA_K4).tolist(),
+                         28),
+}
+
+
 def one_pair_model(case, sigma_1):
-    theta, selection, D = ONE_PAIR_CASES[case]
+    theta, selection, D = AGREEMENT_CASES[case]
     if np.isscalar(selection):
         return assemble(theta, selection * sigma_1, D)
     return assemble(theta, selection, D)
@@ -672,7 +736,8 @@ def one_pair_model(case, sigma_1):
 
 def watch_banded_calls(monkeypatch):
     """Record each banded solve, and each band factored: whether it is in
-    LAPACK's column layout and whether the factor overwrote it."""
+    LAPACK's column layout, whether the factor overwrote it, and its
+    order."""
     solves, bands = [], []
     cho_solve, cholesky = (scipy.linalg.cho_solve_banded,
                            scipy.linalg.cholesky_banded)
@@ -683,7 +748,8 @@ def watch_banded_calls(monkeypatch):
 
     def watched_factor(ab, **kwargs):
         factor = cholesky(ab, **kwargs)
-        bands.append((ab.flags.f_contiguous, np.shares_memory(factor, ab)))
+        bands.append((ab.flags.f_contiguous, np.shares_memory(factor, ab),
+                      ab.shape[1]))
         return factor
 
     monkeypatch.setattr(scipy.linalg, "cho_solve_banded", counted_solve)
@@ -693,26 +759,68 @@ def watch_banded_calls(monkeypatch):
 
 @pytest.mark.parametrize("case", sorted(ONE_PAIR_CASES))
 def test_one_pair_solve_work_and_accuracy(case, sigma_1, monkeypatch):
-    # the shift just below Lambda_0: 5 to 7 banded solves, where ARPACK
-    # with the former shift of -0.1 and 20 vectors took 21
+    # the level-D' block takes 5 to 7 banded solves with the shift just
+    # below Lambda_0, where ARPACK with the former shift of -0.1 and 20
+    # vectors took 21; the refinement at level D takes one per step, 0 to
+    # 14 steps on these models
     p, om = one_pair_model(case, sigma_1)
     solves, bands = watch_banded_calls(monkeypatch)
     one = spectral.eigensolve(om, 1)
     monkeypatch.undo()
     assert one.eigensolver == "lanczos_shift_invert"
-    assert len(solves) <= 10
-    # one band, factored in place
-    assert bands == [(True, True)]
+    info = one.pair_solve
+    steps = info["refine_steps"]
+    assert len(solves) - steps <= 10 and steps <= 16
+    # one band, the level-D' block's, factored in place: nothing is
+    # factored at level D
+    lead = total_count(p.K, info["nested_level"])
+    assert 4 * lead <= om.size < 4 * total_count(p.K, info["nested_level"] + 1)
+    assert bands == [(True, True, lead)]
     # v = u sqrt(C) is S's unit eigenvector
     S = spectral.symmetrize(om)
     v = one.coeffs[0] * np.exp(0.5 * one.log_norms)
     scale = np.abs(S.data).max()
-    assert np.linalg.norm(S @ v - one.eigenvalues[0] * v) <= 1e-12 * scale
+    residual = np.linalg.norm(S @ v - one.eigenvalues[0] * v)
+    assert residual <= 1e-12 * scale
+    assert info["pair_residual"] <= spectral.REFINE_TOL
+    assert info["pair_residual"] == pytest.approx(residual / scale, rel=1e-6)
     ref = spectral.eigensolve(om, 2)
     assert ref.eigensolver == "eigh_subset"
     assert abs(one.eigenvalues[0] - ref.eigenvalues[0]) <= 1e-12 * scale
     want = density.normalizing_constant(ref)
     assert density.normalizing_constant(one) == pytest.approx(want, rel=1e-9)
+
+
+def direct_pair(om, monkeypatch):
+    """The one-pair solve with no nested level: shift-invert Lanczos on the
+    level-D operator, factored whole."""
+    with monkeypatch.context() as patch:
+        patch.setattr(spectral, "_nested_level", lambda K, U: None)
+        return spectral.eigensolve(om, 1)
+
+
+@pytest.mark.parametrize("case", sorted(AGREEMENT_CASES))
+def test_nested_pair_agrees_with_the_direct_solve(case, sigma_1,
+                                                  monkeypatch):
+    _, om = one_pair_model(case, sigma_1)
+    nested, direct = spectral.eigensolve(om, 1), direct_pair(om, monkeypatch)
+    assert "nested_level" in nested.pair_solve
+    assert set(direct.pair_solve) == {"pair_residual"}
+    scale = np.abs(spectral.symmetrize(om).data).max()
+    assert abs(nested.eigenvalues[0] - direct.eigenvalues[0]) <= 1e-12 * scale
+    assert density.normalizing_constant(nested) == pytest.approx(
+        density.normalizing_constant(direct), rel=1e-12)
+    assert nested.operator_hash == direct.operator_hash
+
+
+@pytest.mark.parametrize("K, D, level", [(4, 28, 16), (3, 40, 19),
+                                         (5, 16, 10), (2, 60, 14),
+                                         (3, 4, 1), (3, 3, None),
+                                         (5, 3, 1), (5, 2, None)])
+def test_nested_level_rule(K, D, level):
+    # the largest D' >= 1 with U(D') <= U/4, and none where U(1) = K is
+    # larger
+    assert spectral._nested_level(K, total_count(K, D)) == level
 
 
 def test_one_pair_shift_rule(theta_unit, sigma_1, monkeypatch):
@@ -729,9 +837,10 @@ def test_one_pair_shift_rule(theta_unit, sigma_1, monkeypatch):
     scale = np.abs(S.data).max()
     assert shift == -1e-8 * scale
     solves, _ = watch_banded_calls(monkeypatch)
-    lam0 = spectral.eigensolve(om, 1).eigenvalues[0]
+    one = spectral.eigensolve(om, 1)
     monkeypatch.undo()
-    assert len(solves) <= 10
+    lam0, steps = one.eigenvalues[0], one.pair_solve["refine_steps"]
+    assert len(solves) - steps <= 10 and steps <= 10
     assert lam0 == pytest.approx(-7.1e-8, rel=1e-2)
     assert shift < lam0
     # Lambda_1 is 8.5e-8, so C_stat is ill-conditioned here; the eigenvalue
