@@ -20,19 +20,17 @@ orthonormality. Everything runs in double precision: under strong selection
 path agreed with it to 2.5e-14 of the spectral scale on eigenvalues.
 
 Callers ask for the n_eig lowest eigenpairs they read. A single pair comes
-from shift-invert Lanczos (Ericsson & Ruhe, Math. Comp. 35:1251, 1980) on
-the leading block of a nested level D' (the largest with U(D') <= U/4),
-with the inverse from a banded Cholesky factorization (the graded order
-keeps S within a band) and the shift just below Lambda_0 ~ 0, so a few
-solves converge. Embedded in level D, the pair is refined by LOBPCG
-(Knyazev 2001), preconditioned by that factor and the diagonal, so nothing
-is factored at level D; a basis too small for a nested level is solved
-directly. A small share of the spectrum comes from a LAPACK subset solve;
-anything else from the full dense solve, sliced. The full solve is
-LAPACK's divide-and-conquer driver (Gu & Eisenstat 1995): it writes the
-eigenvectors over the dense matrix and needs about 2U^2 doubles of
-workspace besides, so its peak is about 3U^2 doubles (485 MB at U = 4495).
-The eigenvectors are scaled to coefficients in that same array.
+from LOBPCG (Knyazev 2001): first on the leading block of a nested level D'
+(the largest with U(D') <= U/4; all of S when there is none), preconditioned
+by its banded Cholesky factor (the graded order keeps S within a band),
+shifted just below Lambda_0 ~ 0; then at level D from the embedded vector,
+preconditioned by that factor and the diagonal. A small share of the
+spectrum comes from a LAPACK subset solve; anything else from the full dense
+solve, sliced. The full solve is LAPACK's divide-and-conquer driver (Gu &
+Eisenstat 1995): it writes the eigenvectors over the dense matrix and needs
+about 2U^2 doubles of workspace besides, so its peak is about 3U^2 doubles
+(485 MB at U = 4495). The eigenvectors are scaled to coefficients in that
+same array.
 
 In the graded order the level-D operator is the leading U(D) x U(D) block of
 the operator at any higher level, so a table over several levels assembles
@@ -62,12 +60,12 @@ SYMMETRY_DEFECT_TOL = 1e-9
 # The truncated operator is positive semidefinite with a simple lowest
 # eigenvalue Lambda_0 ~ 0, so a negative shift makes S - shift*I positive
 # definite, as its Cholesky factorization needs, and Lambda_0 the dominant
-# eigenvalue of the inverse. Shift-invert Lanczos contracts by about
-# (Lambda_0 - shift) / (Lambda_1 - shift) per step, so the shift sits at
-# 1/128 of the neutral gap Lambda_1 = |theta|/2 below 0. The floor, relative
-# to max|S_ij|, keeps it clear of Lambda_0's rounding: at theta_i = 1e-8
-# with the benchmark sigma, Lambda_0 is -7.1e-8, and without the floor the
-# factorization fails.
+# eigenvalue of the inverse. Preconditioned by that inverse, the one-pair
+# solve contracts by about (Lambda_0 - shift) / (Lambda_1 - shift) per step,
+# so the shift sits at 1/128 of the neutral gap Lambda_1 = |theta|/2 below
+# 0. The floor, relative to max|S_ij|, keeps it clear of Lambda_0's
+# rounding: at theta_i = 1e-8 with the benchmark sigma, Lambda_0 is
+# -7.1e-8, and without the floor the factorization fails.
 SHIFT_GAP_SHARE = 1 / 128
 SHIFT_FLOOR = 1e-8
 SUBSET_FRACTION = 1 / 3    # LAPACK subset solve only up to this share of U
@@ -81,7 +79,7 @@ KRYLOV_MAX_STEPS = 600
 # a residual below U times this share of |T| is a breakdown: the Krylov
 # space is invariant to rounding, and the result exact
 KRYLOV_BREAKDOWN = np.finfo(float).eps
-# the refinement of the one-pair solve stops at |Sx - rho x| <= REFINE_TOL
+# each stage of the one-pair solve stops at |Sx - rho x| <= REFINE_TOL
 # max|S_ij|, c = 16 epsilon. Rounding in Sx sets the floor: below 1e-18 of
 # max|S_ij| where the pair lives on low degrees, nearer epsilon where it
 # reaches the top ones. The tested models end at 6e-17 to 3.5e-15.
@@ -303,36 +301,20 @@ def _nested_level(K, U):
     return level or None
 
 
-def _shift_invert(S, shift):
-    """Lowest pair of sparse symmetric S by shift-invert Lanczos.
+def _banded_cholesky(S, shift):
+    """Lower banded Cholesky factor of sparse symmetric S - shift*I.
 
-    Returns (Lambda_0, unit eigenvector, banded Cholesky factor of S -
-    shift*I). The bandwidth is read from the nonzeros of S: the graded
-    order keeps every coupling within four degrees. The band is laid out in
-    LAPACK's column order, so it is factored in place without a copy. The
-    shifted matrix must be positive definite; when it is not, the
-    factorization raises LinAlgError instead of letting Lanczos return the
-    eigenvalue nearest the shift. The lead Ritz pair (rho, Q'z) of the
-    inverse is accepted at beta_m |z_m| <= KRYLOV_BREAKDOWN rho, ARPACK's
-    default (deflating by q_0 needs q_0 to rounding, which KRYLOV_TOL
-    misses), or at m = U, and refused with LinAlgError after
-    KRYLOV_MAX_STEPS.
+    The bandwidth is read from the nonzeros of S: the graded order keeps
+    every coupling within four degrees. The band is laid out in LAPACK's
+    column order, so it is factored in place without a copy. A shifted
+    matrix that is not positive definite raises LinAlgError.
     """
     U = S.shape[0]
     lower = scipy.sparse.tril(S, format="coo")
     band = np.zeros((U, int((lower.row - lower.col).max(initial=0)) + 1)).T
     band[lower.row - lower.col, lower.col] = lower.data
     band[0] -= shift
-    factor = scipy.linalg.cholesky_banded(band, overwrite_ab=True, lower=True)
-    for alpha, beta, Q, _ in _lanczos(lambda x: scipy.linalg.cho_solve_banded(
-            (factor, True), x, check_finite=False), np.full(U, U ** -0.5)):
-        rho, Z = scipy.linalg.eigh_tridiagonal(alpha, beta[:-1])
-        defect = beta[-1] * abs(Z[-1, -1]) / rho[-1]
-        if defect <= KRYLOV_BREAKDOWN or len(alpha) == U:
-            return shift + 1 / rho[-1], Z[:, -1] @ Q, factor
-    raise scipy.linalg.LinAlgError(
-        f"the lowest pair did not converge in {len(alpha)} Lanczos steps: "
-        f"residual estimate {defect:.1e} of its Ritz value")
+    return scipy.linalg.cholesky_banded(band, overwrite_ab=True, lower=True)
 
 
 def _refine(S, x, shift, scale, precondition):
@@ -348,7 +330,7 @@ def _refine(S, x, shift, scale, precondition):
     raises LinAlgError, as a Cholesky factorization would; so does a pair
     still open after KRYLOV_MAX_STEPS steps.
 
-    Returns (Lambda_0, eigenvector, steps, |r| / scale at the start).
+    Returns (Lambda_0, eigenvector, steps, |r| at the start).
     """
     Sx = S.dot(x)
     V, SV = x[:, None], Sx[:, None]      # [x, p] and their products
@@ -360,15 +342,15 @@ def _refine(S, x, shift, scale, precondition):
                 f"the refined eigenvalue {rho:.3e} lies at or below the shift "
                 f"{shift:.3e}: the operator is not positive definite")
         r = Sx - rho * x
-        residual = np.linalg.norm(r) / scale
+        residual = np.linalg.norm(r)
         if not steps:
             start = residual
-        if residual <= REFINE_TOL:
+        if residual <= REFINE_TOL * scale:
             return rho, x, steps, start
         if steps == KRYLOV_MAX_STEPS:
             raise scipy.linalg.LinAlgError(
                 f"the lowest pair did not converge in {steps} refinement "
-                f"steps: residual {residual:.1e} of max|S_ij|")
+                f"steps: residual {residual / scale:.1e} of max|S_ij|")
         steps += 1
         w = precondition(r)
         for _ in range(2):
@@ -392,46 +374,47 @@ def _refine(S, x, shift, scale, precondition):
 def _lowest_pair(S, theta_total, K):
     """Lowest eigenpair of the level-D S, and what its solve did.
 
-    The shift is _shift(S, theta_total). When a level D' = _nested_level(K,
-    U) exists, shift-invert Lanczos solves the leading U(D') x U(D') block,
-    which is the level-D' operator, and LOBPCG refines the embedded vector
-    [q'; 0] at level D, preconditioned by the block's banded factor on the
-    leading rows and by 1 / (S_ii - shift) on the others. Nothing is
-    factored at level D. Otherwise shift-invert Lanczos solves S itself.
+    With shift = _shift(S, theta_total), the leading block of the level D' =
+    _nested_level(K, U) (the level-D' operator; all of S when there is no
+    D') is factored once by banded Cholesky. LOBPCG solves the block from a
+    flat vector, preconditioned by that factor, the exact shift-inverse;
+    then it refines [q'; 0] at level D, preconditioned by the factor on the
+    leading rows and 1 / (S_ii - shift) on the others, which starts
+    converged when the block is all of S.
 
-    Returns (Lambda_0, unit eigenvector, info): info holds pair_residual,
-    |Sv - Lambda_0 v| / max|S_ij| from a fresh product, and on the nested
-    route nested_level, embedded_residual and refine_steps. The start
-    vectors are fixed, so reruns give the same bits.
+    Returns (Lambda_0, unit eigenvector, info): info holds nested_level (D'
+    or None), refine_steps at level D, and |Sx - rho x| / max|S_ij| (0 when
+    S = 0) of [q'; 0] (embedded_residual) and, from a fresh product, of the
+    pair (pair_residual). The start vector is fixed, so reruns give the
+    same bits.
     """
     U = S.shape[0]
     scale = np.abs(S.data).max(initial=0.0)
     shift = _shift(S, theta_total)
     level = _nested_level(K, U)
-    if level is None:
-        lam, v, _ = _shift_invert(S, shift)
-        info = {}
-    else:
-        lead = total_count(K, level)
-        _, q, factor = _shift_invert(S[:lead, :lead], shift)
-        trailing = S.diagonal()[lead:] - shift
-        if not np.all(trailing > 0):
-            raise scipy.linalg.LinAlgError(
-                "a diagonal entry lies at or below the shift: the operator "
-                "is not positive definite")
+    lead = U if level is None else total_count(K, level)
+    block = S[:lead, :lead]
+    factor = _banded_cholesky(block, shift)
 
-        def precondition(r):
-            return np.concatenate([scipy.linalg.cho_solve_banded(
-                (factor, True), r[:lead], check_finite=False),
-                r[lead:] / trailing])
+    def solve(r):
+        return scipy.linalg.cho_solve_banded((factor, True), r,
+                                             check_finite=False)
 
-        lam, v, steps, start = _refine(S, np.r_[q, np.zeros(U - lead)],
-                                       shift, scale, precondition)
-        info = {"nested_level": level, "embedded_residual": float(start),
-                "refine_steps": steps}
+    q = _refine(block, np.full(lead, lead ** -0.5), shift, scale, solve)[1]
+    trailing = S.diagonal()[lead:] - shift
+    if not np.all(trailing > 0):
+        raise scipy.linalg.LinAlgError(
+            "a diagonal entry lies at or below the shift: the operator is "
+            "not positive definite")
+    lam, v, steps, start = _refine(
+        S, np.r_[q, np.zeros(U - lead)], shift, scale,
+        lambda r: np.concatenate([solve(r[:lead]), r[lead:] / trailing]))
     residual = np.linalg.norm(S.dot(v) - lam * v)
-    info["pair_residual"] = float(residual / scale) if scale else 0.0
-    return lam, v, info
+    return lam, v, {
+        "pair_residual": float(residual / scale) if scale else 0.0,
+        "nested_level": level,
+        "embedded_residual": float(start / scale) if scale else 0.0,
+        "refine_steps": steps}
 
 
 def _solve(S, n_eig, theta_total, K):
@@ -444,13 +427,13 @@ def _solve(S, n_eig, theta_total, K):
     the shift or from an unconverged one-pair solve.
     """
     U = S.shape[0]
-    # Lanczos from one vector serves one pair only: it cannot resolve the
+    # a solve from one vector serves one pair only: it cannot resolve the
     # multiplicities of neutral clusters. Asked for the four lowest pairs of
     # a neutral K=3 model, ARPACK returned Lambda = 2.0 in place of the
     # second member of the degree-1 cluster at 0.5.
     if n_eig == 1:
         lam, v, info = _lowest_pair(S, theta_total, K)
-        return np.array([lam]), v[:, None], "lanczos_shift_invert", info
+        return np.array([lam]), v[:, None], "lobpcg", info
     # S is exactly symmetric, so the dense transpose is S in Fortran order,
     # filled from CSC straight off S's arrays: LAPACK works in this one copy
     if n_eig <= SUBSET_FRACTION * U:

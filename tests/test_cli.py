@@ -152,6 +152,19 @@ def test_normconst_closed_form(tmp_path):
                                                      rel=1e-12)
 
 
+def test_normconst_at_truncation_zero(tmp_path):
+    # the default model is neutral, so at D=0 (U=1) S = 0 and max|S_ij| =
+    # 0: the one-pair solve stops at once, and its residuals read 0
+    assert run(tmp_path, "normconst", "--set", "truncation=0") == 0
+    doc = json.loads((tmp_path / "normconst.json").read_text())
+    assert doc["C_stat"] == pytest.approx(9982.611161389446, rel=1e-15)
+    assert doc["C_stat"] == pytest.approx(
+        math.gamma(0.01) * math.gamma(0.02) * math.gamma(0.03)
+        / math.gamma(0.06), rel=1e-12)
+    assert doc["pair_residual"] == doc["embedded_residual"] == 0.0
+    assert doc["refine_steps"] == 0
+
+
 def test_normconst_outside_its_bounds_exit_code(tmp_path, capsys):
     # at sigma_11 = 1000 the series gives C_stat = 7927.9, log 8.98, where
     # Jensen's bound puts log C_stat at 168.0 or more
@@ -395,7 +408,7 @@ def test_subcommands_solve_only_the_pairs_they_read(tmp_path, sigma_1):
             "--set", f"model.sigma={json.dumps(sigma_1.tolist())}"]
     want = {"spectrum": ("spectrum_meta.json", 28, "eigh"),
             "density": ("density_meta.json", 6, "eigh_subset"),
-            "normconst": ("normconst.json", 1, "lanczos_shift_invert"),
+            "normconst": ("normconst.json", 1, "lobpcg"),
             "distance": ("distance_meta.json", 5, "eigh_subset")}
     hashes = set()
     for sub, (name, pairs, solver) in want.items():
@@ -410,7 +423,7 @@ def test_subcommands_solve_only_the_pairs_they_read(tmp_path, sigma_1):
     assert run(tmp_path / "null", "distance", *base[:2], *base[4:]) == 0
     meta = json.loads((tmp_path / "null" / name).read_text())
     assert (meta["eigenpairs"], meta["eigensolver"]) == (
-        1, "lanczos_shift_invert")
+        1, "lobpcg")
     assert meta["n_max"] is None
     hashes.add(meta["decomposition_hash"])
     assert len(hashes) == 1
@@ -539,10 +552,14 @@ def test_one_pair_sidecars_record_the_solve(tmp_path, sigma_1):
         assert info["nested_level"] == 4
         assert info["refine_steps"] >= 0
         assert info["embedded_residual"] >= info["pair_residual"]
-    # a direct solve records its residual alone; more pairs record none
+    # at D=2 (U=6) there is no nested level: S is factored whole, and its
+    # pair starts the level-D refinement converged; more pairs record none
     assert run(tmp_path / "small", "normconst", "--set", "truncation=2") == 0
     meta = json.loads((tmp_path / "small" / "normconst.json").read_text())
-    assert PAIR_FIELDS & set(meta) == {"pair_residual"}
+    assert meta["pair_residual"] <= 1e-12
+    assert meta["nested_level"] is None
+    assert meta["refine_steps"] == 0
+    assert meta["embedded_residual"] == meta["pair_residual"]
     assert run(tmp_path / "pairs", "spectrum", *base[:2]) == 0
     meta = json.loads((tmp_path / "pairs" / "spectrum_meta.json").read_text())
     assert not PAIR_FIELDS & set(meta)

@@ -11,8 +11,9 @@ with 128-bit references frozen from a multiprecision solve. The level-D
 operator is checked to be, bit for bit, the leading block of a higher
 level's, and the full solve to be C-orthonormal to rounding and scaled in
 LAPACK's own array. The one-pair solve is held to a few banded solves, one
-band factored in place (the nested level's), a residual at rounding, the
-direct level-D solve's eigenvalue and C_stat, and its refusals.
+band factored in place (the nested level's), a residual at rounding,
+agreement in eigenvalue and C_stat with the same solve on the level-D
+operator factored whole, and its refusals.
 """
 
 import dataclasses
@@ -283,10 +284,10 @@ def residual_max(om, sd):
 
 
 def test_left_eigenpair_residual(theta_small, sigma_1):
-    # U = 66: the full solve, shift-invert Lanczos for one pair, a LAPACK
+    # U = 66: the full solve, LOBPCG for one pair, a LAPACK
     # subset below U/3 and a sliced full solve above it
     p, om = assemble(theta_small, sigma_1, 10)
-    for n_eig, solver in [(None, "eigh"), (1, "lanczos_shift_invert"),
+    for n_eig, solver in [(None, "eigh"), (1, "lobpcg"),
                           (5, "eigh_subset"), (40, "eigh")]:
         sd = spectral.eigensolve(om, n_eig=n_eig)
         assert sd.eigensolver == solver
@@ -367,7 +368,7 @@ def test_double_matches_frozen_extended_reference(case):
     scale = np.max(np.abs(want_lam))
     full = spectral.decompose(p, EXTENDED_REFERENCE["D"])
     lead = spectral.decompose(p, EXTENDED_REFERENCE["D"], n_eig=1)
-    assert lead.eigensolver == "lanczos_shift_invert"
+    assert lead.eigensolver == "lobpcg"
     for sd in (full, lead):
         k = min(sd.n_eig, len(want_u))
         assert np.max(np.abs(sd.eigenvalues - want_lam[:sd.n_eig])) \
@@ -567,11 +568,12 @@ def test_one_pair_solve_refuses_an_indefinite_operator():
 def test_an_unconverged_one_pair_solve_is_refused(theta_small, sigma_1,
                                                   monkeypatch, tmp_path,
                                                   capsys):
-    # U = 66 takes 6 banded solves; 2 Lanczos steps leave the pair open
+    # at U = 66 the level-4 block takes more than 2 steps, so the pair is
+    # still open when the cap stops it
     monkeypatch.setattr(spectral, "KRYLOV_MAX_STEPS", 2)
     _, om = assemble(theta_small, sigma_1, 10)
     with pytest.raises(NumericalError,
-                       match="did not converge in 2 Lanczos steps"):
+                       match="did not converge in 2 refinement steps"):
         spectral.eigensolve(om, 1)
     code = cli.main(["normconst", "--out", str(tmp_path), "--set",
                      "truncation=10", "--set",
@@ -579,7 +581,7 @@ def test_an_unconverged_one_pair_solve_is_refused(theta_small, sigma_1,
     assert code == 3
     err = json.loads(capsys.readouterr().err)
     assert err["error"] == "numerical"
-    assert "2 Lanczos steps" in err["message"]
+    assert "2 refinement steps" in err["message"]
     assert list(tmp_path.iterdir()) == []
 
 
@@ -616,8 +618,8 @@ def test_refinement_refuses_an_indefinite_operator():
 
 def test_an_open_refinement_is_refused(theta_small, sigma_1, monkeypatch,
                                        tmp_path, capsys):
-    # at 5 SIGMA_1, D=40 the level-19 block takes 6 Lanczos steps and the
-    # refinement 14: a cap of 10 leaves only the refinement open
+    # at 5 SIGMA_1, D=40 the level-19 block takes fewer than 10 steps and
+    # the refinement at level D 14: a cap of 10 leaves only the latter open
     _, om = assemble(theta_small, 5 * sigma_1, 40)
     solves, _ = watch_banded_calls(monkeypatch)
     steps = spectral.eigensolve(om, 1).pair_solve["refine_steps"]
@@ -685,7 +687,7 @@ def test_solver_paths_agree_with_the_full_solve(K, pick, seed):
     # as far as a tiny U has room for them
     for n_eig in sorted({1, min(max(2, U // 4), U), max(1, U // 2)}):
         sd = spectral.eigensolve(om, n_eig=n_eig)
-        assert sd.eigensolver == ("lanczos_shift_invert" if n_eig == 1
+        assert sd.eigensolver == ("lobpcg" if n_eig == 1
                                   else "eigh_subset" if 3 * n_eig <= U
                                   else "eigh")
         assert sd.coeffs.shape == (n_eig, U)
@@ -698,7 +700,7 @@ def test_one_pair_normalizing_constant_matches_full_solve(K, D, sigma_1):
     p = ModelParams((0.01, 0.02, 0.03, 0.04)[:K],
                     sigma_1 if K == 3 else SIGMA_K4)
     one = spectral.decompose(p, D, n_eig=1)
-    assert one.eigensolver == "lanczos_shift_invert"
+    assert one.eigensolver == "lobpcg"
     full = spectral.decompose(p, D)
     want = density.normalizing_constant(full)
     assert density.normalizing_constant(one) == pytest.approx(want, rel=1e-9)
@@ -759,15 +761,15 @@ def watch_banded_calls(monkeypatch):
 
 @pytest.mark.parametrize("case", sorted(ONE_PAIR_CASES))
 def test_one_pair_solve_work_and_accuracy(case, sigma_1, monkeypatch):
-    # the level-D' block takes 5 to 7 banded solves with the shift just
-    # below Lambda_0, where ARPACK with the former shift of -0.1 and 20
-    # vectors took 21; the refinement at level D takes one per step, 0 to
-    # 14 steps on these models
+    # LOBPCG on the level-D' block, preconditioned by its factor with the
+    # shift just below Lambda_0, takes 4 or 5 banded solves, where ARPACK
+    # with the former shift of -0.1 and 20 vectors took 21; the refinement
+    # at level D takes one per step, 0 to 14 steps on these models
     p, om = one_pair_model(case, sigma_1)
     solves, bands = watch_banded_calls(monkeypatch)
     one = spectral.eigensolve(om, 1)
     monkeypatch.undo()
-    assert one.eigensolver == "lanczos_shift_invert"
+    assert one.eigensolver == "lobpcg"
     info = one.pair_solve
     steps = info["refine_steps"]
     assert len(solves) - steps <= 10 and steps <= 16
@@ -792,8 +794,8 @@ def test_one_pair_solve_work_and_accuracy(case, sigma_1, monkeypatch):
 
 
 def direct_pair(om, monkeypatch):
-    """The one-pair solve with no nested level: shift-invert Lanczos on the
-    level-D operator, factored whole."""
+    """The one-pair solve with no nested level: the level-D operator is
+    factored whole, and its pair needs no refinement."""
     with monkeypatch.context() as patch:
         patch.setattr(spectral, "_nested_level", lambda K, U: None)
         return spectral.eigensolve(om, 1)
@@ -804,8 +806,10 @@ def test_nested_pair_agrees_with_the_direct_solve(case, sigma_1,
                                                   monkeypatch):
     _, om = one_pair_model(case, sigma_1)
     nested, direct = spectral.eigensolve(om, 1), direct_pair(om, monkeypatch)
-    assert "nested_level" in nested.pair_solve
-    assert set(direct.pair_solve) == {"pair_residual"}
+    assert nested.pair_solve["nested_level"] is not None
+    assert direct.pair_solve["nested_level"] is None
+    assert set(direct.pair_solve) == set(nested.pair_solve) == {
+        "pair_residual", "nested_level", "embedded_residual", "refine_steps"}
     scale = np.abs(spectral.symmetrize(om).data).max()
     assert abs(nested.eigenvalues[0] - direct.eigenvalues[0]) <= 1e-12 * scale
     assert density.normalizing_constant(nested) == pytest.approx(
@@ -850,23 +854,25 @@ def test_one_pair_shift_rule(theta_unit, sigma_1, monkeypatch):
 
 
 @pytest.mark.parametrize("D, U", [(0, 1), (1, 3)])
-def test_tiny_bases_fall_back_to_dense(theta_small, sigma_1, D, U,
-                                      monkeypatch):
-    # one pair is shift-invert Lanczos at every U; more fall back to LAPACK
-    p = ModelParams(theta_small, sigma_1)
-    full = spectral.decompose(p, D)
-    # at U = 1 the full solve is the one-pair solve: hold it to LAPACK too
-    S = spectral.symmetrize(spectral.assemble_M(p, full.basis)).toarray()
-    assert np.all(np.abs(full.eigenvalues - scipy.linalg.eigvalsh(S))
-                  <= 1e-12 * np.abs(S).max())
-    for n_eig in range(1, U + 1):
-        sd = spectral.decompose(p, D, n_eig=n_eig)
-        assert (sd.eigensolver == "lanczos_shift_invert") == (n_eig == 1)
-        assert sd.size == U and sd.n_eig == n_eig
-        assert_pairs_agree(sd, full)
-    # with no tolerance, a run of U steps spans the space and is exact
-    monkeypatch.setattr(spectral, "KRYLOV_BREAKDOWN", 0.0)
-    assert_pairs_agree(spectral.decompose(p, D, n_eig=1), full)
+def test_tiny_bases_fall_back_to_dense(theta_small, sigma_1, D, U):
+    # one pair is LOBPCG at every U; more fall back to LAPACK. U is K=3's;
+    # neutral at D = 0, S = 0 and the one-pair solve stops at once
+    assert total_count(3, D) == U
+    for K, sigma in [(3, sigma_1), (3, np.zeros((3, 3))),
+                     (2, np.zeros((2, 2)))]:
+        p = ModelParams(theta_small[:K], sigma)
+        full = spectral.decompose(p, D)
+        # at U = 1 the full solve is the one-pair solve: hold it to LAPACK
+        S = spectral.symmetrize(spectral.assemble_M(p, full.basis)).toarray()
+        assert np.all(np.abs(full.eigenvalues - scipy.linalg.eigvalsh(S))
+                      <= 1e-12 * np.abs(S).max())
+        for n_eig in range(1, full.size + 1):
+            sd = spectral.decompose(p, D, n_eig=n_eig)
+            assert (sd.eigensolver == "lobpcg") == (n_eig == 1)
+            assert sd.size == total_count(K, D) and sd.n_eig == n_eig
+            assert_pairs_agree(sd, full)
+        assert spectral.decompose(p, D, n_eig=1).pair_solve[
+            "pair_residual"] <= spectral.REFINE_TOL
 
 
 def test_partial_decomposition_consumers(tmp_path, theta_small, sigma_1):
