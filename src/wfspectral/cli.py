@@ -234,12 +234,6 @@ def _solve_meta(sd):
             **sd.pair_solve}
 
 
-def _out_dir(cfg):
-    path = cfg["out_dir"]
-    os.makedirs(path, exist_ok=True)
-    return path
-
-
 def _write_json(path, doc):
     with open(path, "w", newline="") as fh:
         json.dump(doc, fh, indent=2, sort_keys=True)
@@ -253,7 +247,7 @@ def _meta(cfg, **extra):
 def cmd_spectrum(cfg):
     from . import spectral
     sd = _decompose(cfg)
-    out = _out_dir(cfg)
+    out = cfg["out_dir"]
     eig_path = os.path.join(out, "spectrum_eigenvalues.csv")
     coef_path = os.path.join(out, "spectrum_coefficients.csv")
     spectral.write_eigenvalues_csv(sd, eig_path)
@@ -277,7 +271,7 @@ def cmd_density(cfg):
     # the tail warning of an integer n_max reads the first dropped pair
     sd, n_max = _series_decomposition(cfg, beyond=1)
     grid = density.make_grid(sd.params.K, cfg["grid_resolution"])
-    out = _out_dir(cfg)
+    out = cfg["out_dir"]
     outputs = []
     diagnostics = {}
     series = density.transition_density(
@@ -300,7 +294,7 @@ def cmd_normconst(cfg):
     sd = _decompose(cfg, n_eig=1)
     diagnostics = {}
     value = density.normalizing_constant(sd, diagnostics=diagnostics)
-    out = _out_dir(cfg)
+    out = cfg["out_dir"]
     path = os.path.join(out, "normconst.json")
     _write_json(path, _meta(cfg, C_stat=value, **diagnostics,
                             **_solve_meta(sd)))
@@ -322,7 +316,7 @@ def cmd_converge(cfg):
                   for n, v in sorted(row["Lambda"].items())]
         lines += [(row["D"], "u", n, ";".join(str(d) for d in m), v)
                   for (n, m), v in sorted(row["u"].items())]
-    out = _out_dir(cfg)
+    out = cfg["out_dir"]
     path = os.path.join(out, "converge.csv")
     # one block of five columns, empty when D_list is
     csvout.write_csv(path, ["D", "kind", "n", "m_tuple", "value"],
@@ -349,7 +343,7 @@ def cmd_distance(cfg):
     diagnostics = {}
     values = density.distance_to_stationarity(
         sd, cfg["x"], times, n_max=n_max, diagnostics=diagnostics)
-    out = _out_dir(cfg)
+    out = cfg["out_dir"]
     path = os.path.join(out, "distance.csv")
     density.write_distance_csv(path, times, values)
     _write_json(os.path.join(out, "distance_meta.json"), _meta(
@@ -459,7 +453,7 @@ def _validate_mc(cfg):
     x0 = np.asarray(cfg["x"], dtype=float)
     result = mc_simulate(p, config, x0)   # refuses a model before the solve
     sd, n_max = _series_decomposition(cfg, beyond=0)
-    out = _out_dir(cfg)
+    out = cfg["out_dir"]
     write_mc_summary_csv(result, os.path.join(out, "mc_summary.csv"))
     t = result.times[-1]
     mc_mean = result.means[-1][:p.K - 1]
@@ -505,7 +499,7 @@ VALIDATORS = {
 
 def cmd_validate(cfg, which):
     report = VALIDATORS[which](cfg)
-    out = _out_dir(cfg)
+    out = cfg["out_dir"]
     path = os.path.join(out, f"validate_{which}.json")
     _write_json(path, _meta(cfg, suite=which, report=report))
     status = "PASS" if report["passed"] else "FAIL"
@@ -564,6 +558,11 @@ def main(argv=None):
             for var in THREAD_ENV_VARS:
                 os.environ[var] = str(args.threads)
         cfg = resolve_config(args)
+        # made before any job, so an unusable one costs no solve
+        try:
+            os.makedirs(cfg["out_dir"], exist_ok=True)
+        except OSError as exc:
+            raise ParameterError(f"out_dir must be a directory path: {exc}")
         if args.command == "validate":
             return cmd_validate(cfg, args.which)
         return COMMANDS[args.command](cfg)

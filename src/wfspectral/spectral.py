@@ -269,29 +269,6 @@ def _shift(S, theta_total):
                 SHIFT_FLOOR * np.abs(S.data).max(initial=0.0))
 
 
-def _lanczos(apply, q):
-    """Lanczos with full reorthogonalization from the unit vector q, where
-    apply(x) is a symmetric operator A times x. Step m yields (alpha, beta,
-    Q, r): the diagonals alpha and beta[:-1] of T = Q'AQ, the m orthonormal
-    rows of Q, and the residual r, of norm beta[-1]. It stops after
-    min(KRYLOV_MAX_STEPS, U) steps; a caller stops it at a breakdown."""
-    U = len(q)
-    cap = min(KRYLOV_MAX_STEPS, U)
-    Q = np.empty((cap + 1, U))
-    Q[0] = q
-    alpha, beta = np.empty(cap), np.empty(cap)
-    for j in range(cap):
-        r = apply(Q[j])
-        alpha[j] = Q[j] @ r
-        r -= alpha[j] * Q[j]
-        if j:
-            r -= beta[j - 1] * Q[j - 1]
-        r -= (Q[:j + 1] @ r) @ Q[:j + 1]
-        beta[j] = np.linalg.norm(r)
-        yield alpha[:j + 1], beta[:j + 1], Q[:j + 1], r
-        Q[j + 1] = r / beta[j]
-
-
 def _nested_level(K, U):
     """The level D' >= 1 the one-pair solve starts from: the largest with
     U(D') <= U/4, or None when even U(1) = K is larger."""
@@ -417,34 +394,6 @@ def _lowest_pair(S, theta_total, K):
         "refine_steps": steps}
 
 
-def _solve(S, n_eig, theta_total, K):
-    """The n_eig lowest eigenpairs of the level-D sparse symmetric S.
-
-    Returns (eigenvalues ascending, eigenvectors as columns, solver name,
-    info): info is _lowest_pair's for one pair, else empty. S is made
-    dense only for LAPACK. A solve fails with LinAlgError from LAPACK, from
-    a banded Cholesky factorization, from a refined eigenvalue at or below
-    the shift or from an unconverged one-pair solve.
-    """
-    U = S.shape[0]
-    # a solve from one vector serves one pair only: it cannot resolve the
-    # multiplicities of neutral clusters. Asked for the four lowest pairs of
-    # a neutral K=3 model, ARPACK returned Lambda = 2.0 in place of the
-    # second member of the degree-1 cluster at 0.5.
-    if n_eig == 1:
-        lam, v, info = _lowest_pair(S, theta_total, K)
-        return np.array([lam]), v[:, None], "lobpcg", info
-    # S is exactly symmetric, so the dense transpose is S in Fortran order,
-    # filled from CSC straight off S's arrays: LAPACK works in this one copy
-    if n_eig <= SUBSET_FRACTION * U:
-        w, V = scipy.linalg.eigh(S.T.toarray(), overwrite_a=True,
-                                 subset_by_index=[0, n_eig - 1])
-        return w, V, "eigh_subset", {}
-    # divide and conquer returns the eigenvectors in the dense copy itself
-    w, V = scipy.linalg.eigh(S.T.toarray(), overwrite_a=True, driver="evd")
-    return w[:n_eig], V[:, :n_eig], "eigh", {}
-
-
 def semigroup_action(S, v, times, scale):
     """scale * exp(-t S) v at every time, by Lanczos on S from v.
 
@@ -459,7 +408,7 @@ def semigroup_action(S, v, times, scale):
     Returns (w, steps, errors): w of shape (T, U), and per time the Krylov
     dimension used and the error estimate relative to max|w|.
 
-    One _lanczos run serves every time: with Q its basis from v/|v| and T
+    One Lanczos run serves every time: with Q its basis from v/|v| and T
     = Q'SQ, exp(-tS) v ~ |v| Q exp(-tT) e_1, where |v| is BLAS nrm2, which
     holds where |v|^2 under- or overflows. After m steps the residual r
     gives Saad's a-posteriori estimate of the error of w,
@@ -478,17 +427,31 @@ def semigroup_action(S, v, times, scale):
     out = np.empty((len(times), U))
     steps, errors = [0] * len(times), [0.0] * len(times)
     open_ = list(range(len(times)))
+    # Lanczos with full reorthogonalization: after m steps, alpha[:m] and
+    # beta[:m - 1] are the diagonals of T, Q[:m] is the basis and r the
+    # residual, of norm beta[m - 1]
+    cap = min(KRYLOV_MAX_STEPS, U)
+    Q = np.empty((cap + 1, U))
+    Q[0] = v / size
+    alpha, beta = np.empty(cap), np.empty(cap)
     norm_T = 0.0
-    for alpha, beta, Q, r in _lanczos(S.dot, v / size) if open_ else ():
-        m = len(alpha)
-        norm_T = max(norm_T, abs(alpha[-1]) + beta[-1])
-        exact = m == U or beta[-1] <= KRYLOV_BREAKDOWN * U * norm_T
+    for j in range(cap if open_ else 0):
+        r = S.dot(Q[j])
+        alpha[j] = Q[j] @ r
+        r -= alpha[j] * Q[j]
+        if j:
+            r -= beta[j - 1] * Q[j - 1]
+        r -= (Q[:j + 1] @ r) @ Q[:j + 1]
+        beta[j] = np.linalg.norm(r)
+        m = j + 1
+        norm_T = max(norm_T, abs(alpha[j]) + beta[j])
+        exact = m == U or beta[j] <= KRYLOV_BREAKDOWN * U * norm_T
         if exact or m % KRYLOV_CHECK == 0 or m == KRYLOV_MAX_STEPS:
-            theta, Z = scipy.linalg.eigh_tridiagonal(alpha, beta[:-1])
+            theta, Z = scipy.linalg.eigh_tridiagonal(alpha[:m], beta[:j])
             tail = np.abs(scale * r).max()
             for i in list(open_):
                 e = Z @ (np.exp(-times[i] * theta) * Z[0])
-                w = scale * (size * (e @ Q))
+                w = scale * (size * (e @ Q[:m]))
                 error = size * abs(e[-1]) * tail / np.abs(w).max()
                 if exact or error <= KRYLOV_TOL:
                     out[i], steps[i], errors[i] = w, m, float(error)
@@ -500,6 +463,7 @@ def semigroup_action(S, v, times, scale):
                         f"max|w|, above {KRYLOV_TOL:.0e}")
             if not open_:
                 break
+        Q[m] = r / beta[j]
     return out, steps, errors
 
 
@@ -545,9 +509,27 @@ def eigensolve(om, n_eig=None):
     if not 1 <= n_eig <= U:
         raise ParameterError(f"n_eig must be in 1..{U}, got {n_eig}")
     S = symmetrize(om)
+    info = {}
     try:
-        w, V, solver, info = _solve(S, n_eig, om.params.theta_total,
-                                    om.params.K)
+        # a solve from one vector serves one pair only: it cannot resolve the
+        # multiplicities of neutral clusters. Asked for the four lowest pairs
+        # of a neutral K=3 model, ARPACK returned Lambda = 2.0 in place of
+        # the second member of the degree-1 cluster at 0.5.
+        if n_eig == 1:
+            lam, v, info = _lowest_pair(S, om.params.theta_total, om.params.K)
+            w, V, solver = np.array([lam]), v[:, None], "lobpcg"
+        # S is exactly symmetric, so the dense transpose is S in Fortran
+        # order, filled from CSC straight off S's arrays: LAPACK works in
+        # this one copy
+        elif n_eig <= SUBSET_FRACTION * U:
+            w, V = scipy.linalg.eigh(S.T.toarray(), overwrite_a=True,
+                                     subset_by_index=[0, n_eig - 1])
+            solver = "eigh_subset"
+        else:
+            # divide and conquer writes the eigenvectors into the dense copy
+            w, V = scipy.linalg.eigh(S.T.toarray(), overwrite_a=True,
+                                     driver="evd")
+            w, V, solver = w[:n_eig], V[:, :n_eig], "eigh"
     except scipy.linalg.LinAlgError as exc:
         # LAPACK failures, an indefinite shifted operator (a failed banded
         # Cholesky or a refined eigenvalue at or below the shift), and an

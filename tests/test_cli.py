@@ -401,6 +401,36 @@ def test_bad_config_values_rejected_before_solving(tmp_path, capsys,
     assert json.loads(capsys.readouterr().err)["error"] == "parameter"
 
 
+@pytest.mark.parametrize("sub", ["normconst", "density", "validate mc"])
+@pytest.mark.parametrize("under", [False, True])
+def test_unusable_out_dir_rejected_before_solving(tmp_path, capsys,
+                                                  monkeypatch, sub, under):
+    # an existing file, or a path below one, cannot hold the outputs
+    calls = []
+
+    def spy(name, original):
+        def record(*args, **kwargs):
+            calls.append(name)
+            return original(*args, **kwargs)
+        return record
+
+    monkeypatch.setattr(spectral, "decompose",
+                        spy("decompose", spectral.decompose))
+    monkeypatch.setattr(oracles, "mc_simulate",
+                        spy("mc_simulate", oracles.mc_simulate))
+    afile = tmp_path / "afile"
+    afile.write_text("kept\n")
+    out = afile / "sub" if under else afile
+    code = cli.main([*sub.split(), "--set", "truncation=4",
+                     "--set", "quadrature_resolution=20", "--out", str(out)])
+    assert code == 2
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "parameter"
+    assert str(out) in err["message"]
+    assert calls == []
+    assert afile.read_text() == "kept\n"
+
+
 @pytest.mark.filterwarnings("ignore:first dropped eigenterm")
 def test_subcommands_solve_only_the_pairs_they_read(tmp_path, sigma_1):
     # K=3 D=6: U=28, so n_max=5 keeps density and distance below U/3

@@ -285,10 +285,11 @@ def residual_max(om, sd):
 
 def test_left_eigenpair_residual(theta_small, sigma_1):
     # U = 66: the full solve, LOBPCG for one pair, a LAPACK
-    # subset below U/3 and a sliced full solve above it
+    # subset up to U/3 = 22 and a sliced full solve above it
     p, om = assemble(theta_small, sigma_1, 10)
     for n_eig, solver in [(None, "eigh"), (1, "lobpcg"),
-                          (5, "eigh_subset"), (40, "eigh")]:
+                          (5, "eigh_subset"), (22, "eigh_subset"),
+                          (23, "eigh"), (40, "eigh")]:
         sd = spectral.eigensolve(om, n_eig=n_eig)
         assert sd.eigensolver == solver
         assert sd.n_eig == (n_eig or om.size)
