@@ -97,23 +97,20 @@ class OperatorMatrix:
 
     @property
     def size(self):
-        return len(self.basis.enumeration)
+        """Basis size U."""
+        return len(self.log_norms)
 
     # always None (double precision); bench/spans.py reads it
     precision_bits = None
 
 
 @dataclass(frozen=True)
-class SpectralDecomposition:
-    """Lowest eigenvalues and C-orthonormal left-eigenvector coefficients."""
-    params: ModelParams
-    D: int
-    basis: MultiJacobiBasis
+class SpectralDecomposition(OperatorMatrix):
+    """The operator and its lowest eigenvalues with C-orthonormal
+    left-eigenvector coefficients."""
     eigenvalues: np.ndarray      # (n_eig,) ascending
     coeffs: np.ndarray           # (n_eig, U); row n holds u_{n,m}
-    log_norms: np.ndarray        # (U,) log C_m
     eigensolver: str             # the solver that produced the pairs
-    operator_hash: str           # see decomposition_hash
     # S, whose pairs these are, when fewer than U are held: a series over
     # all U pairs then applies exp(-tS) to a vector (semigroup_action)
     symmetric: scipy.sparse.csr_matrix | None
@@ -121,17 +118,9 @@ class SpectralDecomposition:
     pair_solve: dict
 
     @property
-    def size(self):
-        """Basis size U."""
-        return len(self.log_norms)
-
-    @property
     def n_eig(self):
         """Number of eigenpairs held."""
         return len(self.eigenvalues)
-
-    # always None (double precision); bench/spans.py reads it
-    precision_bits = None
 
 
 def _multiset_products(coeffs):
@@ -417,7 +406,9 @@ def semigroup_action(S, v, times, scale):
     max|w|. A time's result is the prefix its own rule picks, so it depends
     only on (S, v, t), not on the other times. A residual at rounding level
     (a breakdown) or the m = U step makes every open time exact. A time
-    still open after KRYLOV_MAX_STEPS steps raises NumericalError.
+    still open after KRYLOV_MAX_STEPS steps raises NumericalError, and so
+    does one so large that exp(-t theta) under- or overflows at every Ritz
+    value, leaving w zero or not finite.
     """
     U = len(v)
     size = scipy.linalg.norm(v, check_finite=False)
@@ -450,9 +441,15 @@ def semigroup_action(S, v, times, scale):
             theta, Z = scipy.linalg.eigh_tridiagonal(alpha[:m], beta[:j])
             tail = np.abs(scale * r).max()
             for i in list(open_):
-                e = Z @ (np.exp(-times[i] * theta) * Z[0])
-                w = scale * (size * (e @ Q[:m]))
-                error = size * abs(e[-1]) * tail / np.abs(w).max()
+                with np.errstate(over="ignore", invalid="ignore"):
+                    e = Z @ (np.exp(-times[i] * theta) * Z[0])
+                    w = scale * (size * (e @ Q[:m]))
+                top = np.abs(w).max()
+                if not 0 < top < np.inf:
+                    raise NumericalError(
+                        f"exp(-tS)v at t={times[i]:g} is not representable "
+                        f"in double precision: max|w| = {top:g}")
+                error = size * abs(e[-1]) * tail / top
                 if exact or error <= KRYLOV_TOL:
                     out[i], steps[i], errors[i] = w, m, float(error)
                     open_.remove(i)
@@ -478,22 +475,6 @@ def _signs(coeffs):
     top, bottom = coeffs[rows, hi], -coeffs[rows, lo]
     flip = (bottom > top) | ((bottom == top) & (lo < hi))
     return np.where(flip, -1.0, 1.0)
-
-
-def _operator_hash(om):
-    """SHA-256 of the assembled operator and what sets its scaling."""
-    # None and 4 fill the slots of the precision and of the pad every run
-    # used while they were options, so the hash of an operator is unchanged
-    h = hashlib.sha256(repr((None, om.D, 4)).encode())
-    h.update(om.log_norms.tobytes())
-    M = om.matrix
-    if not M.has_canonical_format:
-        M = M.copy()
-        M.sum_duplicates()
-    for part in (M.data, M.indices.astype(np.int64),
-                 M.indptr.astype(np.int64)):
-        h.update(np.ascontiguousarray(part).tobytes())
-    return h.hexdigest()
 
 
 def eigensolve(om, n_eig=None):
@@ -543,30 +524,27 @@ def eigensolve(om, n_eig=None):
     if not np.all(np.isfinite(coeffs)) or not np.all(np.isfinite(w)):
         raise NumericalError(f"non-finite eigendata at truncation {om.D}")
     return SpectralDecomposition(params=om.params, D=om.D, basis=om.basis,
+                                 matrix=om.matrix, log_norms=om.log_norms,
                                  eigenvalues=w, coeffs=coeffs,
-                                 log_norms=om.log_norms, eigensolver=solver,
-                                 operator_hash=_operator_hash(om),
+                                 eigensolver=solver,
                                  symmetric=S if n_eig < U else None,
                                  pair_solve=info)
 
 
 def decompose(p, D, n_eig=None, within=None):
-    """Convenience: build the basis, assemble, and eigensolve at level D.
+    """Eigensolve p's operator at level D: the leading block (see
+    leading_block) of within, an OperatorMatrix of p at a level >= D, or of
+    the level-D assembly when within is None.
 
     n_eig: the number of lowest eigenpairs to solve for (None: all).
-    within: an OperatorMatrix of p at a level >= D. The level-D operator is
-        then its leading block (see leading_block), and nothing is assembled.
     """
-    if D < 0:
-        raise ParameterError(f"truncation must be >= 0, got {D}")
-    if within is not None:
-        if not (np.array_equal(within.params.theta, p.theta)
-                and np.array_equal(within.params.sigma, p.sigma)):
-            raise ParameterError("the operator was assembled for another "
-                                 "model")
-        return eigensolve(leading_block(within, D), n_eig=n_eig)
-    basis = MultiJacobiBasis(p.theta, BasisEnumeration(p.K, D))
-    return eigensolve(assemble_M(p, basis), n_eig=n_eig)
+    if within is None:
+        within = assemble_M(p, MultiJacobiBasis(p.theta,
+                                                BasisEnumeration(p.K, D)))
+    elif not (np.array_equal(within.params.theta, p.theta)
+              and np.array_equal(within.params.sigma, p.sigma)):
+        raise ParameterError("the operator was assembled for another model")
+    return eigensolve(leading_block(within, D), n_eig=n_eig)
 
 
 def convergence_table(p, D_list, n_list, track=()):
@@ -630,14 +608,26 @@ def leading_block(om, D):
                           matrix=om.matrix[:U, :U], log_norms=om.log_norms[:U])
 
 
-def decomposition_hash(sd):
-    """Hash of the operator the decomposition solved, for reproducibility.
+def decomposition_hash(om):
+    """SHA-256 of an operator, or of the one a decomposition solved, taken
+    when called, for reproducibility.
 
     It covers the assembled matrix M, the norms log C and the truncation,
-    not the eigendata, so decompositions of one operator that hold
-    different numbers of pairs share it.
+    not the eigendata, so an operator and its decompositions, whatever
+    number of pairs they hold, share it.
     """
-    return sd.operator_hash
+    # None and 4 fill the slots of the precision and of the pad every run
+    # used while they were options, so the hash of an operator is unchanged
+    h = hashlib.sha256(repr((None, om.D, 4)).encode())
+    h.update(om.log_norms.tobytes())
+    M = om.matrix
+    if not M.has_canonical_format:
+        M = M.copy()
+        M.sum_duplicates()
+    for part in (M.data, M.indices.astype(np.int64),
+                 M.indptr.astype(np.int64)):
+        h.update(np.ascontiguousarray(part).tobytes())
+    return h.hexdigest()
 
 
 def write_eigenvalues_csv(sd, path):

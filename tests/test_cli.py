@@ -628,6 +628,18 @@ def test_zero_time_rejected(tmp_path, capsys):
     assert "positive" in json.loads(capsys.readouterr().err)["message"]
 
 
+def test_a_time_beyond_double_precision_exit_code(tmp_path, capsys):
+    # exp(-t theta) overflows at the Ritz values below 0: the table would
+    # hold NaN, or zeros
+    code = run(tmp_path, "density", "--set", "truncation=10",
+               "--set", "times=[1e300]")
+    assert code == 3
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "numerical" and "t=1e+300" in err["message"]
+    assert not list(tmp_path.glob("density_t*.csv"))
+    assert not list(tmp_path.glob("*.json"))
+
+
 @pytest.mark.parametrize("sub", ["density", "distance"])
 @pytest.mark.parametrize("x", ["[0.3,0.3,0.1]", "[[0.3,0.3]]", "[NaN,0.3]"])
 def test_bad_start_point_rejected(tmp_path, capsys, sub, x):

@@ -327,6 +327,21 @@ def test_a_start_weight_whose_square_underflows():
         density.distance_to_stationarity(one, x, TIMES)
 
 
+@pytest.mark.parametrize("D, selected", [(10, False), (12, True)])
+def test_a_time_beyond_double_precision_is_refused(D, selected, sigma_1,
+                                                  theta_small):
+    # exp(-t theta) overflows at the Ritz values below 0 (neutral, D=10) or
+    # underflows at all of them (SIGMA_1, D=12): w is NaN or 0, never a
+    # density. A RuntimeWarning on the way would fail the test
+    p = ModelParams(theta_small, sigma_1 if selected else np.zeros((3, 3)))
+    sd = spectral.decompose(p, D, n_eig=1)
+    x, y, times = np.array([0.3, 0.3]), density.make_grid(3, 6), [1e300]
+    with pytest.raises(NumericalError, match=r"t=1e\+300 is not repr"):
+        density.transition_density(sd, times, x, y)
+    with pytest.raises(NumericalError, match=r"t=1e\+300 is not repr"):
+        density.distance_to_stationarity(sd, x, times)
+
+
 def test_a_full_decomposition_sums_its_own_pairs(sigma_1, theta_small):
     p = ModelParams(theta_small, sigma_1)
     full = spectral.decompose(p, 8)

@@ -18,6 +18,7 @@ operator factored whole, and its refusals.
 
 import dataclasses
 import gc
+import hashlib
 import json
 import tracemalloc
 from collections import defaultdict
@@ -427,8 +428,8 @@ def test_leading_block_is_the_lower_level_assembly(K, sigma, D, D_top,
                 assert np.array_equal(getattr(got.matrix, part),
                                       getattr(want.matrix, part))
             assert np.array_equal(got.log_norms, want.log_norms)
-            assert (spectral._operator_hash(got)
-                    == spectral._operator_hash(want))
+            assert (spectral.decomposition_hash(got)
+                    == spectral.decomposition_hash(want))
 
 
 @pytest.mark.parametrize("K, sigma, D, D_top", NESTING_CASES)
@@ -538,6 +539,28 @@ def test_decomposition_hash_is_pinned(theta, sigma, D, want, sigma_1):
     p = ModelParams(theta, sigma_1 if isinstance(sigma, str) else sigma)
     assert spectral.decomposition_hash(spectral.decompose(p, D, n_eig=1)) \
         == want
+
+
+def test_decomposition_hash_is_the_operators(theta_small, sigma_1):
+    # one pair, a subset and all U: each hashes as the operator it solved
+    _, om = assemble(theta_small, sigma_1, 8)
+    want = spectral.decomposition_hash(om)
+    for n_eig in (1, om.size // 4, om.size):
+        assert spectral.decomposition_hash(spectral.eigensolve(om, n_eig)) \
+            == want
+
+
+def test_convergence_table_hashes_nothing(theta_small, sigma_1, monkeypatch):
+    # the hash is taken when asked for, not by every solve
+    calls = []
+    sha256 = hashlib.sha256
+    monkeypatch.setattr(hashlib, "sha256",
+                        lambda *args: calls.append(args) or sha256(*args))
+    p = ModelParams(theta_small, sigma_1)
+    rows = spectral.convergence_table(p, [4, 6, 8, 10], [0, 1])
+    assert [row["D"] for row in rows] == [4, 6, 8, 10] and calls == []
+    spectral.decomposition_hash(spectral.decompose(p, 4, n_eig=1))
+    assert len(calls) == 1
 
 
 def test_eigensolve_rejects_pair_counts_outside_the_basis(theta_small, sigma_1):
@@ -692,7 +715,8 @@ def test_solver_paths_agree_with_the_full_solve(K, pick, seed):
                                   else "eigh_subset" if 3 * n_eig <= U
                                   else "eigh")
         assert sd.coeffs.shape == (n_eig, U)
-        assert sd.operator_hash == ref.operator_hash
+        assert (spectral.decomposition_hash(sd)
+                == spectral.decomposition_hash(ref))
         assert_pairs_agree(sd, ref)
 
 
@@ -815,7 +839,8 @@ def test_nested_pair_agrees_with_the_direct_solve(case, sigma_1,
     assert abs(nested.eigenvalues[0] - direct.eigenvalues[0]) <= 1e-12 * scale
     assert density.normalizing_constant(nested) == pytest.approx(
         density.normalizing_constant(direct), rel=1e-12)
-    assert nested.operator_hash == direct.operator_hash
+    assert (spectral.decomposition_hash(nested)
+            == spectral.decomposition_hash(direct))
 
 
 @pytest.mark.parametrize("K, D, level", [(4, 28, 16), (3, 40, 19),
