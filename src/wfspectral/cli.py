@@ -227,11 +227,10 @@ def _series_decomposition(cfg, beyond):
 
 def _solve_meta(sd):
     """Sidecar fields that identify the operator and say how it was solved;
-    a one-pair solve adds its residuals and route (spectral._lowest_pair)."""
+    a LOBPCG solve adds its residuals and route (spectral._lowest_pairs)."""
     from . import spectral
     return {"decomposition_hash": spectral.decomposition_hash(sd),
-            "eigenpairs": sd.n_eig, "eigensolver": sd.eigensolver,
-            **sd.pair_solve}
+            **sd.solve_record}
 
 
 def _write_json(path, doc):
@@ -321,8 +320,10 @@ def cmd_converge(cfg):
     # one block of five columns, empty when D_list is
     csvout.write_csv(path, ["D", "kind", "n", "m_tuple", "value"],
                      [list(zip(*lines)) or [()] * 5])
+    # how each level was solved
+    levels = [{"D": row["D"], **row["solve"]} for row in rows]
     _write_json(os.path.join(out, "converge_meta.json"),
-                _meta(cfg, outputs=[path]))
+                _meta(cfg, levels=levels, outputs=[path]))
     print(f"wrote {path}")
     return 0
 

@@ -115,7 +115,9 @@ def _series(sd, times, x, y, log_wx, log_wy, n_max, krylov=None):
 
     n_max None sums all U pairs from S: each start point's rows come from
     one semigroup_action run. A dict passed as krylov then receives the
-    runs' "krylov_steps" and "krylov_error", one list per start point.
+    runs' "krylov_steps" and "krylov_error", one list per start point. A
+    density's limit, the lead term, is not 0, so rows that underflow to 0
+    at a time too large for double precision raise NumericalError.
     """
     if n_max is None:
         scale = np.exp(-0.5 * sd.log_norms)
@@ -124,6 +126,11 @@ def _series(sd, times, x, y, log_wx, log_wy, n_max, krylov=None):
         for i, start in enumerate(_start_vectors(sd, x, log_wx).T):
             w[:, i], step, error = spectral.semigroup_action(
                 sd.symmetric, start, times, scale)
+            for t, row in zip(times, w[:, i]):
+                if not row.any():
+                    raise NumericalError(
+                        f"exp(-tS)v at t={t:g} is not representable in "
+                        "double precision: max|w| = 0")
             steps.append(step)
             errors.append(error)
         if krylov is not None:

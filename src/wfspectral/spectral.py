@@ -19,18 +19,19 @@ orthonormality. Everything runs in double precision: under strong selection
 (5 times the benchmark sigma, and sigma entries up to 80) a former 128-bit
 path agreed with it to 2.5e-14 of the spectral scale on eigenvalues.
 
-Callers ask for the n_eig lowest eigenpairs they read. A single pair comes
-from LOBPCG (Knyazev 2001): first on the leading block of a nested level D'
-(the largest with U(D') <= U/4; all of S when there is none), preconditioned
-by its banded Cholesky factor (the graded order keeps S within a band),
-shifted just below Lambda_0 ~ 0; then at level D from the embedded vector,
-preconditioned by that factor and the diagonal. A small share of the
-spectrum comes from a LAPACK subset solve; anything else from the full dense
-solve, sliced. The full solve is LAPACK's divide-and-conquer driver (Gu &
-Eisenstat 1995): it writes the eigenvectors over the dense matrix and needs
-about 2U^2 doubles of workspace besides, so its peak is about 3U^2 doubles
-(485 MB at U = 4495). The eigenvectors are scaled to coefficients in that
-same array.
+Callers ask for the n_eig lowest eigenpairs they read. One pair, and a few
+more at large U (up to BLOCK_FRACTION of U), come from block LOBPCG (Knyazev
+2001) with one column per pair: first on the leading block of a nested level
+D' (the largest with U(D') <= U/4; all of S when there is none),
+preconditioned by its banded Cholesky factor (the graded order keeps S
+within a band), shifted just below Lambda_0 ~ 0; then at level D from the
+embedded block, preconditioned by that factor and the diagonal. Up to a
+third of the spectrum comes from a LAPACK subset solve; anything else from
+the full dense solve, sliced. The full solve is LAPACK's divide-and-conquer
+driver (Gu & Eisenstat 1995): it writes the eigenvectors over the dense
+matrix and needs about 2U^2 doubles of workspace besides, so its peak is
+about 3U^2 doubles (485 MB at U = 4495). The eigenvectors are scaled to
+coefficients in that same array.
 
 In the graded order the level-D operator is the leading U(D) x U(D) block of
 the operator at any higher level, so a table over several levels assembles
@@ -60,14 +61,15 @@ SYMMETRY_DEFECT_TOL = 1e-9
 # The truncated operator is positive semidefinite with a simple lowest
 # eigenvalue Lambda_0 ~ 0, so a negative shift makes S - shift*I positive
 # definite, as its Cholesky factorization needs, and Lambda_0 the dominant
-# eigenvalue of the inverse. Preconditioned by that inverse, the one-pair
-# solve contracts by about (Lambda_0 - shift) / (Lambda_1 - shift) per step,
-# so the shift sits at 1/128 of the neutral gap Lambda_1 = |theta|/2 below
-# 0. The floor, relative to max|S_ij|, keeps it clear of Lambda_0's
-# rounding: at theta_i = 1e-8 with the benchmark sigma, Lambda_0 is
-# -7.1e-8, and without the floor the factorization fails.
+# eigenvalue of the inverse. Preconditioned by that inverse, LOBPCG's
+# first column contracts by about (Lambda_0 - shift) / (Lambda_1 - shift)
+# per step, so the shift sits at 1/128 of the neutral gap Lambda_1 =
+# |theta|/2 below 0. The floor, relative to max|S_ij|, keeps it clear of
+# Lambda_0's rounding: at theta_i = 1e-8 with the benchmark sigma, Lambda_0
+# is -7.1e-8, and without the floor the factorization fails.
 SHIFT_GAP_SHARE = 1 / 128
 SHIFT_FLOOR = 1e-8
+BLOCK_FRACTION = 1 / 200   # LOBPCG for one pair and up to this share of U
 SUBSET_FRACTION = 1 / 3    # LAPACK subset solve only up to this share of U
 # semigroup_action: a time's result is accepted once its error estimate is
 # at most KRYLOV_TOL of max|w|; the estimate is read every KRYLOV_CHECK
@@ -79,11 +81,16 @@ KRYLOV_MAX_STEPS = 600
 # a residual below U times this share of |T| is a breakdown: the Krylov
 # space is invariant to rounding, and the result exact
 KRYLOV_BREAKDOWN = np.finfo(float).eps
-# each stage of the one-pair solve stops at |Sx - rho x| <= REFINE_TOL
-# max|S_ij|, c = 16 epsilon. Rounding in Sx sets the floor: below 1e-18 of
-# max|S_ij| where the pair lives on low degrees, nearer epsilon where it
-# reaches the top ones. The tested models end at 6e-17 to 3.5e-15.
+# each stage of the LOBPCG solve stops once every column has |Sx - rho x|
+# <= REFINE_TOL max|S_ij|, c = 16 epsilon. Rounding in Sx sets the floor:
+# below 1e-18 of max|S_ij| where the pair lives on low degrees, nearer
+# epsilon where it reaches the top ones. The tested models end at 6e-17 to
+# 3.5e-15.
 REFINE_TOL = 16 * np.finfo(float).eps
+# LOBPCG drops a direction whose singular value, relative to unit columns,
+# is at most this: it lies in the span of the others to rounding, as the
+# members of a neutral (exactly degenerate) cluster make them
+RANK_TOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -114,13 +121,20 @@ class SpectralDecomposition(OperatorMatrix):
     # S, whose pairs these are, when fewer than U are held: a series over
     # all U pairs then applies exp(-tS) to a vector (semigroup_action)
     symmetric: scipy.sparse.csr_matrix | None
-    # the one-pair solve's residuals and route (_lowest_pair); else empty
+    # the LOBPCG solve's residuals and route (_lowest_pairs); else empty
     pair_solve: dict
 
     @property
     def n_eig(self):
         """Number of eigenpairs held."""
         return len(self.eigenvalues)
+
+    @property
+    def solve_record(self):
+        """How the pairs were solved: eigenpairs, eigensolver and the
+        fields of pair_solve."""
+        return {"eigenpairs": self.n_eig, "eigensolver": self.eigensolver,
+                **self.pair_solve}
 
 
 def _multiset_products(coeffs):
@@ -253,13 +267,13 @@ def symmetrize(om):
 
 
 def _shift(S, theta_total):
-    """The shift of the one-pair solve: -max(|theta|/256, 1e-8 max|S_ij|)."""
+    """The shift of the LOBPCG solve: -max(|theta|/256, 1e-8 max|S_ij|)."""
     return -max(SHIFT_GAP_SHARE * 0.5 * theta_total,
                 SHIFT_FLOOR * np.abs(S.data).max(initial=0.0))
 
 
 def _nested_level(K, U):
-    """The level D' >= 1 the one-pair solve starts from: the largest with
+    """The level D' >= 1 the LOBPCG solve starts from: the largest with
     U(D') <= U/4, or None when even U(1) = K is larger."""
     level = 0
     while 4 * total_count(K, level + 1) <= U:
@@ -283,103 +297,134 @@ def _banded_cholesky(S, shift):
     return scipy.linalg.cholesky_banded(band, overwrite_ab=True, lower=True)
 
 
-def _refine(S, x, shift, scale, precondition):
-    """Block-size-1 LOBPCG (Knyazev, SIAM J. Sci. Comput. 23:517, 2001)
-    from the unit vector x towards the lowest pair of S.
+def _extend(V, W):
+    """Orthonormal columns spanning the part of span W outside span V, whose
+    columns are orthonormal.
 
-    Each step preconditions the residual r = Sx - rho x, orthonormalizes it
-    against x and the previous step's move p, takes its one S.dot, and
-    solves the Rayleigh-Ritz problem on [x, p, T r]; the products of x and
-    p are carried as the same combinations of earlier products. It stops at
-    |r| <= REFINE_TOL scale, scale = max|S_ij|. The Rayleigh quotient only
-    falls, so one at or below the shift proves S - shift*I indefinite and
-    raises LinAlgError, as a Cholesky factorization would; so does a pair
-    still open after KRYLOV_MAX_STEPS steps.
-
-    Returns (Lambda_0, eigenvector, steps, |r| at the start).
+    W's columns are scaled to unit norm; V is projected out, and the left
+    singular vectors kept: a direction whose singular value is at most
+    RANK_TOL lies in span V or in that of the other columns to rounding,
+    and is dropped. Dividing by a singular value below 1/2 loses
+    orthogonality to V, so a second round restores it ("twice is enough",
+    Daniel, Gragg, Kaufman & Stewart 1976).
     """
-    Sx = S.dot(x)
-    V, SV = x[:, None], Sx[:, None]      # [x, p] and their products
+    W = W / np.linalg.norm(W, axis=0)
+    for _ in range(2):
+        W -= V @ (V.T @ W)
+        W, s, _ = np.linalg.svd(W, full_matrices=False)
+        if s.min(initial=1.0) > 0.5:
+            break
+        W = W[:, s > RANK_TOL]
+    return W
+
+
+def _refine(S, X, shift, scale, precondition):
+    """Block LOBPCG (Knyazev, SIAM J. Sci. Comput. 23:517, 2001) from the b
+    orthonormal columns of X towards the b lowest pairs of S.
+
+    Each step preconditions the residuals r_i = Sx_i - rho_i x_i of the
+    columns still open, extends the basis [X, P] by their part outside it
+    (_extend), takes one product with S, and solves the Rayleigh-Ritz
+    problem on that basis. The new X are its b lowest Ritz vectors, and P
+    spans the rest of their move out of the old X, orthogonal to them, taken
+    in the Ritz basis (Hetmaniuk & Lehoucq, J. Comput. Phys. 218:324, 2006),
+    less directions below RANK_TOL. The products of X and P are carried as
+    the same combinations of earlier products. A column is converged at
+    |r_i| <= REFINE_TOL scale, scale = max|S_ij|, and the solve stops when
+    all are. Rayleigh quotients only fall, so one at or below the shift
+    proves S - shift*I indefinite and raises LinAlgError, as a Cholesky
+    factorization would; so does a column still open after
+    KRYLOV_MAX_STEPS steps.
+
+    Returns (rho (b,), X, steps, |r_i| at the start (b,)).
+    """
+    b = X.shape[1]
+    SX = S @ X
+    V, SV = X, SX                        # [X, P] and their products
     steps = 0
     while True:
-        rho = x @ Sx
-        if rho <= shift:
+        rho = np.einsum("ij,ij->j", X, SX)
+        if rho.min() <= shift:
             raise scipy.linalg.LinAlgError(
-                f"the refined eigenvalue {rho:.3e} lies at or below the shift "
-                f"{shift:.3e}: the operator is not positive definite")
-        r = Sx - rho * x
-        residual = np.linalg.norm(r)
+                f"the refined eigenvalue {rho.min():.3e} lies at or below the "
+                f"shift {shift:.3e}: the operator is not positive definite")
+        R = SX - X * rho
+        residual = np.linalg.norm(R, axis=0)
         if not steps:
             start = residual
-        if residual <= REFINE_TOL * scale:
-            return rho, x, steps, start
+        open_ = residual > REFINE_TOL * scale
+        if not open_.any():
+            return rho, X, steps, start
         if steps == KRYLOV_MAX_STEPS:
             raise scipy.linalg.LinAlgError(
-                f"the lowest pair did not converge in {steps} refinement "
-                f"steps: residual {residual / scale:.1e} of max|S_ij|")
+                f"the lowest {b} pair(s) did not converge in {steps} "
+                f"refinement steps: residual {residual.max() / scale:.1e} "
+                "of max|S_ij|")
         steps += 1
-        w = precondition(r)
-        for _ in range(2):
-            w -= V @ (V.T @ w)
-        w /= np.linalg.norm(w)
-        V, SV = np.column_stack([V, w]), np.column_stack([SV, S.dot(w)])
+        W = _extend(V, precondition(R[:, open_]))
+        V, SV = np.hstack([V, W]), np.hstack([SV, S @ W])
         H = V.T @ SV
-        y = np.linalg.eigh(0.5 * (H + H.T))[1][:, 0]
-        x, Sx = V @ y, SV @ y
-        # the move: the part of the new x outside the old one, made
-        # orthogonal to the new x
-        p, Sp = V[:, 1:] @ y[1:], SV[:, 1:] @ y[1:]
-        c = x @ p
-        p, Sp = p - c * x, Sp - c * Sx
-        size = np.linalg.norm(p)
-        V, SV = ((np.column_stack([x, p / size]),
-                  np.column_stack([Sx, Sp / size])) if size
-                 else (x[:, None], Sx[:, None]))
+        Y = scipy.linalg.eigh(0.5 * (H + H.T), V.T @ V, check_finite=False)[1]
+        X, SX = V @ Y[:, :b], SV @ Y[:, :b]
+        # P: the new X's move out of the old X (Y's rows past b), written
+        # in the Ritz vectors past the b lowest, which are orthogonal to X
+        Z, s, _ = np.linalg.svd(Y[b:, b:].T @ Y[b:, :b], full_matrices=False)
+        C = Y[:, b:] @ Z[:, s > RANK_TOL]
+        V, SV = np.hstack([X, V @ C]), np.hstack([SX, SV @ C])
 
 
-def _lowest_pair(S, theta_total, K):
-    """Lowest eigenpair of the level-D S, and what its solve did.
+def _lowest_pairs(S, theta_total, K, n):
+    """The n lowest eigenpairs of the level-D S, and what their solve did.
 
     With shift = _shift(S, theta_total), the leading block of the level D' =
-    _nested_level(K, U) (the level-D' operator; all of S when there is no
-    D') is factored once by banded Cholesky. LOBPCG solves the block from a
-    flat vector, preconditioned by that factor, the exact shift-inverse;
-    then it refines [q'; 0] at level D, preconditioned by the factor on the
-    leading rows and 1 / (S_ii - shift) on the others, which starts
-    converged when the block is all of S.
+    _nested_level(K, U) (the level-D' operator; all of S when there is no D'
+    or U(D') < n) is factored once by banded Cholesky. LOBPCG solves the
+    block from a fixed start (a flat vector, and n - 1 seeded Gaussian
+    columns orthonormal to it), preconditioned by that factor, the exact
+    shift-inverse; then it refines [Q'; 0] at level D, preconditioned by the
+    factor on the leading rows and 1 / (S_ii - shift) on the others, which
+    starts converged when the block is all of S.
 
-    Returns (Lambda_0, unit eigenvector, info): info holds nested_level (D'
-    or None), refine_steps at level D, and |Sx - rho x| / max|S_ij| (0 when
-    S = 0) of [q'; 0] (embedded_residual) and, from a fresh product, of the
-    pair (pair_residual). The start vector is fixed, so reruns give the
-    same bits.
+    Returns (Lambda (n,) ascending, orthonormal eigenvectors (U, n), info):
+    info holds nested_level (D' or None), refine_steps at level D, and the
+    largest |Sx_i - rho_i x_i| / max|S_ij| (0 when S = 0) of [Q'; 0]
+    (embedded_residual) and, from a fresh product, of the pairs
+    (pair_residual). The start is fixed, so reruns give the same bits.
     """
     U = S.shape[0]
     scale = np.abs(S.data).max(initial=0.0)
     shift = _shift(S, theta_total)
     level = _nested_level(K, U)
     lead = U if level is None else total_count(K, level)
+    if lead < n:
+        level, lead = None, U
     block = S[:lead, :lead]
     factor = _banded_cholesky(block, shift)
 
-    def solve(r):
-        return scipy.linalg.cho_solve_banded((factor, True), r,
+    def solve(R):
+        return scipy.linalg.cho_solve_banded((factor, True), R,
                                              check_finite=False)
 
-    q = _refine(block, np.full(lead, lead ** -0.5), shift, scale, solve)[1]
-    trailing = S.diagonal()[lead:] - shift
+    X = np.full((lead, 1), lead ** -0.5)
+    if n > 1:
+        gauss = np.random.RandomState(0).standard_normal((lead, n - 1))
+        X = np.hstack([X, _extend(X, gauss)])
+    Q = _refine(block, X, shift, scale, solve)[1]
+    trailing = S.diagonal()[lead:, None] - shift
     if not np.all(trailing > 0):
         raise scipy.linalg.LinAlgError(
             "a diagonal entry lies at or below the shift: the operator is "
             "not positive definite")
-    lam, v, steps, start = _refine(
-        S, np.r_[q, np.zeros(U - lead)], shift, scale,
-        lambda r: np.concatenate([solve(r[:lead]), r[lead:] / trailing]))
-    residual = np.linalg.norm(S.dot(v) - lam * v)
-    return lam, v, {
+    lam, V, steps, start = _refine(
+        S, np.vstack([Q, np.zeros((U - lead, n))]), shift, scale,
+        lambda R: np.vstack([solve(R[:lead]), R[lead:] / trailing]))
+    order = np.argsort(lam, kind="stable")
+    lam, V = lam[order], V[:, order]
+    residual = np.linalg.norm(S @ V - V * lam, axis=0).max()
+    return lam, V, {
         "pair_residual": float(residual / scale) if scale else 0.0,
         "nested_level": level,
-        "embedded_residual": float(start / scale) if scale else 0.0,
+        "embedded_residual": float(start.max() / scale) if scale else 0.0,
         "refine_steps": steps}
 
 
@@ -407,8 +452,9 @@ def semigroup_action(S, v, times, scale):
     only on (S, v, t), not on the other times. A residual at rounding level
     (a breakdown) or the m = U step makes every open time exact. A time
     still open after KRYLOV_MAX_STEPS steps raises NumericalError, and so
-    does one so large that exp(-t theta) under- or overflows at every Ritz
-    value, leaving w zero or not finite.
+    does one whose w is not finite, as where exp(-t theta) overflows. A w
+    that underflows to 0 is returned, with error 0: it is the limit of a v
+    with no lead component, and only the caller knows whether v has one.
     """
     U = len(v)
     size = scipy.linalg.norm(v, check_finite=False)
@@ -445,11 +491,11 @@ def semigroup_action(S, v, times, scale):
                     e = Z @ (np.exp(-times[i] * theta) * Z[0])
                     w = scale * (size * (e @ Q[:m]))
                 top = np.abs(w).max()
-                if not 0 < top < np.inf:
+                if not top < np.inf:
                     raise NumericalError(
                         f"exp(-tS)v at t={times[i]:g} is not representable "
                         f"in double precision: max|w| = {top:g}")
-                error = size * abs(e[-1]) * tail / top
+                error = size * abs(e[-1]) * tail / top if top else 0.0
                 if exact or error <= KRYLOV_TOL:
                     out[i], steps[i], errors[i] = w, m, float(error)
                     open_.remove(i)
@@ -492,13 +538,13 @@ def eigensolve(om, n_eig=None):
     S = symmetrize(om)
     info = {}
     try:
-        # a solve from one vector serves one pair only: it cannot resolve the
-        # multiplicities of neutral clusters. Asked for the four lowest pairs
-        # of a neutral K=3 model, ARPACK returned Lambda = 2.0 in place of
-        # the second member of the degree-1 cluster at 0.5.
-        if n_eig == 1:
-            lam, v, info = _lowest_pair(S, om.params.theta_total, om.params.K)
-            w, V, solver = np.array([lam]), v[:, None], "lobpcg"
+        # a block of n_eig columns resolves a degenerate (neutral) cluster up
+        # to its own size, since its fixed start reaches every eigenvector;
+        # beyond BLOCK_FRACTION * U pairs LAPACK costs less than its steps
+        if n_eig <= max(1, BLOCK_FRACTION * U):
+            w, V, info = _lowest_pairs(S, om.params.theta_total,
+                                       om.params.K, n_eig)
+            solver = "lobpcg"
         # S is exactly symmetric, so the dense transpose is S in Fortran
         # order, filled from CSC straight off S's arrays: LAPACK works in
         # this one copy
@@ -514,7 +560,7 @@ def eigensolve(om, n_eig=None):
     except scipy.linalg.LinAlgError as exc:
         # LAPACK failures, an indefinite shifted operator (a failed banded
         # Cholesky or a refined eigenvalue at or below the shift), and an
-        # unconverged one-pair solve
+        # unconverged LOBPCG solve
         raise NumericalError(
             f"eigensolver failed at truncation {om.D}: {exc}")
     # scaled in LAPACK's array: no second U x n_eig array is made
@@ -561,7 +607,8 @@ def convergence_table(p, D_list, n_list, track=()):
         track: (n, m_tuple) coefficient entries to report.
 
     Returns:
-        List of row dicts {"D", "Lambda": {n: value}, "u": {(n, m): value}}.
+        List of row dicts {"D", "Lambda": {n: value}, "u": {(n, m): value},
+        "solve": the level's SpectralDecomposition.solve_record}.
 
     Every index is checked against the smallest level before any solve; a
     tuple keeps its graded position at every larger level.
@@ -587,7 +634,8 @@ def convergence_table(p, D_list, n_list, track=()):
         lam = {n: float(sd.eigenvalues[n]) for n in n_list}
         uvals = {(n, m): float(sd.coeffs[n, q])
                  for (n, m), q in zip(track, pos)}
-        rows.append({"D": D, "Lambda": lam, "u": uvals})
+        rows.append({"D": D, "Lambda": lam, "u": uvals,
+                     "solve": sd.solve_record})
     return rows
 
 

@@ -595,6 +595,33 @@ def test_one_pair_sidecars_record_the_solve(tmp_path, sigma_1):
     assert not PAIR_FIELDS & set(meta)
 
 
+def test_converge_sidecar_records_how_each_level_was_solved(tmp_path,
+                                                            sigma_1):
+    # K=3: the two pairs of n_list [0, 1] come from LAPACK's subset solve at
+    # D=8 (U=45) and from LOBPCG at D=40 (U=861), whose nested level is 19
+    base = ["--set", "converge.D_list=[8,40]",
+            "--set", f"model.sigma={json.dumps(sigma_1.tolist())}"]
+    levels = []
+    for out in ("a", "b"):
+        assert run(tmp_path / out, "converge", *base) == 0
+        levels.append(json.loads(
+            (tmp_path / out / "converge_meta.json").read_text())["levels"])
+    assert levels[0] == levels[1]
+    low, high = levels[0]
+    assert low == {"D": 8, "eigenpairs": 2, "eigensolver": "eigh_subset"}
+    assert set(high) == {"D", "eigenpairs", "eigensolver"} | PAIR_FIELDS
+    assert (high["D"], high["eigenpairs"], high["eigensolver"]) == (
+        40, 2, "lobpcg")
+    assert high["pair_residual"] <= 1e-12
+    assert high["nested_level"] == 19 and high["refine_steps"] >= 0
+    # converge.csv keeps its layout
+    header, rows = read_csv(tmp_path / "a" / "converge.csv")
+    assert header == ["D", "kind", "n", "m_tuple", "value"]
+    assert [row[:3] for row in rows] == [
+        ["8", "Lambda", "0"], ["8", "Lambda", "1"],
+        ["40", "Lambda", "0"], ["40", "Lambda", "1"]]
+
+
 def test_indefinite_operator_exit_code(tmp_path, capsys, monkeypatch):
     # an operator with eigenvalues below the one-pair solve's shift
     lam = np.r_[-0.3, -0.05, np.linspace(1.0, 30.0, 28)]

@@ -13,7 +13,9 @@ level's, and the full solve to be C-orthonormal to rounding and scaled in
 LAPACK's own array. The one-pair solve is held to a few banded solves, one
 band factored in place (the nested level's), a residual at rounding,
 agreement in eigenvalue and C_stat with the same solve on the level-D
-operator factored whole, and its refusals.
+operator factored whole, and its refusals. A block of 2 to 7 pairs is held
+to the full solve on neutral clusters it ends inside, on a near-degenerate
+pair and on random models, to its bits on a rerun, and to the same refusals.
 """
 
 import dataclasses
@@ -448,7 +450,9 @@ def test_convergence_table_equals_per_level_solves(K, sigma, D, D_top,
                 "D": level,
                 "Lambda": {n: float(sd.eigenvalues[n]) for n in n_list},
                 "u": {(n, m): float(sd.coeffs[n, position[m]])
-                      for n, m in track}}
+                      for n, m in track},
+                "solve": {"eigenpairs": 4, "eigensolver": sd.eigensolver,
+                          **sd.pair_solve}}
 
 
 def test_leading_block_refuses_other_levels_and_models(theta_small, sigma_1):
@@ -622,22 +626,26 @@ def coupled_indefinite_operator(entry=0.5, coupling=0.5):
                                    matrix=S.tocsr(), log_norms=np.zeros(30))
 
 
-def test_refinement_refuses_an_indefinite_operator():
+def test_refinement_refuses_an_indefinite_operator(monkeypatch):
     # the level-6 block (rows 0-6) and every diagonal entry are positive,
-    # so only the refinement at level D meets the negative eigenvalue
+    # so only the refinement at level D meets the negative eigenvalue; the
+    # same holds for a block of 2 or 3 pairs
     om = coupled_indefinite_operator()
     assert spectral._nested_level(2, om.size) == 6
     assert np.all(np.linalg.eigvalsh(om.matrix[:7, :7].toarray()) > 0)
-    with pytest.raises(NumericalError, match="refined eigenvalue .* at or "
-                       "below the shift"):
-        spectral.eigensolve(om, 1)
     assert spectral.eigensolve(om).eigenvalues[0] < -0.3
+    monkeypatch.setattr(spectral, "BLOCK_FRACTION", 1.0)
+    for n_eig in (1, 2, 3):
+        with pytest.raises(NumericalError, match="refined eigenvalue .* at "
+                           "or below the shift"):
+            spectral.eigensolve(om, n_eig)
     # a negative diagonal entry beyond the block is refused before any
-    # step, even uncoupled, where [q'; 0] is an exact eigenvector
+    # step, even uncoupled, where [Q'; 0] is an exact eigenvector
     om = coupled_indefinite_operator(entry=-0.2, coupling=0.0)
-    with pytest.raises(NumericalError, match="diagonal entry lies at or "
-                       "below the shift"):
-        spectral.eigensolve(om, 1)
+    for n_eig in (1, 2, 3):
+        with pytest.raises(NumericalError, match="diagonal entry lies at or "
+                           "below the shift"):
+            spectral.eigensolve(om, n_eig)
 
 
 def test_an_open_refinement_is_refused(theta_small, sigma_1, monkeypatch,
@@ -707,9 +715,11 @@ def test_solver_paths_agree_with_the_full_solve(K, pick, seed):
     ref = spectral.eigensolve(om)
     assert ref.eigensolver == "eigh"
     U = om.size
-    # one pair, a LAPACK subset up to U/3 and a sliced full solve above it,
+    # LOBPCG for one pair (and up to U/200, which a U this small has no
+    # room for), a LAPACK subset up to U/3 and a sliced full solve above it,
     # as far as a tiny U has room for them
-    for n_eig in sorted({1, min(max(2, U // 4), U), max(1, U // 2)}):
+    for n_eig in sorted({1, 2, 3, min(max(2, U // 4), U), max(1, U // 2)}
+                        & set(range(1, U + 1))):
         sd = spectral.eigensolve(om, n_eig=n_eig)
         assert sd.eigensolver == ("lobpcg" if n_eig == 1
                                   else "eigh_subset" if 3 * n_eig <= U
@@ -718,6 +728,82 @@ def test_solver_paths_agree_with_the_full_solve(K, pick, seed):
         assert (spectral.decomposition_hash(sd)
                 == spectral.decomposition_hash(ref))
         assert_pairs_agree(sd, ref)
+    # and LOBPCG for 2 and 3 pairs, at every U
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(spectral, "BLOCK_FRACTION", 1.0)
+        for n_eig in (2, 3)[:U - 1]:
+            sd = spectral.eigensolve(om, n_eig=n_eig)
+            assert sd.eigensolver == "lobpcg"
+            assert sd.pair_solve["pair_residual"] <= spectral.REFINE_TOL
+            assert_pairs_agree(sd, ref)
+
+
+# neutral S is diagonal, and its eigenvalues come in clusters, one per
+# degree, of count_at_degree(K, d) members. Each K > 2 has blocks that end
+# inside one; at K=2 every cluster has one member. 3 pairs at K=3 D=24 end
+# at the degree-1 cluster's edge
+NEUTRAL_BLOCKS = [(2, 30, (2, 3)), (3, 12, (2, 4)), (3, 24, (2, 3)),
+                  (4, 8, (2, 3, 6)), (5, 6, (2, 3, 7))]
+
+
+@pytest.mark.parametrize("K, D, blocks", NEUTRAL_BLOCKS)
+def test_lobpcg_blocks_end_inside_neutral_clusters(K, D, blocks,
+                                                   monkeypatch):
+    # the members of a cluster are exactly degenerate, so LOBPCG's basis
+    # meets directions that are rank-deficient to rounding and drops them
+    p, om = assemble((0.01, 0.02, 0.03, 0.04, 0.05)[:K], np.zeros((K, K)), D)
+    ref = spectral.eigensolve(om)
+    inside = [ref.eigenvalues[n] == ref.eigenvalues[n - 1] for n in blocks]
+    assert any(inside) == (K > 2)
+    monkeypatch.setattr(spectral, "BLOCK_FRACTION", 1.0)
+    for n_eig in blocks:
+        sd = spectral.eigensolve(om, n_eig=n_eig)
+        assert sd.eigensolver == "lobpcg"
+        assert sd.pair_solve["nested_level"] is not None
+        assert sd.pair_solve["pair_residual"] <= spectral.REFINE_TOL
+        assert_pairs_agree(sd, ref)
+
+
+TWO_WELL = [[60.0, 14.0, 15.0], [14.0, 55.0, 13.0], [15.0, 13.0, 0.0]]
+
+
+@pytest.fixture(scope="module")
+def two_well():
+    """K=3 D=40 (U=861) with two wells: Lambda_1 = 1.1e-10."""
+    return assemble((0.01, 0.02, 0.03), TWO_WELL, 40)[1]
+
+
+def test_lobpcg_resolves_a_near_degenerate_pair(two_well):
+    # two pairs of U = 861 come from LOBPCG by default; Lambda_1 lies inside
+    # the block, 1.1e-10 above Lambda_0
+    sd = spectral.eigensolve(two_well, 2)
+    assert sd.eigensolver == "lobpcg"
+    assert sd.eigenvalues[1] == pytest.approx(1.1e-10, rel=0.05)
+    assert sd.pair_solve["pair_residual"] <= spectral.REFINE_TOL
+    assert_pairs_agree(sd, spectral.eigensolve(two_well))
+
+
+def test_lobpcg_reruns_give_identical_bits(two_well):
+    # the start block is fixed (a flat vector and seeded Gaussian columns)
+    first, again = (spectral.eigensolve(two_well, 3) for _ in range(2))
+    assert first.eigensolver == again.eigensolver == "lobpcg"
+    assert np.array_equal(first.eigenvalues, again.eigenvalues)
+    assert np.array_equal(first.coeffs, again.coeffs)
+    assert first.pair_solve == again.pair_solve
+
+
+def test_an_open_block_refinement_is_refused(two_well, monkeypatch):
+    # two pairs: the level-19 block takes fewer steps than the refinement
+    # at level D, so a cap between them leaves only the latter open
+    solves, _ = watch_banded_calls(monkeypatch)
+    steps = spectral.eigensolve(two_well, 2).pair_solve["refine_steps"]
+    monkeypatch.undo()
+    assert len(solves) - steps < steps - 1
+    monkeypatch.setattr(spectral, "KRYLOV_MAX_STEPS", steps - 1)
+    with pytest.raises(NumericalError, match=rf"lowest 2 pair\(s\) did not "
+                       rf"converge in {steps - 1} refinement steps: residual "
+                       r"\S+ of max\|S_ij\|"):
+        spectral.eigensolve(two_well, 2)
 
 
 @pytest.mark.parametrize("K, D", [(3, 40), (4, 10)])
@@ -811,6 +897,8 @@ def test_one_pair_solve_work_and_accuracy(case, sigma_1, monkeypatch):
     assert residual <= 1e-12 * scale
     assert info["pair_residual"] <= spectral.REFINE_TOL
     assert info["pair_residual"] == pytest.approx(residual / scale, rel=1e-6)
+    # at U >= 400 two pairs would come from LOBPCG too: hold it to LAPACK
+    monkeypatch.setattr(spectral, "BLOCK_FRACTION", 0)
     ref = spectral.eigensolve(om, 2)
     assert ref.eigensolver == "eigh_subset"
     assert abs(one.eigenvalues[0] - ref.eigenvalues[0]) <= 1e-12 * scale
